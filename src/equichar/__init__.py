@@ -22,8 +22,6 @@ from .characters import (CharacterTable, ClassFunction, Cyclotomic,
                          rational_class_function, regular_character,
                          table_to_dict, tensor_identify, trivial_character)
 from .checks import Verdict
-from .cli import (BUILTINS, ProblemOptions, ProblemSpec, builtin, main,
-                  parse_input, run_analyze)
 from .errors import (DimensionMismatch, EnumerationCapExceeded, EquicharError,
                      GroupMismatch, NoMatch, NonRationalCoefficient,
                      NonUnimodularGenerator, NotACharacter, NotASubgroup,
@@ -31,15 +29,14 @@ from .errors import (DimensionMismatch, EnumerationCapExceeded, EquicharError,
                      PrimeSearchFailed, UnknownExample, ValidationError,
                      ValidationFailed)
 from .gcdpoly import GcdQuasiPolynomial, divisors_of, make_quasimonomial
-from .groups import (FiniteMatrixGroup, conjugacy_classes, cyclic_subgroup,
-                     generate_group, group_exponent, is_subgroup)
-from .intmat import IntMatrix, SmithDecomposition, multiply, smith_normal_form
+from .groups import (FiniteMatrixGroup, cyclic_subgroup, generate_group,
+                     is_subgroup)
+from .intmat import IntMatrix, SmithDecomposition, smith_normal_form
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BUILTINS",
     "CharacterTable",
     "ClassDivisorData",
     "ClassFunction",
@@ -62,8 +59,6 @@ __all__ = [
     "OrderCapExceeded",
     "ParseError",
     "PrimeSearchFailed",
-    "ProblemOptions",
-    "ProblemSpec",
     "SmithDecomposition",
     "UnknownExample",
     "ValidationError",
@@ -73,10 +68,8 @@ __all__ = [
     "analyze",
     "brute_multiplicities",
     "brute_orbit_count_for_linear",
-    "builtin",
     "check_reciprocity",
     "class_divisor_data",
-    "conjugacy_classes",
     "cyclic_subgroup",
     "differential_check",
     "divisors_of",
@@ -86,22 +79,17 @@ __all__ = [
     "find_row",
     "fixed_point_qp",
     "generate_group",
-    "group_exponent",
     "induce_trivial",
     "ingest_character_table",
     "inner_product",
     "is_subgroup",
-    "main",
     "make_quasimonomial",
     "multiplicity_qp",
-    "multiply",
     "orbit_count_qp",
-    "parse_input",
     "rational_class_function",
     "reciprocity_character",
     "regular_character",
     "report_to_dict",
-    "run_analyze",
     "smith_normal_form",
     "table_to_dict",
     "tensor_identify",

@@ -5,18 +5,18 @@ For each conjugacy class the Smith normal form of (R - I) supplies the
 elementary divisors e_1 | ... | e_r; the number of fixed points of that
 class on (Z/q)^l is then gcd(e_1, q) * ... * gcd(e_r, q) * q^(l - r), a
 single gcd-form quasi-monomial. Averaging against irreducible characters
-produces the multiplicity quasi-polynomials; the structural facts checked
-afterwards (gcd-property, leading terms, minimal period, the reciprocity
-twist by the parity character of the ranks, dimension identity) each get a
-verdict, and optionally everything is compared against brute-force orbit
-enumeration for small q.
+produces the multiplicity quasi-polynomials. `analyze` then checks each
+structural fact once (gcd-property, leading terms, minimal period, the
+reciprocity twist by the parity character of the ranks, dimension identity,
+integrality), each verdict a proof for all q, and optionally compares
+everything against brute-force orbit enumeration for small q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
@@ -24,7 +24,8 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          rational_class_function, tensor_identify)
 from .checks import Verdict
 from .errors import NonRationalCoefficient, NotACharacter, NotLinearCharacter
-from .gcdpoly import GcdQuasiPolynomial, divisors_of, make_quasimonomial
+from .gcdpoly import (GcdQuasiPolynomial, divisors_of, make_quasimonomial,
+                      poly_eval)
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix, smith_normal_form
 
@@ -85,7 +86,6 @@ def multiplicity_qp(group: FiniteMatrixGroup, table: CharacterTable,
     action on (Z/q)^l, as a quasi-polynomial in q."""
     if period is None:
         period = action_period(data)
-    exponent = group.exponent
     accum: dict[tuple[tuple[int, ...], int], object] = {}
     for c in range(group.class_count):
         key = (data.reduced_divisors(c), data.lattice_rank - data.ranks[c])
@@ -100,18 +100,10 @@ def multiplicity_qp(group: FiniteMatrixGroup, table: CharacterTable,
             raise NonRationalCoefficient(
                 f"row {i}: coefficient on {key} is {scaled}, not rational")
         if coeff != 0:
-            assert group.order % coeff.denominator == 0
             raw[key] = coeff
-    qp = GcdQuasiPolynomial(period, tuple(sorted(
+    return GcdQuasiPolynomial(period, tuple(sorted(
         ((divs, power, coeff) for (divs, power), coeff in raw.items()),
         key=lambda t: (t[1], t[0]))))
-    for q in range(1, max(24, 4 * period) + 1):
-        value = qp.evaluate(q)
-        if value.denominator != 1 or value < 0:
-            raise NonRationalCoefficient(
-                f"row {i}: multiplicity at q={q} is {value}, "
-                f"not a nonnegative integer")
-    return qp
 
 
 @dataclass(frozen=True)
@@ -136,14 +128,8 @@ def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
         period = action_period(data)
     mults = tuple(multiplicity_qp(group, table, data, i, period)
                   for i in range(table.size))
-    ell = data.lattice_rank
-    for i, qp in enumerate(mults):
-        expected = Fraction(table.degrees[i], group.order)
-        for d in divisors_of(period):
-            poly = qp.constituent(d)
-            assert len(poly) - 1 == ell and poly[-1] == expected, \
-                f"row {i}: leading term off at residue {d}"
-    return EquivariantQuasiPolynomial(lattice_rank=ell, period=period,
+    return EquivariantQuasiPolynomial(lattice_rank=data.lattice_rank,
+                                      period=period,
                                       multiplicities=mults,
                                       degrees=table.degrees,
                                       trivial_index=table.trivial_index)
@@ -152,19 +138,16 @@ def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
 def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
                           data: ClassDivisorData) -> tuple[ClassFunction, int]:
     """The degree-1 character gamma -> (-1)^rank(R_gamma - I), which equals
-    det(R_gamma). Returns it with its row index in the table."""
-    ident = IntMatrix.identity(group.rank)
+    det(R_gamma). Returns it with its row index in the table.
+
+    The determinant is multiplicative, so matching it on one representative
+    per class shows that the parity function is a degree-1 character."""
     signs = tuple((-1) ** r for r in data.ranks)
-    for idx, mat in enumerate(group.elements):
-        det = mat.det()
-        rank = mat.sub(ident).rank()
-        assert det == (-1) ** rank, f"element {idx}: det {det}, rank {rank}"
-        assert det == signs[group.class_of[idx]]
-    for a in range(group.order):
-        for b in range(group.order):
-            lhs = signs[group.class_of[group.cayley[a][b]]]
-            rhs = signs[group.class_of[a]] * signs[group.class_of[b]]
-            assert lhs == rhs, "parity character is not multiplicative"
+    dets = tuple(group.elements[rep].det() for rep in group.class_representatives)
+    if dets != signs:
+        raise NotACharacter(
+            f"determinants {list(dets)} differ from the rank parities "
+            f"{list(signs)} of the classes")
     cf = rational_class_function(group, signs)
     idx = find_row(table, cf.values)
     if idx is None:
@@ -189,9 +172,9 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     ell = eqp.lattice_rank
     period = eqp.period
     twist = [tensor_identify(table, i, delta) for i in range(table.size)]
-    for i, j in enumerate(twist):
-        assert twist[j] == i, "twisting by the parity character must be an involution"
-    failures_theorem = []
+    # the twist is an involution, so this one pass over the rows also covers
+    # the aggregate identity read from the other side
+    failures = []
     for i in range(table.size):
         j = twist[i]
         for r in range(1, period + 1):
@@ -199,36 +182,27 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
             rhs = _reflected(
                 eqp.multiplicities[i].constituent(_negated_residue(r, period)), ell)
             if lhs != rhs:
-                failures_theorem.append((i, r))
-    failures_corollary = []
-    for j in range(table.size):
-        i = twist[j]
-        for r in range(1, period + 1):
-            lhs = eqp.multiplicities[j].constituent(r)
-            rhs = _reflected(
-                eqp.multiplicities[i].constituent(_negated_residue(r, period)), ell)
-            if lhs != rhs:
-                failures_corollary.append((j, r))
+                failures.append((i, r))
+    involution = all(twist[j] == i for i, j in enumerate(twist))
     method = f"symbolic, constituents mod {period}"
-    verdicts = [
+    details = f"first failure at row, residue {failures[0]}" if failures else ""
+    return [
         Verdict(
             name="reciprocity-twist",
             statement="m(chi_i (x) delta; q) = (-1)^l m(chi_i; -q) for every row i",
             method=method,
-            passed=not failures_theorem,
-            details=("" if not failures_theorem
-                     else f"first failure at row, residue {failures_theorem[0]}"),
+            passed=not failures,
+            details=details,
         ),
         Verdict(
             name="reciprocity-aggregate",
             statement="F(q) = (-1)^l delta (x) F(-q), componentwise",
             method=method,
-            passed=not failures_corollary,
-            details=("" if not failures_corollary
-                     else f"first failure at row, residue {failures_corollary[0]}"),
+            passed=not failures and involution,
+            details=details or ("" if involution else
+                                "twisting by delta is not an involution"),
         ),
     ]
-    return verdicts
 
 
 def orbit_count_qp(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
@@ -239,6 +213,36 @@ def orbit_count_qp(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     if table.degrees[index] != 1:
         raise NotLinearCharacter(f"row {index} has degree {table.degrees[index]}")
     return eqp.multiplicities[index]
+
+
+def integrality_failure(multiplicities, period: int,
+                        ell: int) -> str | None:
+    """Decide whether every multiplicity takes a nonnegative integer value at
+    every q >= 1; returns None if so, else a description of a failure.
+
+    Each multiplicity must have a period dividing `period` and degree at
+    most `ell`. For a residue r, t -> m(r + period*t) is then a polynomial
+    of degree at most ell, and such a polynomial is integer-valued on Z iff
+    its values at ell + 1 consecutive integers are (Polya). So integrality
+    at q in 1..period*(ell + 1) proves it for every q. For the sign, a
+    constituent with a positive leading coefficient is positive beyond the
+    Cauchy bound 1 + max|a_j / a_top| on its roots, so only the q below
+    that bound in its gcd class are evaluated."""
+    for i, m in enumerate(multiplicities):
+        polys = {d: m.constituent(d) for d in divisors_of(period)}
+        for q in range(1, period * (ell + 1) + 1):
+            value = poly_eval(polys[gcd(period, q)], q)
+            if value.denominator != 1:
+                return f"row {i}: value {value} at q={q} is not an integer"
+        for d, poly in polys.items():
+            if not poly or poly[-1] <= 0:
+                return f"row {i}: leading coefficient at gcd {d} is not positive"
+            bound = 1 + max((abs(c / poly[-1]) for c in poly[:-1]), default=0)
+            for q in range(d, ceil(bound), d):
+                if gcd(period, q) == d and poly_eval(poly, q) < 0:
+                    return (f"row {i}: value {poly_eval(poly, q)} at q={q} "
+                            f"is negative")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +313,6 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
     eqp = equivariant_qp(group, table, data, period)
     delta, delta_index = reciprocity_character(group, table, data)
     linear = table.linear_indices()
-    for i in linear:
-        orbit_count_qp(table, eqp, i)
     minimal_periods = tuple(m.minimal_period() for m in eqp.multiplicities)
 
     verdicts: list[Verdict] = []
@@ -364,28 +366,20 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
     acc = GcdQuasiPolynomial(period, ())
     for i, qp in enumerate(eqp.multiplicities):
         acc = acc.add(qp.scale(table.degrees[i]))
-    dim_symbolic = acc.equals(dim_target)
-    dim_numeric = all(
-        sum(table.degrees[i] * eqp.multiplicities[i].evaluate(q)
-            for i in range(table.size)) == Fraction(q) ** ell
-        for q in range(1, effective_q_max + 1))
     verdicts.append(Verdict(
         name="dimension-identity",
         statement="sum of degree(chi_i) * m(chi_i; q) equals q^l",
-        method=f"symbolic and numeric, q in 1..{effective_q_max}",
-        passed=dim_symbolic and dim_numeric))
+        method=symbolic,
+        passed=acc.equals(dim_target)))
 
-    integral_ok = True
-    for q in range(1, effective_q_max + 1):
-        for m in eqp.multiplicities:
-            v = m.evaluate(q)
-            if v.denominator != 1 or v < 0:
-                integral_ok = False
+    failure = integrality_failure(eqp.multiplicities, period, ell)
     verdicts.append(Verdict(
         name="integrality",
         statement="every multiplicity evaluates to a nonnegative integer",
-        method=f"numeric, q in 1..{effective_q_max}",
-        passed=integral_ok))
+        method=f"proof for all q: exact values at q in 1..{period * (ell + 1)}, "
+               f"signs below Cauchy root bounds",
+        passed=failure is None,
+        details=failure or ""))
 
     verdicts.extend(check_reciprocity(table, eqp, delta, delta_index))
 

@@ -31,12 +31,7 @@ from math import lcm
 from pathlib import Path
 
 from .analysis import AnalysisReport, analyze, report_to_dict
-from .errors import (DimensionMismatch, EnumerationCapExceeded, EquicharError,
-                     GroupMismatch, NoMatch, NonRationalCoefficient,
-                     NonUnimodularGenerator, NotACharacter, NotASubgroup,
-                     NotLinearCharacter, OrderCapExceeded, ParseError,
-                     PrimeSearchFailed, UnknownExample, ValidationError,
-                     ValidationFailed)
+from .errors import EquicharError, ParseError, UnknownExample, ValidationError
 from .gcdpoly import divisors_of
 from .groups import DEFAULT_MAX_ORDER, generate_group
 from .intmat import IntMatrix
@@ -88,26 +83,6 @@ BUILTINS: dict[str, dict] = {
         "generators": [[[0, 1], [-1, 0]], [[0, 1], [1, 0]]],
     },
 }
-
-# where in the pipeline each failure class originates, for error rendering
-_PROVENANCE = (
-    (ParseError, "problem input"),
-    (ValidationError, "problem input"),
-    (UnknownExample, "problem input"),
-    (DimensionMismatch, "matrix arithmetic"),
-    (NonUnimodularGenerator, "group construction"),
-    (OrderCapExceeded, "group construction"),
-    (GroupMismatch, "class functions"),
-    (NotASubgroup, "class functions"),
-    (ValidationFailed, "character table validation"),
-    (PrimeSearchFailed, "character table computation"),
-    (NoMatch, "character table lookup"),
-    (NonRationalCoefficient, "multiplicity assembly"),
-    (NotACharacter, "reciprocity character"),
-    (NotLinearCharacter, "orbit counting"),
-    (EnumerationCapExceeded, "oracle enumeration"),
-)
-
 
 def builtin(name: str) -> ProblemSpec:
     if name not in BUILTINS:
@@ -349,10 +324,9 @@ def render(report: AnalysisReport, output_format: str) -> str:
 
 
 def _describe_error(exc: EquicharError) -> str:
-    for klass, origin in _PROVENANCE:
-        if isinstance(exc, klass):
-            return f"error [{origin}]: {exc}"
-    return f"error: {exc}"
+    if exc.stage is None:
+        return f"error: {exc}"
+    return f"error [{exc.stage}]: {exc}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", metavar="PATH",
                         help="load a problem description from a JSON file")
     pa.add_argument("--qmax", type=int, default=None, metavar="N",
-                    help="verify for q in 1..N (default max(24, 4*period))")
+                    help="brute-force check q in 1..N (default max(24, 4*period))")
     pa.add_argument("--format", choices=FORMATS, default=None,
                     help="output format (default text)")
     pa.add_argument("--no-verify", action="store_true",

@@ -157,14 +157,6 @@ def generate_group(generators: Sequence[IntMatrix],
     )
 
 
-def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[int, ...], ...]:
-    return group.class_partition
-
-
-def group_exponent(group: FiniteMatrixGroup) -> int:
-    return group.exponent
-
-
 def is_subgroup(group: FiniteMatrixGroup, indices: Iterable[int]) -> bool:
     """True when the index set is nonempty and closed under multiplication
     (for a finite subset that already implies identity and inverses)."""

@@ -139,10 +139,6 @@ class IntMatrix:
         return self.is_square() and abs(self.det()) == 1
 
 
-def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return a.multiply(b)
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Certified Smith normal form: left * A * right is diagonal with the

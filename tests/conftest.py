@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from equichar import (FiniteMatrixGroup, IntMatrix, builtin,
-                      dixon_character_table, generate_group)
+from equichar import (FiniteMatrixGroup, IntMatrix, dixon_character_table,
+                      generate_group)
+from equichar.cli import builtin
 
 DATA_DIR = Path(__file__).parent / "data"
 PROBLEMS_DIR = Path(__file__).parent.parent / "problems"

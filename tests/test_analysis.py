@@ -1,15 +1,18 @@
 """The symbolic pipeline against hand-checked golden data: divisor tables,
 multiplicity constituents, reciprocity pairings, and the verdict suite."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from equichar import (NotLinearCharacter, action_period, analyze,
-                      class_divisor_data, dixon_character_table,
+from equichar import (NotACharacter, NotLinearCharacter, action_period,
+                      analyze, class_divisor_data, dixon_character_table,
                       equivariant_qp, fixed_point_qp, multiplicity_qp,
                       orbit_count_qp, reciprocity_character, report_to_dict)
+from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
+from equichar.gcdpoly import GcdQuasiPolynomial, make_quasimonomial
 
 from conftest import BUILTIN_NAMES, make_builtin_group
 
@@ -194,6 +197,39 @@ class TestEquivariant:
                 assert total == q ** group.rank
 
 
+class TestIntegrality:
+    @pytest.mark.parametrize("terms, ell, expected", [
+        ((((), 1, Fraction(1, 2)),), 1,
+         "row 0: value 1/2 at q=1 is not an integer"),
+        # (q - 29)(q - 31) dips below zero only at q = 30
+        ((((), 0, Fraction(899)), ((), 1, Fraction(-60)),
+          ((), 2, Fraction(1))), 2,
+         "row 0: value -1 at q=30 is negative"),
+        ((((), 1, Fraction(-1)),), 1,
+         "row 0: leading coefficient at gcd 1 is not positive"),
+    ], ids=["half-q", "negative-at-30", "negative-leading"])
+    def test_failures_found(self, terms, ell, expected):
+        qp = GcdQuasiPolynomial(1, terms)
+        assert integrality_failure([qp], 1, ell) == expected
+
+    def test_gcd_terms_checked_per_class(self):
+        # q^2 - 3 gcd(2, q) q + 2 is q^2 - 3q + 2 = (q - 1)(q - 2) for odd q
+        # and q^2 - 6q + 2 for even q, which is negative at q = 2 and q = 4
+        qp = make_quasimonomial((), 2, 1, period=2) + \
+            make_quasimonomial((2,), 1, -3) + \
+            make_quasimonomial((), 0, 2, period=2)
+        assert integrality_failure([qp], 2, 2) == \
+            "row 0: value -6 at q=2 is negative"
+        assert integrality_failure([qp.add(make_quasimonomial((2,), 0, 6))],
+                                   2, 2) is None
+
+    def test_real_multiplicities_pass(self, pipelines):
+        for group, table, data in pipelines.values():
+            eqp = equivariant_qp(group, table, data)
+            assert integrality_failure(eqp.multiplicities, eqp.period,
+                                       eqp.lattice_rank) is None
+
+
 class TestReciprocity:
     def test_delta_is_trivial_for_c6_z2(self, pipelines):
         group, table, data = pipelines["c6-z2"]
@@ -211,6 +247,13 @@ class TestReciprocity:
         group, table, data = pipelines["s3-a2"]
         _, idx = reciprocity_character(group, table, data)
         assert table.degrees[idx] == 1 and idx != table.trivial_index
+
+    def test_parity_must_match_determinant(self, pipelines):
+        group, table, data = pipelines["c6-z2"]
+        ranks = (0, 1) + data.ranks[2:]
+        with pytest.raises(NotACharacter):
+            reciprocity_character(group, table,
+                                  dataclasses.replace(data, ranks=ranks))
 
     def test_twist_pairings_between_rows(self, pipelines):
         # m(chi^1; q) = -m(chi^4; -q) and m(chi^3; q) = -m(trivial; -q)

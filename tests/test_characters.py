@@ -118,6 +118,17 @@ class TestIngestValidation:
             ingest_character_table(c6_group, raw)
         assert "orthogonality" in info.value.relation
 
+    def test_swapped_columns_fail_first_orthogonality(self, s3_group):
+        # second orthogonality is implied rather than checked, so column
+        # damage has to surface through first orthogonality
+        raw = load_reference_table("s3_table.json")
+        assert s3_group.class_sizes[1] != s3_group.class_sizes[2]
+        for row in raw["rows"]:
+            row[1], row[2] = row[2], row[1]
+        with pytest.raises(ValidationFailed) as info:
+            ingest_character_table(s3_group, raw)
+        assert info.value.relation == "first orthogonality"
+
     def test_wrong_row_count_fails_squareness(self, c6_group):
         raw = load_reference_table("c6_table.json")
         raw["rows"] = raw["rows"][:-1]

@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from equichar import (GcdQuasiPolynomial, ParseError, UnknownExample,
-                      ValidationError, Verdict, builtin, parse_input,
-                      run_analyze)
-from equichar.cli import (BUILTINS, format_constituent, main, render_json,
-                          render_latex, render_text)
+                      ValidationError, Verdict, errors)
+from equichar.cli import (BUILTINS, _describe_error, builtin,
+                          format_constituent, main, parse_input, render_json,
+                          render_latex, render_text, run_analyze)
 
 from conftest import PROBLEMS_DIR
 
@@ -194,3 +198,49 @@ class TestMain:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verification"]["oracle_q_max"] == 6
+
+    def test_huge_qmax_without_oracle_returns_quickly(self):
+        # with the oracle off no verdict depends on q_max, so a huge value
+        # must not slow the run down
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "equichar.cli", "analyze", "--builtin",
+             "c6-z2", "--qmax", "100000000", "--no-verify"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "overall: PASS" in proc.stdout
+
+
+ERROR_STAGES = (
+    (errors.ParseError, "problem input"),
+    (errors.ValidationError, "problem input"),
+    (errors.UnknownExample, "problem input"),
+    (errors.DimensionMismatch, "matrix arithmetic"),
+    (errors.NonUnimodularGenerator, "group construction"),
+    (errors.OrderCapExceeded, "group construction"),
+    (errors.GroupMismatch, "class functions"),
+    (errors.NotASubgroup, "class functions"),
+    (errors.ValidationFailed, "character table validation"),
+    (errors.PrimeSearchFailed, "character table computation"),
+    (errors.NoMatch, "character table lookup"),
+    (errors.NonRationalCoefficient, "multiplicity assembly"),
+    (errors.NotACharacter, "reciprocity character"),
+    (errors.NotLinearCharacter, "orbit counting"),
+    (errors.EnumerationCapExceeded, "oracle enumeration"),
+)
+
+
+def test_error_stages_cover_every_error_class():
+    assert ({cls for cls, _ in ERROR_STAGES}
+            == set(errors.EquicharError.__subclasses__()))
+
+
+@pytest.mark.parametrize("cls, stage", ERROR_STAGES,
+                         ids=[cls.__name__ for cls, _ in ERROR_STAGES])
+def test_error_renders_with_its_stage(cls, stage):
+    exc = cls("boom")
+    assert _describe_error(exc) == f"error [{stage}]: {exc}"

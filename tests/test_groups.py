@@ -1,9 +1,8 @@
 import pytest
 
 from equichar import (DimensionMismatch, NonUnimodularGenerator,
-                      OrderCapExceeded, conjugacy_classes, cyclic_subgroup,
-                      generate_group, group_exponent, is_subgroup,
-                      smith_normal_form)
+                      OrderCapExceeded, cyclic_subgroup, generate_group,
+                      is_subgroup, smith_normal_form)
 from equichar.intmat import IntMatrix
 
 from conftest import mat
@@ -13,7 +12,7 @@ class TestGeneration:
     def test_cyclic_order_six(self, c6_group):
         assert c6_group.order == 6
         assert c6_group.rank == 2
-        assert group_exponent(c6_group) == 6
+        assert c6_group.exponent == 6
         # single-generator BFS lists the powers of the generator in order
         gen = c6_group.elements[1]
         power = IntMatrix.identity(2)
@@ -25,7 +24,7 @@ class TestGeneration:
         assert s3_group.order == 6
         assert s3_group.class_count == 3
         assert sorted(s3_group.class_sizes) == [1, 2, 3]
-        assert group_exponent(s3_group) == 6
+        assert s3_group.exponent == 6
 
     def test_trivial_group(self):
         group = generate_group([], rank=2)
@@ -87,7 +86,7 @@ class TestStructure:
                     assert s3_group.class_of[s3_group.conjugate(h, x)] == c
 
     def test_conjugacy_classes_returns_partition(self, c6_group):
-        classes = conjugacy_classes(c6_group)
+        classes = c6_group.class_partition
         assert len(classes) == 6
         assert sorted(i for cl in classes for i in cl) == list(range(6))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar import DimensionMismatch, IntMatrix, multiply, smith_normal_form
+from equichar import DimensionMismatch, IntMatrix, smith_normal_form
 
 from conftest import mat
 
@@ -46,7 +46,7 @@ class TestArithmetic:
     def test_multiply_identity(self):
         a = mat([[3, -2], [7, 5]])
         assert IntMatrix.identity(2).multiply(a) == a
-        assert multiply(a, IntMatrix.identity(2)) == a
+        assert a.multiply(IntMatrix.identity(2)) == a
 
     def test_multiply_matches_power_of_order_six_generator_on_z3(self):
         a = mat([[-1, -1, 0], [1, 0, 0], [0, 0, -1]])
