@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .characters import CharacterTable
 from .checks import Verdict
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, ValidationError
 from .gcdpoly import GcdQuasiPolynomial
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix
@@ -28,10 +28,11 @@ MAX_POINTS_ENV = "EQUICHAR_MAX_POINTS"
 def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
-    env = os.environ.get(MAX_POINTS_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_POINTS
+    env = os.environ.get(MAX_POINTS_ENV, str(DEFAULT_MAX_POINTS)).strip()
+    if not env.isdecimal() or int(env) < 1:
+        raise ValidationError(
+            f"{MAX_POINTS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _decode(code: int, q: int, rank: int) -> tuple[int, ...]:

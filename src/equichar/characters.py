@@ -32,12 +32,6 @@ class ClassFunction:
         if len(self.values) != self.group.class_count:
             raise GroupMismatch("one value per conjugacy class is required")
 
-    def value_on_class(self, c: int) -> Cyclotomic:
-        return self.values[c]
-
-    def value_on_element(self, i: int) -> Cyclotomic:
-        return self.values[self.group.class_of[i]]
-
     def degree(self) -> Cyclotomic:
         return self.values[0]
 
@@ -82,18 +76,17 @@ def rational_class_function(group: FiniteMatrixGroup, values) -> ClassFunction:
 
 def induce_trivial(group: FiniteMatrixGroup, subgroup) -> ClassFunction:
     """Induction of the trivial character of a subgroup, given as a set of
-    element indices closed under multiplication."""
+    element indices closed under multiplication:
+    Ind(g) = |G| |g^G meet H| / (|g^G| |H|)."""
     members = sorted(set(subgroup))
     if not is_subgroup(group, members):
         raise NotASubgroup(f"{members} is not closed under multiplication")
-    member_set = set(members)
-    h = len(members)
-    values = []
-    for rep in group.class_representatives:
-        count = sum(1 for x in range(group.order)
-                    if group.conjugate(x, rep) in member_set)
-        values.append(Fraction(count, h))
-    return rational_class_function(group, values)
+    counts = [0] * group.class_count
+    for x in members:
+        counts[group.class_of[x]] += 1
+    return rational_class_function(group, (
+        Fraction(group.order * count, size * len(members))
+        for count, size in zip(counts, group.class_sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +320,7 @@ def _structure_matrices(group: FiniteMatrixGroup) -> list[list[list[int]]]:
         for i, members in enumerate(group.class_partition):
             row = a[i]
             for x in members:
-                j = group.class_of[group.cayley[group.inverse[x]][z]]
+                j = group.class_of[group.mul(group.inverse[x], z)]
                 row[j][l] += 1
     return a
 
@@ -426,7 +419,7 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
         x = 0
         for _ in range(e):
             row.append(group.class_of[x])
-            x = group.cayley[x][reps[j]]
+            x = group.mul(x, reps[j])
         power_class.append(row)
 
     rows = []

@@ -143,8 +143,8 @@ def parse_input(path: str | Path) -> ProblemSpec:
     _require(isinstance(name, str) and name, "name must be a nonempty string")
     _require("rank" in payload, "missing required field: rank")
     rank = payload["rank"]
-    _require(isinstance(rank, int) and rank >= 1,
-             "rank must be a positive integer")
+    _require(isinstance(rank, int) and not isinstance(rank, bool)
+             and rank >= 1, "rank must be a positive integer")
     raw_gens = payload.get("generators", [])
     _require(isinstance(raw_gens, list), "generators must be a list")
     gens = []

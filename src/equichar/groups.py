@@ -2,14 +2,16 @@
 
 A group is built by breadth-first closure from an explicit generator list.
 Element 0 is always the identity; the element order is the BFS discovery
-order, so it is reproducible for a fixed generator list. Conjugacy classes
-are sorted by (order of the representative, representative index), which
-places the identity class first.
+order, so it is reproducible for a fixed generator list. Products are
+computed on demand by `FiniteMatrixGroup.mul`. Conjugacy classes are orbits
+under conjugation by the generators (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 4), sorted by (order of the representative,
+representative index), which places the identity class first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -25,12 +27,12 @@ class FiniteMatrixGroup:
     rank: int
     elements: tuple[IntMatrix, ...]
     generator_indices: tuple[int, ...]
-    cayley: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     class_partition: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     element_orders: tuple[int, ...]
     exponent: int
+    index_of: dict[IntMatrix, int] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -49,19 +51,19 @@ class FiniteMatrixGroup:
         return tuple(len(c) for c in self.class_partition)
 
     def mul(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
+        return self.index_of[self.elements[i].multiply(self.elements[j])]
 
     def power(self, i: int, n: int) -> int:
         if n < 0:
             return self.power(self.inverse[i], -n)
         acc = 0
         for _ in range(n):
-            acc = self.cayley[acc][i]
+            acc = self.mul(acc, i)
         return acc
 
     def conjugate(self, h: int, x: int) -> int:
         """Index of h^-1 x h."""
-        return self.cayley[self.cayley[self.inverse[h]][x]][h]
+        return self.mul(self.mul(self.inverse[h], x), h)
 
 
 def _validated_generators(generators: Sequence[IntMatrix], rank: int | None) -> tuple[list[IntMatrix], int]:
@@ -96,9 +98,7 @@ def generate_group(generators: Sequence[IntMatrix],
     ident = IntMatrix.identity(ell)
     elements: list[IntMatrix] = [ident]
     index_of: dict[IntMatrix, int] = {ident: 0}
-    pos = 0
-    while pos < len(elements):
-        current = elements[pos]
+    for current in elements:  # breadth-first: elements grows while scanned
         for g in gens:
             prod = current.multiply(g)
             if prod not in index_of:
@@ -107,67 +107,74 @@ def generate_group(generators: Sequence[IntMatrix],
                         f"closure exceeded max_order={max_order}")
                 index_of[prod] = len(elements)
                 elements.append(prod)
-        pos += 1
 
-    n = len(elements)
-    cayley = tuple(
-        tuple(index_of[elements[i].multiply(elements[j])] for j in range(n))
-        for i in range(n)
-    )
-    inverse = [0] * n
-    for i in range(n):
-        row = cayley[i]
-        inverse[i] = row.index(0)
+    # one powering loop per element: its order, and its inverse as the
+    # last power before the identity
+    orders: list[int] = []
+    inverse: list[int] = []
+    for x in elements:
+        power, last, k = x, ident, 1
+        while power != ident:
+            power, last, k = power.multiply(x), power, k + 1
+        orders.append(k)
+        inverse.append(index_of[last])
 
-    orders = [0] * n
-    for i in range(n):
-        k = 1
-        x = i
-        while x != 0:
-            x = cayley[x][i]
-            k += 1
-        orders[i] = k
-
-    class_of = [-1] * n
-    raw_classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] != -1:
+    # conjugacy classes as orbits of x -> g^-1 x g over the generators; the
+    # first member of each orbit is its smallest index
+    conjugators = [(elements[inverse[index_of[g]]], g) for g in gens]
+    seen: set[int] = set()
+    orbits: list[tuple[int, ...]] = []
+    for x in range(len(elements)):
+        if x in seen:
             continue
-        members = sorted({cayley[cayley[inverse[h]][x]][h] for h in range(n)})
-        idx = len(raw_classes)
+        members = [x]
+        seen.add(x)
         for y in members:
-            class_of[y] = idx
-        raw_classes.append(tuple(members))
-    order_key = sorted(range(len(raw_classes)),
-                       key=lambda c: (orders[raw_classes[c][0]], raw_classes[c][0]))
-    partition = tuple(raw_classes[c] for c in order_key)
-    relabel = {old: new for new, old in enumerate(order_key)}
-    class_of = tuple(relabel[c] for c in class_of)
+            for g_inv, g in conjugators:
+                z = index_of[g_inv.multiply(elements[y]).multiply(g)]
+                if z not in seen:
+                    seen.add(z)
+                    members.append(z)
+        orbits.append(tuple(sorted(members)))
+    partition = tuple(sorted(orbits, key=lambda c: (orders[c[0]], c[0])))
+    class_of = [0] * len(elements)
+    for c, members in enumerate(partition):
+        for y in members:
+            class_of[y] = c
 
     return FiniteMatrixGroup(
         rank=ell,
         elements=tuple(elements),
         generator_indices=tuple(index_of[g] for g in gens),
-        cayley=cayley,
         inverse=tuple(inverse),
         class_partition=partition,
-        class_of=class_of,
+        class_of=tuple(class_of),
         element_orders=tuple(orders),
         exponent=lcm(*orders),
+        index_of=index_of,
     )
 
 
 def is_subgroup(group: FiniteMatrixGroup, indices: Iterable[int]) -> bool:
-    """True when the index set is nonempty and closed under multiplication
-    (for a finite subset that already implies identity and inverses)."""
+    """True when the index set is nonempty and closed under multiplication,
+    that is, when it equals the subgroup its members generate. That subgroup
+    is grown one new generator at a time, each at least doubling it, so this
+    takes O(|G| log^2 |G|) products rather than |H|^2."""
     subset = set(indices)
-    if not subset:
-        return False
-    for a in subset:
-        for b in subset:
-            if group.cayley[a][b] not in subset:
-                return False
-    return True
+    closure, gens = {0}, []
+    for h in subset:
+        if h in closure:
+            continue
+        gens.append(h)
+        frontier = list(closure)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+    return closure == subset
 
 
 def cyclic_subgroup(group: FiniteMatrixGroup, i: int) -> frozenset[int]:
@@ -175,5 +182,5 @@ def cyclic_subgroup(group: FiniteMatrixGroup, i: int) -> frozenset[int]:
     x = i
     while x != 0:
         powers.add(x)
-        x = group.cayley[x][i]
+        x = group.mul(x, i)
     return frozenset(powers)

@@ -83,9 +83,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():

@@ -6,7 +6,7 @@ from equichar import (EnumerationCapExceeded, brute_multiplicities,
                       brute_orbit_count_for_linear, differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, action_period, equivariant_qp,
-                      make_quasimonomial)
+                      make_quasimonomial, ValidationError)
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap, _apply
 
 from conftest import make_builtin_group
@@ -80,6 +80,12 @@ class TestEnumeration:
             enumerate_action(group, 4)
         monkeypatch.delenv(MAX_POINTS_ENV)
         assert resolve_cap() == 2_000_000
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "", "1.5"])
+    def test_env_must_be_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv(MAX_POINTS_ENV, value)
+        with pytest.raises(ValidationError):
+            resolve_cap()
 
 
 class TestBruteMultiplicities:

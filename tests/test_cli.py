@@ -16,6 +16,18 @@ from equichar.cli import (BUILTINS, _describe_error, builtin,
 from conftest import PROBLEMS_DIR
 
 
+def run_cli(args, extra_env=None, timeout=10):
+    """Run `python -m equichar.cli` in a fresh process on this source tree."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    env.update(extra_env or {})
+    return subprocess.run([sys.executable, "-m", "equichar.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 @pytest.fixture(scope="module")
 def s3_report():
     spec = builtin("s3-a2")
@@ -65,6 +77,12 @@ class TestProblemSpecs:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rank": 2, "generaters": []}))
         with pytest.raises(ValidationError):
+            parse_input(path)
+
+    def test_parse_rejects_boolean_rank(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rank": True, "generators": []}))
+        with pytest.raises(ValidationError, match="rank must be"):
             parse_input(path)
 
     def test_parse_rejects_bad_options(self, tmp_path):
@@ -202,17 +220,21 @@ class TestMain:
     def test_huge_qmax_without_oracle_returns_quickly(self):
         # with the oracle off no verdict depends on q_max, so a huge value
         # must not slow the run down
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "equichar.cli", "analyze", "--builtin",
-             "c6-z2", "--qmax", "100000000", "--no-verify"],
-            capture_output=True, text=True, env=env, timeout=10)
+        proc = run_cli(["analyze", "--builtin", "c6-z2", "--qmax",
+                        "100000000", "--no-verify"])
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "overall: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_env_cap_is_input_error(self, value):
+        from equichar.bruteforce import MAX_POINTS_ENV
+        proc = run_cli(["analyze", "--builtin", "c6-z2", "--qmax", "6"],
+                       extra_env={MAX_POINTS_ENV: value})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error [problem input]: {MAX_POINTS_ENV} must "
+                               f"be a positive integer, got {value!r}\n")
 
 
 ERROR_STAGES = (
