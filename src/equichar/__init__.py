@@ -22,12 +22,12 @@ from .characters import (CharacterTable, ClassFunction, Cyclotomic,
                          rational_class_function, regular_character,
                          table_to_dict, tensor_identify, trivial_character)
 from .checks import Verdict
-from .errors import (DimensionMismatch, EnumerationCapExceeded, EquicharError,
-                     GroupMismatch, NoMatch, NonRationalCoefficient,
-                     NonUnimodularGenerator, NotACharacter, NotASubgroup,
-                     NotLinearCharacter, OrderCapExceeded, ParseError,
-                     PrimeSearchFailed, UnknownExample, ValidationError,
-                     ValidationFailed)
+from .errors import (CertificationFailed, DimensionMismatch,
+                     EnumerationCapExceeded, EquicharError, GroupMismatch,
+                     NoMatch, NonRationalCoefficient, NonUnimodularGenerator,
+                     NotACharacter, NotASubgroup, NotLinearCharacter,
+                     OrderCapExceeded, ParseError, PrimeSearchFailed,
+                     UnknownExample, ValidationError, ValidationFailed)
 from .gcdpoly import GcdQuasiPolynomial, divisors_of, make_quasimonomial
 from .groups import (FiniteMatrixGroup, cyclic_subgroup, generate_group,
                      is_subgroup)
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
+    "CertificationFailed",
     "CharacterTable",
     "ClassDivisorData",
     "ClassFunction",

@@ -23,7 +23,8 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          ingest_character_table, find_row,
                          rational_class_function, tensor_identify)
 from .checks import Verdict
-from .errors import NonRationalCoefficient, NotACharacter, NotLinearCharacter
+from .errors import (CertificationFailed, NonRationalCoefficient,
+                     NotACharacter, NotLinearCharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, make_quasimonomial,
                       poly_eval)
 from .groups import FiniteMatrixGroup
@@ -54,7 +55,8 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
         divisors.append(snf.divisors)
     # the action of the stored matrices is faithful: only the identity fixes
     # the whole lattice
-    assert ranks[0] == 0 and all(r > 0 for r in ranks[1:])
+    if ranks[0] != 0 or not all(r > 0 for r in ranks[1:]):
+        raise CertificationFailed(f"ranks {ranks} of R - I: action not faithful")
     return ClassDivisorData(lattice_rank=group.rank, ranks=tuple(ranks),
                             divisors=tuple(divisors))
 
@@ -160,10 +162,6 @@ def _reflected(poly: tuple[Fraction, ...], ell: int) -> tuple[Fraction, ...]:
     return tuple(c * (-1) ** (ell + p) for p, c in enumerate(poly))
 
 
-def _negated_residue(r: int, period: int) -> int:
-    return ((-r - 1) % period) + 1
-
-
 def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
                       delta: ClassFunction, delta_index: int) -> list[Verdict]:
     """Constituent-level verification of the twist identity
@@ -173,16 +171,18 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     period = eqp.period
     twist = [tensor_identify(table, i, delta) for i in range(table.size)]
     # the twist is an involution, so this one pass over the rows also covers
-    # the aggregate identity read from the other side
+    # the aggregate identity read from the other side. Constituents depend on
+    # a residue r only through gcd(period, r) = gcd(period, -r), so the
+    # divisors d of the period stand for every residue, and the smallest
+    # failing d is also the smallest failing residue.
     failures = []
     for i in range(table.size):
         j = twist[i]
-        for r in range(1, period + 1):
-            lhs = eqp.multiplicities[j].constituent(r)
-            rhs = _reflected(
-                eqp.multiplicities[i].constituent(_negated_residue(r, period)), ell)
+        for d in divisors_of(period):
+            lhs = eqp.multiplicities[j].constituent(d)
+            rhs = _reflected(eqp.multiplicities[i].constituent(d), ell)
             if lhs != rhs:
-                failures.append((i, r))
+                failures.append((i, d))
     involution = all(twist[j] == i for i, j in enumerate(twist))
     method = f"symbolic, constituents mod {period}"
     details = f"first failure at row, residue {failures[0]}" if failures else ""

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import CharacterTable
+from .characters import CharacterTable, inner_product, rational_class_function
 from .checks import Verdict
 from .errors import EnumerationCapExceeded, ValidationError
 from .gcdpoly import GcdQuasiPolynomial
@@ -128,16 +128,9 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
                          dec: OrbitDecomposition) -> tuple[Fraction, ...]:
     """Inner product of each table row against the counted permutation
-    character: (1/|G|) sum over classes of size * conj(value) * fixed."""
-    out = []
-    for row in table.rows:
-        total = 0
-        for c in range(group.class_count):
-            total = total + (row.values[c].conjugate()
-                             * (group.class_sizes[c] * dec.fixed_counts[c]))
-        value = (total * Fraction(1, group.order)).as_fraction()
-        out.append(value)
-    return tuple(out)
+    character: (1/|G|) sum over classes of size * fixed * conj(value)."""
+    counted = rational_class_function(group, dec.fixed_counts)
+    return tuple(inner_product(counted, row).as_fraction() for row in table.rows)
 
 
 def brute_orbit_count_for_linear(group: FiniteMatrixGroup,

@@ -41,9 +41,6 @@ class ClassFunction:
         return ClassFunction(self.group,
                              tuple(a * b for a, b in zip(self.values, other.values)))
 
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
-
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
     """(phi, psi) = |G|^-1 sum over G of phi(g) * conj(psi(g)), evaluated
@@ -466,7 +463,7 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
         conductor = int(raw["conductor"])
         classes = list(raw["classes"])
         raw_rows = list(raw["rows"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationFailed("format", f"missing or malformed field: {exc}")
     if conductor != group.exponent:
         raise ValidationFailed("conductor",
@@ -479,15 +476,21 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
     k = group.class_count
     rows = []
     for i, raw_row in enumerate(raw_rows):
+        if not isinstance(raw_row, list):
+            raise ValidationFailed("format", f"row {i} is not a list")
         if len(raw_row) != k:
             raise ValidationFailed("squareness",
                                    f"row {i} has {len(raw_row)} values for {k} classes")
         values = []
         for raw_value in raw_row:
-            coeffs = []
-            for pair in raw_value:
-                num, den = pair
-                coeffs.append(Fraction(int(num), int(den)))
+            if not (isinstance(raw_value, list) and all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair) and pair[1] != 0
+                    for pair in raw_value)):
+                raise ValidationFailed(
+                    "format", f"row {i}: value {raw_value!r} is not a list of "
+                              f"[num, den] integer pairs with den != 0")
+            coeffs = [Fraction(num, den) for num, den in raw_value]
             if len(coeffs) > conductor:
                 raise ValidationFailed("format",
                                        f"value with {len(coeffs)} coefficients "

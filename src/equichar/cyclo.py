@@ -6,6 +6,12 @@ reduced form obtained by taking the remainder modulo the m-th cyclotomic
 polynomial: only the first phi(m) coefficients can be nonzero, and equal
 values always have identical stored coefficients. Equality is therefore
 plain tuple comparison.
+
+A coefficient keeps the exact rational type the arithmetic produced: an
+`int` until a `Fraction` enters (a user-table entry, or the 1/|G| of an
+inner product). An integral `Fraction` equals, and hashes like, the `int` of
+its value, so equality, hashing, sorting and the JSON [numerator,
+denominator] pairs do not depend on which type holds a coefficient.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Union
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .errors import CertificationFailed
 
 Rationalish = Union[int, Fraction]
 
@@ -25,7 +30,8 @@ Rationalish = Union[int, Fraction]
 def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Quotient of integer polynomials (low-to-high coefficients) when the
     division is exact and the divisor is monic."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise CertificationFailed(f"divisor {den} is not monic")
     num = list(num)
     deg_d = len(den) - 1
     out = [0] * (len(num) - deg_d)
@@ -35,7 +41,8 @@ def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
             out[i - deg_d] = c
             for t, dv in enumerate(den):
                 num[i - deg_d + t] -= c * dv
-    assert all(v == 0 for v in num), "polynomial division not exact"
+    if any(num):
+        raise CertificationFailed("polynomial division not exact")
     return out
 
 
@@ -53,13 +60,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(m: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce(m: int, vec: list[Rationalish]) -> tuple[Rationalish, ...]:
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     for i in range(m - 1, deg - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = _ZERO
+            vec[i] = 0
             for t in range(deg):
                 if phi[t]:
                     vec[i - deg + t] -= c * phi[t]
@@ -69,7 +76,7 @@ def _reduce(m: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class Cyclotomic:
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rationalish, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.conductor:
@@ -79,21 +86,21 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, m: int, value: Rationalish) -> "Cyclotomic":
-        vec = [_ZERO] * m
-        vec[0] = Fraction(value)
+        vec = [0] * m
+        vec[0] = value
         return cls(m, _reduce(m, vec))
 
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "Cyclotomic":
-        vec = [_ZERO] * m
-        vec[k % m] = _ONE
+        vec = [0] * m
+        vec[k % m] = 1
         return cls(m, _reduce(m, vec))
 
     @classmethod
     def from_powers(cls, m: int, coeffs: Iterable[Rationalish]) -> "Cyclotomic":
-        vec = [_ZERO] * m
+        vec = [0] * m
         for i, c in enumerate(coeffs):
-            vec[i % m] += Fraction(c)
+            vec[i % m] += c
         return cls(m, _reduce(m, vec))
 
     # --- ring operations ----------------------------------------------
@@ -130,13 +137,13 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.conductor, tuple(a * f for a in self.coeffs))
+            return Cyclotomic(self.conductor,
+                              tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         m = self.conductor
-        vec = [_ZERO] * m
+        vec = [0] * m
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -153,7 +160,7 @@ class Cyclotomic:
         m = self.conductor
         if gcd(a, m) != 1:
             raise ValueError(f"substitution exponent {a} not coprime to {m}")
-        vec = [_ZERO] * m
+        vec = [0] * m
         for i, c in enumerate(self.coeffs):
             if c:
                 vec[(i * a) % m] += c
@@ -173,7 +180,8 @@ class Cyclotomic:
         return all(self.galois(a) == self
                    for a in range(1, m) if gcd(a, m) == 1) if m > 1 else True
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> Rationalish:
+        """The rational value: an `int` unless a `Fraction` entered it."""
         if any(c != 0 for c in self.coeffs[1:]):
             raise ValueError(f"value is not rational: {self}")
         return self.coeffs[0]

@@ -104,3 +104,9 @@ class ValidationError(EquicharError):
     """An input file decoded fine but violates the problem schema."""
 
     stage = "problem input"
+
+
+class CertificationFailed(EquicharError):
+    """An exact result failed its certificate: the computation is at fault."""
+
+    stage = "certification"

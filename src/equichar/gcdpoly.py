@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
+from .errors import CertificationFailed
+
 Term = tuple[tuple[int, ...], int, Fraction]
 
 _ZERO = Fraction(0)
@@ -76,16 +78,7 @@ class GcdQuasiPolynomial:
     # --- evaluation -----------------------------------------------------
 
     def evaluate(self, q: int) -> Fraction:
-        if q >= 1:
-            total = _ZERO
-            for divs, power, coeff in self.terms:
-                val = coeff * q**power
-                for e in divs:
-                    val *= gcd(e, q)
-                total += val
-            return total
-        r = ((q - 1) % self.period) + 1
-        return poly_eval(self.constituent(r), q)
+        return poly_eval(self.constituent(q), q)
 
     def constituent(self, r: int) -> tuple[Fraction, ...]:
         """Polynomial (coefficients low to high) giving the value on the
@@ -199,7 +192,8 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        assert pivot is not None, "singular system"
+        if pivot is None:
+            raise CertificationFailed("singular system")
         a[c], a[pivot] = a[pivot], a[c]
         inv = 1 / a[c][c]
         a[c] = [v * inv for v in a[c]]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import CertificationFailed, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -83,54 +83,44 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square():
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    q, r = divmod(num, prev)
-                    assert r == 0, "Bareiss division not exact"
-                    a[i][j] = q
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def rank(self) -> int:
-        """Rank by fraction-free elimination, independent of the Smith form."""
+    def _bareiss(self) -> tuple[int, int]:
+        """Rank and determinant (0 unless square of full rank) from one
+        fraction-free (Bareiss) elimination, independent of the Smith form."""
         a = self.to_rows()
         nrows, ncols = self.rows, self.cols
         r = 0
+        sign = 1
         prev = 1
         for c in range(ncols):
             pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
             if pivot is None:
                 continue
-            a[r], a[pivot] = a[pivot], a[r]
+            if pivot != r:
+                a[r], a[pivot] = a[pivot], a[r]
+                sign = -sign
             for i in range(r + 1, nrows):
                 for j in range(c + 1, ncols):
-                    num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss division not exact"
+                    q, rem = divmod(a[i][j] * a[r][c] - a[i][c] * a[r][j], prev)
+                    if rem:
+                        raise CertificationFailed("Bareiss division not exact")
                     a[i][j] = q
                 a[i][c] = 0
             prev = a[r][c]
             r += 1
             if r == nrows:
                 break
-        return r
+        full = r == nrows == ncols
+        return r, sign * prev if full else 0
+
+    def det(self) -> int:
+        """Determinant by the Bareiss pass."""
+        if not self.is_square():
+            raise DimensionMismatch("determinant of a non-square matrix")
+        return self._bareiss()[1]
+
+    def rank(self) -> int:
+        """Rank by the Bareiss pass, independent of the Smith form."""
+        return self._bareiss()[0]
 
     def is_unimodular(self) -> bool:
         return self.is_square() and abs(self.det()) == 1
@@ -260,8 +250,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     result = SmithDecomposition(rank=t, divisors=divisors,
                                 left_transform=lmat, right_transform=rmat)
     # certification: transforms are unimodular and reproduce the diagonal
-    assert lmat.multiply(a).multiply(rmat) == result.diagonal(n)
-    assert abs(lmat.det()) == 1 and abs(rmat.det()) == 1
-    for k in range(len(divisors) - 1):
-        assert divisors[k + 1] % divisors[k] == 0
+    if lmat.multiply(a).multiply(rmat) != result.diagonal(n):
+        raise CertificationFailed("Smith transforms do not reproduce the diagonal")
+    if abs(lmat.det()) != 1 or abs(rmat.det()) != 1:
+        raise CertificationFailed("Smith transforms are not unimodular")
+    if any(divisors[k + 1] % divisors[k] for k in range(len(divisors) - 1)):
+        raise CertificationFailed(f"divisors {divisors} are not a chain")
     return result

@@ -4,13 +4,14 @@ import pytest
 
 from equichar import (NoMatch, NotASubgroup, NotLinearCharacter,
                       ValidationFailed, cyclic_subgroup,
-                      dixon_character_table, find_row, induce_trivial,
-                      ingest_character_table, inner_product,
+                      dixon_character_table, find_row, generate_group,
+                      induce_trivial, ingest_character_table, inner_product,
                       rational_class_function, regular_character,
                       table_to_dict, tensor_identify, trivial_character)
 from equichar.cyclo import Cyclotomic
 
-from conftest import BUILTIN_NAMES, load_reference_table, make_builtin_group
+from conftest import (BUILTIN_NAMES, load_reference_table,
+                      make_builtin_group, mat)
 
 
 def as_int(value: Cyclotomic) -> Fraction:
@@ -102,6 +103,19 @@ class TestDixon:
             keys = [(table.degrees[i], row_key(table.rows[i]))
                     for i in range(table.size)]
             assert keys == sorted(keys)
+
+
+class TestCoefficientTypes:
+    def test_dixon_tables_hold_int_coefficients(self, tables):
+        # Dixon values are cyclotomic integers built from integer
+        # multiplicities; no Fraction may enter their coefficients
+        b3 = generate_group([mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                             mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                             mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])], rank=3)
+        assert b3.order == 48
+        for table in [*tables.values(), dixon_character_table(b3)]:
+            assert {type(c) for row in table.rows for value in row.values
+                    for c in value.coeffs} == {int}
 
 
 class TestIngestValidation:

@@ -236,6 +236,24 @@ class TestMain:
         assert proc.stderr == (f"error [problem input]: {MAX_POINTS_ENV} must "
                                f"be a positive integer, got {value!r}\n")
 
+    @pytest.mark.parametrize("cell", [[[1, 0]], 5, [["a", 1]], [[True, 1]]],
+                             ids=["zero-denominator", "bare-integer",
+                                  "string-numerator", "boolean-numerator"])
+    def test_malformed_table_cell_is_validation_error(self, tmp_path, capsys,
+                                                      cell):
+        payload = json.loads(
+            (PROBLEMS_DIR / "c6_z2_with_table.json").read_text())
+        payload["character_table"]["rows"][1][2] = cell
+        path = tmp_path / "bad_cell.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["analyze", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error [character table validation]: ")
+
 
 ERROR_STAGES = (
     (errors.ParseError, "problem input"),
@@ -253,6 +271,7 @@ ERROR_STAGES = (
     (errors.NotACharacter, "reciprocity character"),
     (errors.NotLinearCharacter, "orbit counting"),
     (errors.EnumerationCapExceeded, "oracle enumeration"),
+    (errors.CertificationFailed, "certification"),
 )
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +137,20 @@ def test_galois_is_ring_map(a, s):
     image = a.galois(s)
     assert (a * a).galois(s) == image * image
     assert (a + a).galois(s) == image + image
+
+
+def test_inexact_division_is_certification_failure_under_optimize():
+    # `python -O` strips assert statements, so certification must not use them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from equichar import CertificationFailed, cyclo\n"
+            "try:\n"
+            "    print(cyclo._exact_polydiv([1, 0, 1], (1, 1)))\n"
+            "except CertificationFailed as exc:\n"
+            "    print(exc.stage)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "certification\n"

@@ -69,6 +69,15 @@ class TestArithmetic:
         assert mat([[1, 2], [2, 4]]).rank() == 1
         assert mat([[0, 0], [0, 0]]).rank() == 0
 
+    def test_det_sign_and_rectangular_rank(self):
+        assert mat([[0, 1], [1, 0]]).det() == -1
+        assert mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert mat([[0, 2, 1], [1, 0, 0], [0, 0, 3]]).det() == -6
+        assert mat([[1, 2, 3], [2, 4, 6]]).rank() == 1
+        assert mat([[0, 1], [0, 2], [1, 0]]).rank() == 2
+        with pytest.raises(DimensionMismatch):
+            mat([[1, 2, 3], [2, 4, 6]]).det()
+
     def test_is_unimodular(self):
         assert mat([[0, 1], [-1, 1]]).is_unimodular()
         assert not mat([[2, 0], [0, 1]]).is_unimodular()
