@@ -25,8 +25,8 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
 from .checks import Verdict
 from .errors import (CertificationFailed, NonRationalCoefficient,
                      NotACharacter, NotLinearCharacter)
-from .gcdpoly import (GcdQuasiPolynomial, divisors_of, make_quasimonomial,
-                      poly_eval)
+from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms,
+                      make_quasimonomial, poly_eval)
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix, smith_normal_form
 
@@ -71,41 +71,33 @@ def action_period(data: ClassDivisorData) -> int:
     return period
 
 
-def fixed_point_qp(data: ClassDivisorData, class_index: int,
-                   period: int | None = None) -> GcdQuasiPolynomial:
+def fixed_point_qp(data: ClassDivisorData,
+                   class_index: int) -> GcdQuasiPolynomial:
     """Fixed-point count of the class representative on (Z/q)^l as a single
     gcd-form quasi-monomial."""
-    if period is None:
-        period = action_period(data)
     power = data.lattice_rank - data.ranks[class_index]
-    return make_quasimonomial(data.divisors[class_index], power, 1, period=period)
+    return make_quasimonomial(data.divisors[class_index], power, 1,
+                              period=action_period(data))
 
 
 def multiplicity_qp(group: FiniteMatrixGroup, table: CharacterTable,
-                    data: ClassDivisorData, i: int,
-                    period: int | None = None) -> GcdQuasiPolynomial:
+                    data: ClassDivisorData, i: int) -> GcdQuasiPolynomial:
     """Multiplicity of irreducible row i in the permutation character of the
     action on (Z/q)^l, as a quasi-polynomial in q."""
-    if period is None:
-        period = action_period(data)
     accum: dict[tuple[tuple[int, ...], int], object] = {}
     for c in range(group.class_count):
         key = (data.reduced_divisors(c), data.lattice_rank - data.ranks[c])
         weight = table.rows[i].values[c] * group.class_sizes[c]
         accum[key] = accum[key] + weight if key in accum else weight
-    raw: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    terms = []
     for key, value in accum.items():
         scaled = value * Fraction(1, group.order)
         try:
-            coeff = scaled.as_fraction()
+            terms.append((*key, scaled.as_fraction()))
         except ValueError:
             raise NonRationalCoefficient(
                 f"row {i}: coefficient on {key} is {scaled}, not rational")
-        if coeff != 0:
-            raw[key] = coeff
-    return GcdQuasiPolynomial(period, tuple(sorted(
-        ((divs, power, coeff) for (divs, power), coeff in raw.items()),
-        key=lambda t: (t[1], t[0]))))
+    return from_terms(action_period(data), terms)
 
 
 @dataclass(frozen=True)
@@ -124,14 +116,11 @@ class EquivariantQuasiPolynomial:
 
 
 def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
-                   data: ClassDivisorData,
-                   period: int | None = None) -> EquivariantQuasiPolynomial:
-    if period is None:
-        period = action_period(data)
-    mults = tuple(multiplicity_qp(group, table, data, i, period)
+                   data: ClassDivisorData) -> EquivariantQuasiPolynomial:
+    mults = tuple(multiplicity_qp(group, table, data, i)
                   for i in range(table.size))
     return EquivariantQuasiPolynomial(lattice_rank=data.lattice_rank,
-                                      period=period,
+                                      period=action_period(data),
                                       multiplicities=mults,
                                       degrees=table.degrees,
                                       trivial_index=table.trivial_index)
@@ -163,7 +152,7 @@ def _reflected(poly: tuple[Fraction, ...], ell: int) -> tuple[Fraction, ...]:
 
 
 def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
-                      delta: ClassFunction, delta_index: int) -> list[Verdict]:
+                      delta: ClassFunction) -> list[Verdict]:
     """Constituent-level verification of the twist identity
     m(chi_i (x) delta; q) = (-1)^l m(chi_i; -q) and of its aggregate form
     F(q) = (-1)^l delta (x) F(-q)."""
@@ -300,17 +289,16 @@ def _top_constituent_reference(group: FiniteMatrixGroup,
 
 
 def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
-            name: str = "", q_max: int | None = None, verify: bool = True,
-            enumeration_cap: int | None = None) -> AnalysisReport:
+            name: str = "", q_max: int | None = None,
+            verify: bool = True) -> AnalysisReport:
     table = (ingest_character_table(group, raw_table) if raw_table is not None
              else dixon_character_table(group))
     data = class_divisor_data(group)
     period = action_period(data)
     effective_q_max = q_max if q_max is not None else max(24, 4 * period)
 
-    fixed = tuple(fixed_point_qp(data, c, period)
-                  for c in range(group.class_count))
-    eqp = equivariant_qp(group, table, data, period)
+    fixed = tuple(fixed_point_qp(data, c) for c in range(group.class_count))
+    eqp = equivariant_qp(group, table, data)
     delta, delta_index = reciprocity_character(group, table, data)
     linear = table.linear_indices()
     minimal_periods = tuple(m.minimal_period() for m in eqp.multiplicities)
@@ -363,7 +351,7 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
         passed=eqp.multiplicities[table.trivial_index].constituent(period) == top_ref))
 
     dim_target = make_quasimonomial((), ell, 1, period=period)
-    acc = GcdQuasiPolynomial(period, ())
+    acc = from_terms(period, ())
     for i, qp in enumerate(eqp.multiplicities):
         acc = acc.add(qp.scale(table.degrees[i]))
     verdicts.append(Verdict(
@@ -381,13 +369,13 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
         passed=failure is None,
         details=failure or ""))
 
-    verdicts.extend(check_reciprocity(table, eqp, delta, delta_index))
+    verdicts.extend(check_reciprocity(table, eqp, delta))
 
     oracle_q_max = 0
     if verify:
         oracle_verdicts, oracle_q_max = bruteforce.differential_check(
             group, table, eqp.multiplicities, fixed,
-            q_max=effective_q_max, cap=enumeration_cap)
+            q_max=effective_q_max)
         verdicts.extend(oracle_verdicts)
 
     return AnalysisReport(

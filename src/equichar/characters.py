@@ -460,11 +460,13 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
     if not isinstance(raw, dict):
         raise ValidationFailed("format", "table must be a JSON object")
     try:
-        conductor = int(raw["conductor"])
-        classes = list(raw["classes"])
-        raw_rows = list(raw["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationFailed("format", f"missing or malformed field: {exc}")
+        conductor, classes, raw_rows = raw["conductor"], raw["classes"], raw["rows"]
+    except KeyError as exc:
+        raise ValidationFailed("format", f"missing field: {exc}")
+    if not (type(conductor) is int and isinstance(classes, list)
+            and isinstance(raw_rows, list)):
+        raise ValidationFailed("format", "conductor must be an integer, "
+                                         "classes and rows lists")
     if conductor != group.exponent:
         raise ValidationFailed("conductor",
                                f"table conductor {conductor}, group exponent "

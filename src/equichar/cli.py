@@ -98,6 +98,11 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _positive_int(value: object) -> bool:
+    # bool is an int subclass; true must not pass as 1
+    return type(value) is int and value >= 1
+
+
 def _parse_options(raw: object) -> ProblemOptions:
     _require(isinstance(raw, dict), "options must be an object")
     allowed = {"q_max", "max_order", "format", "verify"}
@@ -105,11 +110,11 @@ def _parse_options(raw: object) -> ProblemOptions:
     _require(not unknown, f"unknown options keys: {sorted(unknown)}")
     opts = ProblemOptions()
     if "q_max" in raw:
-        _require(isinstance(raw["q_max"], int) and raw["q_max"] >= 1,
+        _require(_positive_int(raw["q_max"]),
                  "options.q_max must be a positive integer")
         opts = replace(opts, q_max=raw["q_max"])
     if "max_order" in raw:
-        _require(isinstance(raw["max_order"], int) and raw["max_order"] >= 1,
+        _require(_positive_int(raw["max_order"]),
                  "options.max_order must be a positive integer")
         opts = replace(opts, max_order=raw["max_order"])
     if "format" in raw:
@@ -129,12 +134,16 @@ def parse_input(path: str | Path) -> ProblemSpec:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     _require(isinstance(payload, dict), f"{path}: top level must be an object")
     allowed = {"name", "rank", "generators", "character_table", "options"}
     unknown = set(payload) - allowed
@@ -143,8 +152,7 @@ def parse_input(path: str | Path) -> ProblemSpec:
     _require(isinstance(name, str) and name, "name must be a nonempty string")
     _require("rank" in payload, "missing required field: rank")
     rank = payload["rank"]
-    _require(isinstance(rank, int) and not isinstance(rank, bool)
-             and rank >= 1, "rank must be a positive integer")
+    _require(_positive_int(rank), "rank must be a positive integer")
     raw_gens = payload.get("generators", [])
     _require(isinstance(raw_gens, list), "generators must be a list")
     gens = []

@@ -1,37 +1,29 @@
-"""Quasi-polynomials written in gcd form.
+"""Quasi-polynomials with the gcd-property, stored as their constituents.
 
-A value is a finite sum of terms
+A value is a declared period together with one polynomial per divisor d of
+the period: the constituent shared by every residue r with
+gcd(period, r) = d. Coefficients are exact rationals listed from low to high
+with trailing zeros trimmed, so for a given period the table is canonical and
+== is equality as functions. Evaluation at q <= 0 uses the constituent of
+gcd(period, q), with gcd(period, 0) = period.
+
+The closed gcd form, a finite sum of terms
 
     coeff * gcd(e_1, q) * ... * gcd(e_s, q) * q^power
 
-with exact rational coefficients, together with a declared period that every
-divisor e_j divides. Restricted to a residue class r mod period, each gcd
-factor is the constant gcd(e_j, r), so the whole value collapses to an
-ordinary polynomial, the constituent of that residue class. Because every
-divisor divides the declared period, constituents only depend on
-gcd(period, r); evaluation at q <= 0 is defined through the constituent of
-the residue representative in 1..period, which coincides with reading
-gcd(e, q) as gcd(e, q mod e) and gcd(e, 0) = e.
-
-Canonical form sorts terms, merges equal (divisors, power) keys, drops zero
-coefficients and divisor entries equal to 1. Distinct gcd products that
-agree as functions, such as gcd(2,q)*gcd(3,q) and gcd(6,q), are deliberately
-kept distinct structurally; the equals() method decides functional equality
-by comparing constituents.
+with every e_j dividing the period, enters through `from_terms` (and
+`make_quasimonomial` for a single term): on the class of d each gcd factor is
+the constant gcd(e_j, d). This agrees with reading gcd(e, q) for q <= 0 as
+gcd(e, q mod e) and gcd(e, 0) = e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Mapping
-
-from .errors import CertificationFailed
-
-Term = tuple[tuple[int, ...], int, Fraction]
-
-_ZERO = Fraction(0)
+from typing import Iterable
 
 
 def divisors_of(n: int) -> tuple[int, ...]:
@@ -51,29 +43,18 @@ def poly_eval(coeffs: Iterable[Fraction], q) -> Fraction:
     return acc
 
 
-def _canonical(raw: Mapping[tuple[tuple[int, ...], int], Fraction]) -> tuple[Term, ...]:
-    items = [(divs, power, coeff) for (divs, power), coeff in raw.items() if coeff != 0]
-    items.sort(key=lambda t: (t[1], t[0]))
-    return tuple(items)
-
-
 @dataclass(frozen=True)
 class GcdQuasiPolynomial:
     period: int
-    terms: tuple[Term, ...]
+    constituents: dict[int, tuple[Fraction, ...]]
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"invalid period {self.period}")
-        for divs, power, coeff in self.terms:
-            if power < 0:
-                raise ValueError(f"negative power {power}")
-            for e in divs:
-                if e < 2 or self.period % e != 0:
-                    raise ValueError(
-                        f"divisor {e} invalid for period {self.period}")
-            if not isinstance(coeff, Fraction) or coeff == 0:
-                raise ValueError(f"non-canonical coefficient {coeff!r}")
+        if type(self.period) is not int or self.period < 1:
+            raise ValueError(f"invalid period {self.period!r}")
+        if sorted(self.constituents) != list(divisors_of(self.period)):
+            raise ValueError("constituent keys must be the divisors of the period")
+        if any(poly and poly[-1] == 0 for poly in self.constituents.values()):
+            raise ValueError("constituents must have trailing zeros trimmed")
 
     # --- evaluation -----------------------------------------------------
 
@@ -83,50 +64,39 @@ class GcdQuasiPolynomial:
     def constituent(self, r: int) -> tuple[Fraction, ...]:
         """Polynomial (coefficients low to high) giving the value on the
         residue class of r modulo the period."""
-        top = max((power for _, power, _ in self.terms), default=-1)
-        coeffs = [_ZERO] * (top + 1)
-        for divs, power, coeff in self.terms:
-            val = coeff
-            for e in divs:
-                val *= gcd(e, r)
-            coeffs[power] += val
-        return _poly_trim(coeffs)
-
-    def constituents(self) -> dict[int, tuple[Fraction, ...]]:
-        """One polynomial per divisor d of the period, the shared constituent
-        of all residues r with gcd(period, r) = d."""
-        return {d: self.constituent(d) for d in divisors_of(self.period)}
+        return self.constituents[gcd(self.period, r)]
 
     # --- structure ------------------------------------------------------
 
     def minimal_period(self) -> int:
         """Smallest divisor n of the declared period such that constituents
-        only depend on the residue modulo n."""
-        for n in divisors_of(self.period):
-            if all(self.constituent(r) == self.constituent(((r - 1) % n) + 1)
-                   for r in range(1, self.period + 1)):
-                return n
-        return self.period
+        only depend on the residue modulo n.
+
+        That holds iff the constituent at every divisor d equals the one at
+        gcd(n, d): then the value at q is read at gcd(n, q). Conversely some
+        q = d (mod n) has gcd(period, q) = gcd(n, d), so periodicity mod n
+        forces the two constituents to agree."""
+        table = self.constituents
+        return next(n for n in divisors_of(self.period)
+                    if all(table[d] == table[gcd(n, d)] for d in table))
 
     def degree(self) -> int:
-        return max((power for _, power, _ in self.terms), default=-1)
+        return max(len(poly) for poly in self.constituents.values()) - 1
 
     # --- arithmetic -----------------------------------------------------
 
     def add(self, other: "GcdQuasiPolynomial") -> "GcdQuasiPolynomial":
-        raw: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for divs, power, coeff in self.terms + other.terms:
-            key = (divs, power)
-            raw[key] = raw.get(key, _ZERO) + coeff
-        return GcdQuasiPolynomial(lcm(self.period, other.period), _canonical(raw))
+        period = lcm(self.period, other.period)
+        return GcdQuasiPolynomial(period, {
+            d: _poly_trim([x + y for x, y in zip_longest(
+                self.constituent(d), other.constituent(d), fillvalue=0)])
+            for d in divisors_of(period)})
 
     def scale(self, factor) -> "GcdQuasiPolynomial":
         f = Fraction(factor)
-        if f == 0:
-            return GcdQuasiPolynomial(self.period, ())
-        return GcdQuasiPolynomial(
-            self.period,
-            tuple((divs, power, coeff * f) for divs, power, coeff in self.terms))
+        return GcdQuasiPolynomial(self.period, {
+            d: _poly_trim([c * f for c in poly])
+            for d, poly in self.constituents.items()})
 
     def __add__(self, other):
         return self.add(other)
@@ -135,12 +105,10 @@ class GcdQuasiPolynomial:
         return self.add(other.scale(-1))
 
     def equals(self, other: "GcdQuasiPolynomial") -> bool:
-        """Functional equality: same value at every integer."""
-        if self.period == other.period and self.terms == other.terms:
-            return True
-        span = lcm(self.period, other.period)
-        return all(self.constituent(r) == other.constituent(r)
-                   for r in range(1, span + 1))
+        """Functional equality: same value at every integer. Both sides read
+        the constituent of gcd(lcm of the periods, q)."""
+        return all(self.constituent(d) == other.constituent(d)
+                   for d in divisors_of(lcm(self.period, other.period)))
 
     # --- serialization ----------------------------------------------------
 
@@ -149,71 +117,60 @@ class GcdQuasiPolynomial:
             "period": self.period,
             "constituents": {
                 str(d): [[c.numerator, c.denominator] for c in poly]
-                for d, poly in sorted(self.constituents().items())
+                for d, poly in sorted(self.constituents.items())
             },
         }
 
     @classmethod
     def deserialize(cls, payload: dict) -> "GcdQuasiPolynomial":
-        """Rebuild a gcd-form object from serialized constituents.
-
-        The functions q -> gcd(d, q) for d dividing the period are a basis
-        of everything that only depends on gcd(period, q): the matrix
-        [gcd(d, d')] over the divisor lattice has determinant
-        prod(phi(d)) != 0. Solving against it per power recovers exact
-        gcd-form coefficients whose constituents reproduce the input.
-        """
-        period = int(payload["period"])
+        """Read back what `serialize` writes. A period that is not a positive
+        int, a coefficient that is not a [num, den] pair of ints with
+        den != 0, or keys other than the divisors of the period raise
+        ValueError."""
+        period, raw = payload["period"], payload["constituents"]
+        if type(period) is not int or period < 1:
+            raise ValueError(f"invalid period {period!r}")
         divisors = divisors_of(period)
-        raw_cons = payload["constituents"]
-        if set(raw_cons) != {str(d) for d in divisors}:
+        if not isinstance(raw, dict) or set(raw) != {str(d) for d in divisors}:
             raise ValueError("constituent keys must be the divisors of the period")
-        polys = {
-            d: [Fraction(int(num), int(den)) for num, den in raw_cons[str(d)]]
-            for d in divisors
-        }
-        top = max((len(p) for p in polys.values()), default=0)
-        matrix = [[Fraction(gcd(dj, di)) for dj in divisors] for di in divisors]
-        raw: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for power in range(top):
-            rhs = [polys[d][power] if power < len(polys[d]) else _ZERO
-                   for d in divisors]
-            solution = _solve_exact(matrix, rhs)
-            for dj, coeff in zip(divisors, solution):
-                if coeff != 0:
-                    key = ((dj,) if dj > 1 else (), power)
-                    raw[key] = raw.get(key, _ZERO) + coeff
-        return cls(period, _canonical(raw))
+        table = {}
+        for d in divisors:
+            pairs = raw[str(d)]
+            if not (isinstance(pairs, list) and all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair) and pair[1] != 0
+                    for pair in pairs)):
+                raise ValueError(f"constituent {d}: {pairs!r} is not a list of "
+                                 f"[num, den] integer pairs with den != 0")
+            table[d] = _poly_trim([Fraction(num, den) for num, den in pairs])
+        return cls(period, table)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; the matrix must be invertible."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            raise CertificationFailed("singular system")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
+def from_terms(period: int, terms: Iterable[tuple[tuple[int, ...], int, object]]
+               ) -> GcdQuasiPolynomial:
+    """The sum of coeff * prod(gcd(e, q) for e in divisors) * q^power over
+    the (divisors, power, coeff) terms, each divisor dividing the period."""
+    terms = [(divs, power, Fraction(coeff)) for divs, power, coeff in terms]
+    for divs, power, _ in terms:
+        if power < 0 or any(e < 1 or period % e for e in divs):
+            raise ValueError(f"term {divs}, q^{power} invalid for period {period}")
+    top = max((power for _, power, _ in terms), default=-1)
+    table = {}
+    for d in divisors_of(period):
+        coeffs = [Fraction(0)] * (top + 1)
+        for divs, power, coeff in terms:
+            for e in divs:
+                coeff *= gcd(e, d)
+            coeffs[power] += coeff
+        table[d] = _poly_trim(coeffs)
+    return GcdQuasiPolynomial(period, table)
 
 
 def make_quasimonomial(divisors: Iterable[int], power: int, coeff=Fraction(1),
                        period: int | None = None) -> GcdQuasiPolynomial:
     """Single term coeff * prod gcd(e, q) * q^power. The declared period
     defaults to the lcm of the divisors."""
-    divs = tuple(sorted(int(e) for e in divisors if int(e) != 1))
-    for e in divs:
-        if e < 1:
-            raise ValueError(f"invalid divisor {e}")
+    divs = tuple(int(e) for e in divisors)
     if period is None:
-        period = lcm(1, *divs) if divs else 1
-    f = Fraction(coeff)
-    terms = ((divs, power, f),) if f != 0 else ()
-    return GcdQuasiPolynomial(period, terms)
+        period = lcm(1, *divs)
+    return from_terms(period, [(divs, power, coeff)])

@@ -12,7 +12,7 @@ from equichar import (NotACharacter, NotLinearCharacter, action_period,
                       orbit_count_qp, reciprocity_character, report_to_dict)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
-from equichar.gcdpoly import GcdQuasiPolynomial, make_quasimonomial
+from equichar.gcdpoly import from_terms, make_quasimonomial
 
 from conftest import BUILTIN_NAMES, make_builtin_group
 
@@ -141,10 +141,9 @@ class TestFixedPoints:
 
 class TestGoldenMultiplicities:
     def check_table(self, group, table, data, golden, index_of):
-        period = action_period(data)
         for key, constituents in golden.items():
             i = index_of(key)
-            qp = multiplicity_qp(group, table, data, i, period)
+            qp = multiplicity_qp(group, table, data, i)
             for d, coeffs in constituents.items():
                 assert qp.constituent(d) == coeffs, (key, d)
 
@@ -209,7 +208,7 @@ class TestIntegrality:
          "row 0: leading coefficient at gcd 1 is not positive"),
     ], ids=["half-q", "negative-at-30", "negative-leading"])
     def test_failures_found(self, terms, ell, expected):
-        qp = GcdQuasiPolynomial(1, terms)
+        qp = from_terms(1, terms)
         assert integrality_failure([qp], 1, ell) == expected
 
     def test_gcd_terms_checked_per_class(self):
@@ -259,10 +258,8 @@ class TestReciprocity:
         # m(chi^1; q) = -m(chi^4; -q) and m(chi^3; q) = -m(trivial; -q)
         # for the rank-3 action; m(trivial; q) = m(sign; -q) for S3
         group, table, data = pipelines["c6-z3"]
-        period = action_period(data)
         m = {j: multiplicity_qp(group, table, data,
-                                row_by_generator_value(table, group, 1, j),
-                                period)
+                                row_by_generator_value(table, group, 1, j))
              for j in range(6)}
         for q in range(-12, 13):
             assert m[1].evaluate(q) == -m[4].evaluate(-q)

@@ -5,7 +5,7 @@ import pytest
 from equichar import (EnumerationCapExceeded, brute_multiplicities,
                       brute_orbit_count_for_linear, differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
-                      class_divisor_data, action_period, equivariant_qp,
+                      class_divisor_data, equivariant_qp,
                       make_quasimonomial, ValidationError)
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap, _apply
 
@@ -16,10 +16,8 @@ def pipeline(name):
     group = make_builtin_group(name)
     table = dixon_character_table(group)
     data = class_divisor_data(group)
-    period = action_period(data)
-    eqp = equivariant_qp(group, table, data, period)
-    fixed = tuple(fixed_point_qp(data, c, period)
-                  for c in range(group.class_count))
+    eqp = equivariant_qp(group, table, data)
+    fixed = tuple(fixed_point_qp(data, c) for c in range(group.class_count))
     return group, table, eqp, fixed
 
 
@@ -164,7 +162,7 @@ class TestDifferentialCheck:
         group, table, eqp, fixed = pipeline("c6-z2")
         bad = list(fixed)
         victim = next(c for c in range(group.class_count)
-                      if fixed[c].terms and fixed[c].terms[0][0])
+                      if fixed[c].minimal_period() > 1)
         bad[victim] = make_quasimonomial((2,), 0, 1, period=eqp.period)
         verdicts, _ = differential_check(
             group, table, eqp.multiplicities, tuple(bad), q_max=8)

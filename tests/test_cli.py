@@ -254,6 +254,43 @@ class TestMain:
         assert len(lines) == 1
         assert lines[0].startswith("error [character table validation]: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("conductor", 6.9), ("conductor", "6"), ("conductor", True),
+        ("classes", "abc"),
+    ], ids=["float-conductor", "string-conductor", "boolean-conductor",
+            "string-classes"])
+    def test_malformed_table_field_is_format_error(self, tmp_path, field,
+                                                   value):
+        payload = json.loads(
+            (PROBLEMS_DIR / "c6_z2_with_table.json").read_text())
+        payload["character_table"][field] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli(["analyze", "--input", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error [character table validation]: "
+                                   "character table validation failed: "
+                                   "format")
+
+    @pytest.mark.parametrize("content", [
+        json.dumps({"rank": 2, "options": {"q_max": True}}).encode(),
+        json.dumps({"rank": 2, "options": {"max_order": True}}).encode(),
+        b"\xff\xfe",
+        b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["boolean-q_max", "boolean-max_order", "not-utf8", "deep-nesting"])
+    def test_malformed_problem_file_is_input_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        proc = run_cli(["analyze", "--input", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error [problem input]: ")
+
 
 ERROR_STAGES = (
     (errors.ParseError, "problem input"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichar import GcdQuasiPolynomial, divisors_of, make_quasimonomial
+from equichar.gcdpoly import from_terms
 
 
 F = Fraction
@@ -30,16 +31,26 @@ class TestConstruction:
 
     def test_divisor_one_entries_dropped(self):
         qp = make_quasimonomial((1, 1, 2), 1, F(1) / 2)
-        assert qp.terms == (((2,), 1, F(1) / 2),)
+        assert qp.period == 2
+        assert qp.constituents == {1: (F(0), F(1, 2)), 2: (F(0), F(1))}
 
     def test_zero_coefficient_dropped(self):
         qp = make_quasimonomial((2,), 1, 0)
-        assert qp.terms == ()
+        assert qp.constituents == {1: (), 2: ()}
         assert qp.evaluate(7) == 0
 
     def test_divisor_must_divide_period(self):
         with pytest.raises(ValueError):
-            GcdQuasiPolynomial(4, (((3,), 0, F(1)),))
+            make_quasimonomial((3,), 0, 1, period=4)
+
+    @pytest.mark.parametrize("period, constituents", [
+        (0, {}),
+        (4, {1: (F(1),), 4: (F(1),)}),
+        (2, {1: (F(1), F(0)), 2: (F(1),)}),
+    ], ids=["period-zero", "missing-divisor", "untrimmed"])
+    def test_constructor_requires_canonical_table(self, period, constituents):
+        with pytest.raises(ValueError):
+            GcdQuasiPolynomial(period, constituents)
 
 
 class TestEvaluationAndConstituents:
@@ -77,11 +88,11 @@ class TestEvaluationAndConstituents:
 
 class TestEquality:
     def test_gcd_product_identity(self):
-        # gcd(2,q) * gcd(3,q) = gcd(6,q) as functions, but the canonical
-        # forms differ; only equals() may identify them
+        # gcd(2,q) * gcd(3,q) = gcd(6,q) as functions, and with equal
+        # periods the stored constituents are the same
         split = make_quasimonomial((2, 3), 0, 1, period=6)
         merged = make_quasimonomial((6,), 0, 1)
-        assert split.terms != merged.terms
+        assert split == merged
         assert split.equals(merged)
 
     def test_distinguishes_close_functions(self):
@@ -96,7 +107,7 @@ class TestEquality:
     def test_add_scale(self):
         a = make_quasimonomial((3,), 1, F(1, 2))
         zero = a.scale(0)
-        assert zero.terms == ()
+        assert zero == make_quasimonomial((), 0, 0, period=a.period)
         assert a.add(zero).equals(a)
         assert (a + a).equals(a.scale(2))
         assert (a - a).equals(zero)
@@ -136,13 +147,45 @@ class TestSerialization:
         assert rebuilt.equals(qp)
 
 
+class TestDeserializeRejects:
+    @staticmethod
+    def payload(**changes):
+        good = make_quasimonomial((2,), 1, F(1, 2)).serialize()
+        return {**good, **changes}
+
+    @pytest.mark.parametrize("period, keys", [
+        (2.7, ["1", "2"]), ("2", ["1", "2"]), (True, ["1"])])
+    def test_period_must_be_a_positive_int(self, period, keys):
+        # the keys fit the period a truncating reader would make of it
+        payload = self.payload(period=period,
+                               constituents={k: [[1, 1]] for k in keys})
+        with pytest.raises(ValueError, match="invalid period"):
+            GcdQuasiPolynomial.deserialize(payload)
+
+    @pytest.mark.parametrize("pair", [
+        [1.9, 1], [1, 0], [True, 1], [1, False], [1], [1, 2, 3], "1/2", 1,
+    ], ids=["float", "zero-denominator", "bool-numerator", "bool-denominator",
+            "short", "long", "string", "bare-int"])
+    def test_coefficients_must_be_integer_pairs(self, pair):
+        payload = self.payload()
+        payload["constituents"] = {"1": [[0, 1], pair], "2": [[0, 1], [1, 1]]}
+        with pytest.raises(ValueError, match="integer pairs"):
+            GcdQuasiPolynomial.deserialize(payload)
+
+    @pytest.mark.parametrize("keys", [["1"], ["1", "2", "4"], ["1", "3"]])
+    def test_keys_must_be_the_divisors(self, keys):
+        payload = self.payload(constituents={k: [[1, 1]] for k in keys})
+        with pytest.raises(ValueError, match="divisors"):
+            GcdQuasiPolynomial.deserialize(payload)
+
+
 divisor_lists = st.lists(st.sampled_from([2, 2, 3, 4, 6]), max_size=3)
 
 
 @st.composite
 def quasi_polys(draw):
     n_terms = draw(st.integers(min_value=0, max_value=3))
-    qp = GcdQuasiPolynomial(12, ())
+    qp = from_terms(12, ())
     for _ in range(n_terms):
         divisors = draw(divisor_lists)
         power = draw(st.integers(min_value=0, max_value=3))
@@ -192,6 +235,12 @@ def test_serialization_round_trip(qp):
     rebuilt = GcdQuasiPolynomial.deserialize(qp.serialize())
     assert rebuilt.equals(qp)
     assert rebuilt.period == qp.period
+
+
+@settings(max_examples=40, deadline=None)
+@given(quasi_polys())
+def test_serialization_round_trip_is_structural(qp):
+    assert GcdQuasiPolynomial.deserialize(qp.serialize()) == qp
 
 
 def _lagrange_value(points, x):
