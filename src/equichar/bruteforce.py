@@ -1,11 +1,15 @@
 """Brute-force orbit enumeration on (Z/q)^l, used as an independent check
 on the symbolic pipeline.
 
-Everything here is deliberately dumb: points are enumerated one by one,
-fixed points are counted by applying matrices, orbits come from a BFS over
-generator moves, and multiplicities are computed from the textbook inner
-product against actual fixed-point counts. None of it shares code with the
-Smith-form route, which is the point.
+Everything here is deliberately direct: for each q, every generator and
+every class representative acts on all q^l points through one image array,
+`img[code]` being the code of `M·x mod q`, built from the matrix entries
+reduced mod q. Orbits come from a BFS over the generators' arrays, fixed
+points are counted as the codes an array maps to themselves, isotropy is
+read off every element's reduced rows at each orbit representative, and
+multiplicities are computed from the textbook inner product against the
+counted fixed points. None of it shares code with the Smith-form route,
+which is the point.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, mul
 
 from .characters import CharacterTable, inner_product, rational_class_function
 from .checks import Verdict
@@ -43,17 +48,22 @@ def _decode(code: int, q: int, rank: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _encode(coords: tuple[int, ...], q: int) -> int:
-    code = 0
-    for digit in reversed(coords):
-        code = code * q + digit
-    return code
-
-
-def _apply(mat: IntMatrix, coords: tuple[int, ...], q: int) -> tuple[int, ...]:
-    return tuple(
-        sum(mat.entry(i, j) * coords[j] for j in range(mat.cols)) % q
-        for i in range(mat.rows))
+def _image_array(mat: IntMatrix, q: int) -> list[int]:
+    """img[code] is the code of mat·x mod q for every point code of
+    (Z/q)^rank, coordinate j having weight q^j."""
+    img = None
+    weight = 1
+    for i in range(mat.rows):
+        # digit i of the image as a function of the code, one column at a time
+        arr = [0]
+        for m in mat.row(i):
+            m %= q
+            arr = (arr * q if m == 0 else
+                   [(a + t * m) % q for t in range(q) for a in arr])
+        img = arr if img is None else [v + weight * a
+                                       for v, a in zip(img, arr)]
+        weight *= q
+    return img
 
 
 @dataclass(frozen=True)
@@ -86,10 +96,13 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    gens = [group.elements[i] for i in group.generator_indices]
+    counts = tuple(sum(map(eq, _image_array(group.elements[rep_idx], q),
+                           range(total)))
+                   for rep_idx in group.class_representatives)
+    gen_images = [_image_array(group.elements[i], q)
+                  for i in group.generator_indices]
     visited = bytearray(total)
     orbits = []
-    isotropy = []
     for start in range(total):
         if visited[start]:
             continue
@@ -98,31 +111,26 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         members = [start]
         while frontier:
             code = frontier.pop()
-            coords = _decode(code, q, group.rank)
-            for gen in gens:
-                image = _encode(_apply(gen, coords, q), q)
+            for img in gen_images:
+                image = img[code]
                 if not visited[image]:
                     visited[image] = 1
                     frontier.append(image)
                     members.append(image)
         members.sort()
-        rep = _decode(members[0], q, group.rank)
-        stab = tuple(idx for idx, mat in enumerate(group.elements)
-                     if _apply(mat, rep, q) == rep)
         orbits.append(tuple(members))
-        isotropy.append(stab)
-    counts = []
-    for rep_idx in group.class_representatives:
-        mat = group.elements[rep_idx]
-        fixed = 0
-        for code in range(total):
-            coords = _decode(code, q, group.rank)
-            if _apply(mat, coords, q) == coords:
-                fixed += 1
-        counts.append(fixed)
+    reduced = [[tuple(v % q for v in mat.row(i)) for i in range(group.rank)]
+               for mat in group.elements]
+    isotropy = []
+    for orbit in orbits:
+        rep = _decode(orbit[0], q, group.rank)
+        isotropy.append(tuple(
+            idx for idx, rows in enumerate(reduced)
+            if all(sum(map(mul, row, rep)) % q == x
+                   for row, x in zip(rows, rep))))
     return OrbitDecomposition(q=q, lattice_rank=group.rank,
                               orbits=tuple(orbits), isotropy=tuple(isotropy),
-                              fixed_counts=tuple(counts))
+                              fixed_counts=counts)
 
 
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,

@@ -31,6 +31,7 @@ from math import lcm
 from pathlib import Path
 
 from .analysis import AnalysisReport, analyze, report_to_dict
+from .bruteforce import MAX_POINTS_ENV
 from .errors import EquicharError, ParseError, UnknownExample, ValidationError
 from .gcdpoly import divisors_of
 from .groups import DEFAULT_MAX_ORDER, generate_group
@@ -243,6 +244,17 @@ def _row_label(report: AnalysisReport, i: int) -> str:
     return f"chi_{i} (degree {report.table.degrees[i]}{suffix})"
 
 
+def _coverage_warning(report: AnalysisReport) -> str:
+    # differential_check stops early only when q^l passes the point cap
+    oracle_ran = any(v.name.startswith("oracle-") for v in report.verdicts)
+    if not oracle_ran or report.oracle_q_max >= report.q_max:
+        return ""
+    covered = (f"q in 1..{report.oracle_q_max}" if report.oracle_q_max
+               else "no q")
+    return (f"warning: oracle covered {covered} of 1..{report.q_max} "
+            f"({MAX_POINTS_ENV})")
+
+
 def render_text(report: AnalysisReport) -> str:
     group = report.group
     data = report.data
@@ -288,6 +300,9 @@ def render_text(report: AnalysisReport) -> str:
     lines.append("verdicts:")
     for v in report.verdicts:
         lines.append(f"  {v}")
+    warning = _coverage_warning(report)
+    if warning:
+        lines.append(warning)
     lines.append(f"overall: {'PASS' if report.all_passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 

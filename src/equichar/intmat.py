@@ -34,6 +34,14 @@ class IntMatrix:
                 raise DimensionMismatch(f"non-integer entry {v!r}")
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        # products and differences of validated matrices are valid by
+        # construction, so they skip the per-entry check of __post_init__
+        mat = object.__new__(cls)
+        mat.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return mat
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
         data = [list(r) for r in rows]
         if not data:
@@ -75,13 +83,14 @@ class IntMatrix:
                     obase = t * m
                     for j in range(m):
                         out[i * m + j] += a * other.entries[obase + j]
-        return IntMatrix(n, m, tuple(out))
+        return IntMatrix._trusted(n, m, tuple(out))
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch in subtraction")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix._trusted(
+            self.rows, self.cols,
+            tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def _bareiss(self) -> tuple[int, int]:
         """Rank and determinant (0 unless square of full rank) from one

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,10 +7,39 @@ from equichar import (EnumerationCapExceeded, brute_multiplicities,
                       brute_orbit_count_for_linear, differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
-                      make_quasimonomial, ValidationError)
-from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap, _apply
+                      generate_group, make_quasimonomial, ValidationError)
+from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
-from conftest import make_builtin_group
+from conftest import BUILTIN_NAMES, make_builtin_group, mat
+
+# B3 on Z^3: the transposition (1 2), the 3-cycle and the sign flip of e_1
+B3_GENERATORS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                 [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def reference_apply(rows, point, q):
+    """M·x mod q, one point at a time, for the reference enumeration."""
+    return tuple(sum(a * x for a, x in zip(row, point)) % q for row in rows)
+
+
+def reference_action(group, q):
+    """Orbits, isotropy and fixed counts of the action on (Z/q)^l, point by
+    point over every group element. A point's code has coordinate j at
+    weight q^j, and points are listed in code order."""
+    points = [p[::-1] for p in product(range(q), repeat=group.rank)]
+    code_of = {p: code for code, p in enumerate(points)}
+    rows = [g.to_rows() for g in group.elements]
+    orbits = sorted({tuple(sorted({code_of[reference_apply(r, p, q)]
+                                   for r in rows}))
+                     for p in points})
+    isotropy = [tuple(idx for idx, r in enumerate(rows)
+                      if reference_apply(r, points[orbit[0]], q)
+                      == points[orbit[0]])
+                for orbit in orbits]
+    fixed = [sum(reference_apply(rows[rep], p, q) == p for p in points)
+             for rep in group.class_representatives]
+    return tuple(orbits), tuple(isotropy), tuple(fixed)
 
 
 def pipeline(name):
@@ -61,9 +91,26 @@ class TestEnumeration:
             for members in group.class_partition:
                 counts = {
                     sum(1 for p in points
-                        if _apply(group.elements[x], p, q) == p)
+                        if reference_apply(group.elements[x].to_rows(), p, q)
+                        == p)
                     for x in members[:2]}
                 assert len(counts) == 1
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matches_reference_on_builtins(self, name):
+        group = make_builtin_group(name)
+        for q in range(1, 7):
+            dec = enumerate_action(group, q)
+            assert (dec.orbits, dec.isotropy, dec.fixed_counts) == \
+                reference_action(group, q)
+
+    def test_matches_reference_on_b3(self):
+        group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
+        assert group.order == 48
+        for q in range(1, 5):
+            dec = enumerate_action(group, q)
+            assert (dec.orbits, dec.isotropy, dec.fixed_counts) == \
+                reference_action(group, q)
 
     def test_cap_raises(self):
         group = make_builtin_group("c6-z2")

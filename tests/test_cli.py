@@ -217,6 +217,33 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verification"]["oracle_q_max"] == 6
 
+    def test_capped_oracle_warns_in_text_only(self, capsys, monkeypatch):
+        from equichar.bruteforce import MAX_POINTS_ENV
+        monkeypatch.setenv(MAX_POINTS_ENV, "100")
+        assert main(["analyze", "--builtin", "c6-z2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "warning: oracle covered q in 1..10 of 1..24 (EQUICHAR_MAX_POINTS)",
+            "overall: PASS"]
+        for fmt in ("json", "latex"):
+            assert main(["analyze", "--builtin", "c6-z2", "--format", fmt]) == 0
+            assert "warning" not in capsys.readouterr().out
+
+    def test_uncapped_oracle_does_not_warn(self, capsys, monkeypatch):
+        from equichar.bruteforce import MAX_POINTS_ENV
+        monkeypatch.delenv(MAX_POINTS_ENV, raising=False)
+        assert main(["analyze", "--builtin", "c6-z2"]) == 0
+        assert "warning" not in capsys.readouterr().out
+
+    def test_skipped_oracle_warns_and_no_verify_does_not(self, s3_report):
+        skipped = dataclasses.replace(s3_report, oracle_q_max=0)
+        assert ("warning: oracle covered no q of 1..6 (EQUICHAR_MAX_POINTS)"
+                in render_text(skipped).splitlines())
+        unverified = dataclasses.replace(
+            skipped, verdicts=tuple(v for v in s3_report.verdicts
+                                    if not v.name.startswith("oracle-")))
+        assert "warning" not in render_text(unverified)
+
     def test_huge_qmax_without_oracle_returns_quickly(self):
         # with the oracle off no verdict depends on q_max, so a huge value
         # must not slow the run down

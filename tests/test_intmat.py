@@ -63,6 +63,30 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatch):
             IntMatrix(rows=2, cols=2, entries=(1, 2, 3))
 
+    @pytest.mark.parametrize("build", [
+        lambda: IntMatrix(2, 2, (1, 0, 0, True)),
+        lambda: IntMatrix(1, 2, (1, 2.0)),
+        lambda: IntMatrix(0, 0, ()),
+        lambda: IntMatrix.from_rows([[False]]),
+        lambda: IntMatrix.from_rows([[1, "2"]]),
+        lambda: IntMatrix.from_rows([[1, 2], [3]]),
+        lambda: IntMatrix.from_rows([]),
+    ], ids=["bool", "float", "empty-shape", "bool-row", "string-row",
+            "ragged", "no-rows"])
+    def test_user_input_validated(self, build):
+        with pytest.raises(DimensionMismatch):
+            build()
+
+    def test_products_equal_validated_matrices(self):
+        # products and differences skip the entry check, and must still
+        # equal and hash like the same matrix built from user input
+        a, b = mat([[2, -1], [0, 3]]), mat([[1, 4], [-5, 0]])
+        for result in (a.multiply(b), a.sub(b)):
+            rebuilt = mat(result.to_rows())
+            assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert a.multiply(b) == mat([[7, 8], [-15, 0]])
+        assert a.sub(b) == mat([[1, -5], [5, 3]])
+
     def test_det_and_rank(self):
         assert mat([[2, 0], [0, 3]]).det() == 6
         assert mat([[1, 2], [2, 4]]).det() == 0

@@ -81,6 +81,10 @@ def test_every_problem_file_is_pinned():
 
 
 @pytest.mark.parametrize("filename", list(PROBLEM_DIGESTS))
-def test_problem_report_bytes(filename):
-    report = run_analyze(parse_input(PROBLEMS_DIR / filename))
+def test_problem_report_bytes(builtin_reports, filename):
+    spec = parse_input(PROBLEMS_DIR / filename)
+    # a file that parses to a builtin's spec is checked against the
+    # builtin's report instead of running the same analysis again
+    same = [name for name in BUILTIN_NAMES if builtin(name) == spec]
+    report = builtin_reports[same[0]] if same else run_analyze(spec)
     assert digest(render(report, "json")) == PROBLEM_DIGESTS[filename]
