@@ -11,16 +11,16 @@ for small q.
 from .analysis import (AnalysisReport, ClassDivisorData,
                        EquivariantQuasiPolynomial, action_period, analyze,
                        check_reciprocity, class_divisor_data, equivariant_qp,
-                       fixed_point_qp, multiplicity_qp, orbit_count_qp,
-                       reciprocity_character, report_to_dict)
+                       fixed_point_qp, multiplicity_qp, reciprocity_character,
+                       report_to_dict)
 from .bruteforce import (OrbitDecomposition, brute_multiplicities,
                          brute_orbit_count_for_linear, differential_check,
                          enumerate_action)
 from .characters import (CharacterTable, ClassFunction, Cyclotomic,
                          dixon_character_table, find_row, induce_trivial,
                          ingest_character_table, inner_product,
-                         rational_class_function, regular_character,
-                         table_to_dict, tensor_identify, trivial_character)
+                         rational_class_function, table_to_dict,
+                         tensor_identify)
 from .checks import Verdict
 from .errors import (CertificationFailed, DimensionMismatch,
                      EnumerationCapExceeded, EquicharError, GroupMismatch,
@@ -86,13 +86,10 @@ __all__ = [
     "is_subgroup",
     "make_quasimonomial",
     "multiplicity_qp",
-    "orbit_count_qp",
     "rational_class_function",
     "reciprocity_character",
-    "regular_character",
     "report_to_dict",
     "smith_normal_form",
     "table_to_dict",
     "tensor_identify",
-    "trivial_character",
 ]

@@ -24,7 +24,7 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          rational_class_function, tensor_identify)
 from .checks import Verdict
 from .errors import (CertificationFailed, NonRationalCoefficient,
-                     NotACharacter, NotLinearCharacter)
+                     NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms,
                       make_quasimonomial, poly_eval)
 from .groups import FiniteMatrixGroup
@@ -192,16 +192,6 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
                                 "twisting by delta is not an involution"),
         ),
     ]
-
-
-def orbit_count_qp(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
-                   index: int) -> GcdQuasiPolynomial:
-    """For a degree-1 row, the multiplicity quasi-polynomial also counts the
-    orbits whose isotropy lies inside the kernel of that character; for the
-    trivial row it is the total orbit count."""
-    if table.degrees[index] != 1:
-        raise NotLinearCharacter(f"row {index} has degree {table.degrees[index]}")
-    return eqp.multiplicities[index]
 
 
 def integrality_failure(multiplicities, period: int,

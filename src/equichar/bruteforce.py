@@ -146,11 +146,11 @@ def brute_orbit_count_for_linear(group: FiniteMatrixGroup,
                                  dec: OrbitDecomposition, index: int) -> int:
     """Number of orbits whose isotropy lies in the kernel of the degree-1
     row `index`."""
-    row = table.rows[index]
-    one = row.values[0]
+    values = table.rows[index].values
+    kernel = {c for c, v in enumerate(values) if v == values[0]}
     count = 0
     for stab in dec.isotropy:
-        if all(row.values[group.class_of[g]] == one for g in stab):
+        if all(group.class_of[g] in kernel for g in stab):
             count += 1
     return count
 

@@ -1,14 +1,15 @@
 """Class functions, character tables and their construction.
 
-The table of irreducible characters is computed by the classical modular
-method: the class-sum structure constants give a family of commuting
-integer matrices whose simultaneous eigenvectors over a suitable prime
-field are the central characters. Degrees and character values are then
-recovered modulo p and lifted to exact cyclotomic integers through the
-root-of-unity multiplicity counting formula. The finished table is checked
-against first orthogonality, which for a square table implies the second,
-before being returned, and the same validation is applied to user-supplied
-tables.
+The table of irreducible characters is computed by the modular method of
+Dixon and Schneider: the class matrices, holding the class-sum structure
+constants, commute, and their simultaneous eigenvectors over a suitable
+prime field are the central characters. A class matrix is built only when
+the eigenspace split reaches its class. Degrees and character values are
+then recovered modulo p and lifted to exact cyclotomic integers through the
+root-of-unity multiplicity counting formula, at the order of each class's
+representative. The finished table is checked against first orthogonality,
+which for a square table implies the second, before being returned, and the
+same validation is applied to user-supplied tables.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
     for size, a, b in zip(g.class_sizes, phi.values, psi.values):
         total = total + (a * b.conjugate()) * size
     return total * Fraction(1, g.order)
-
-
-def trivial_character(group: FiniteMatrixGroup) -> ClassFunction:
-    one = Cyclotomic.rational(group.exponent, 1)
-    return ClassFunction(group, tuple(one for _ in range(group.class_count)))
-
-
-def regular_character(group: FiniteMatrixGroup) -> ClassFunction:
-    m = group.exponent
-    vals = [Cyclotomic.rational(m, group.order)]
-    vals += [Cyclotomic.rational(m, 0)] * (group.class_count - 1)
-    return ClassFunction(group, tuple(vals))
 
 
 def rational_class_function(group: FiniteMatrixGroup, values) -> ClassFunction:
@@ -129,13 +118,24 @@ def _validate_rows(group: FiniteMatrixGroup,
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, which therefore needs no check of its own.
-    one = Cyclotomic.rational(group.exponent, 1)
-    zero = Cyclotomic.rational(group.exponent, 0)
+    # Each entry is summed exactly on the powers of zeta_e and reduced once.
+    e = group.exponent
+    weighted = [[[(s, c * size) for s, c in enumerate(v.coeffs) if c]
+                 for v, size in zip(row.values, group.class_sizes)]
+                for row in rows]
+    conjugated = [[[(-s % e, c) for s, c in enumerate(v.coeffs) if c]
+                   for v in row.values] for row in rows]
     for i in range(k):
         for j in range(i, k):
-            expected = one if i == j else zero
-            if inner_product(rows[i], rows[j]) != expected:
+            vec = [0] * e
+            for left, right in zip(weighted[i], conjugated[j]):
+                for s, a in left:
+                    for t, b in right:
+                        vec[(s + t) % e] += a * b
+            expected = group.order if i == j else 0
+            if Cyclotomic.from_powers(e, vec) != Cyclotomic.rational(e, expected):
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
+    one = Cyclotomic.rational(e, 1)
     trivial = None
     for i, row in enumerate(rows):
         if all(v == one for v in row.values):
@@ -306,19 +306,15 @@ def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
         basis.append(v)
     return basis
 
-def _structure_matrices(group: FiniteMatrixGroup) -> list[list[list[int]]]:
-    """a[i][j][l] = number of pairs (x, y) in C_i x C_j with x*y = z_l for a
-    fixed representative z_l of class l."""
+def _class_matrix(group: FiniteMatrixGroup, c: int) -> list[list[int]]:
+    """a[j][l] = number of x in C_c with x^-1 z_l in C_j, for a fixed
+    representative z_l of class l: the class-sum structure constants of one
+    class, at a cost of |C_c| * k products (Schneider 1990)."""
     k = group.class_count
-    reps = group.class_representatives
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l in range(k):
-        z = reps[l]
-        for i, members in enumerate(group.class_partition):
-            row = a[i]
-            for x in members:
-                j = group.class_of[group.mul(group.inverse[x], z)]
-                row[j][l] += 1
+    a = [[0] * k for _ in range(k)]
+    for l, z in enumerate(group.class_representatives):
+        for x in group.class_partition[c]:
+            a[group.class_of[group.mul(group.inverse[x], z)]][l] += 1
     return a
 
 
@@ -326,17 +322,17 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     k = group.class_count
     e = group.exponent
     p = _working_prime(e, group.order)
-    struct = _structure_matrices(group)
     sizes = group.class_sizes
     reps = group.class_representatives
 
-    # split F_p^k into the simultaneous eigenspaces of the class matrices
+    # split F_p^k into the simultaneous eigenspaces of the class matrices,
+    # building each class matrix only when the split reaches its class
     subspaces: list[list[list[int]]] = [_echelon_mod(
         [[1 if i == j else 0 for j in range(k)] for i in range(k)], p)]
     for ci in range(1, k):
         if all(len(v) == 1 for v in subspaces):
             break
-        bmat = struct[ci]
+        bmat = _class_matrix(group, ci)
         refined: list[list[list[int]]] = []
         for basis in subspaces:
             d = len(basis)
@@ -406,15 +402,16 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     chi_mod = [[(degrees_mod[t] * omegas[t][j] * inv_sizes[j]) % p
                 for j in range(k)] for t in range(k)]
 
-    # lift to exact cyclotomic values through eigenvalue multiplicities
+    # lift to exact cyclotomic values through eigenvalue multiplicities: an
+    # element of order o has eigenvalues zeta_e^s only for s a multiple of
+    # e/o, each with multiplicity (1/o) sum_{u<o} chi(x^u) zeta_e^(-s u)
     z = _root_of_unity_mod(p, e)
     zpow = [pow(z, s, p) for s in range(e)]
-    inv_e = pow(e, p - 2, p)
     power_class = []
     for j in range(k):
         row = []
         x = 0
-        for _ in range(e):
+        for _ in range(group.element_orders[reps[j]]):
             row.append(group.class_of[x])
             x = group.mul(x, reps[j])
         power_class.append(row)
@@ -423,17 +420,20 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     for t in range(k):
         values = []
         for j in range(k):
-            coeffs = []
-            for s in range(e):
-                acc = 0
-                for u in range(e):
-                    acc += chi_mod[t][power_class[j][u]] * zpow[(-s * u) % e]
-                ms = (acc % p) * inv_e % p
+            powers = [chi_mod[t][c] for c in power_class[j]]
+            o = len(powers)
+            step = e // o
+            inv_o = pow(o, p - 2, p)
+            coeffs = [0] * e
+            for r in range(o):
+                acc = sum(v * zpow[(-r * step * u) % e]
+                          for u, v in enumerate(powers))
+                ms = (acc % p) * inv_o % p
                 if ms > degrees_mod[t]:
                     raise ValidationFailed("class algebra",
                                            f"eigenvalue multiplicity lift {ms} "
                                            f"exceeds degree {degrees_mod[t]}")
-                coeffs.append(ms)
+                coeffs[r * step] = ms
             if sum(coeffs) != degrees_mod[t]:
                 raise ValidationFailed("class algebra",
                                        "eigenvalue multiplicities do not sum "

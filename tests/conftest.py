@@ -50,3 +50,34 @@ def d4_group(groups):
 
 def mat(rows) -> IntMatrix:
     return IntMatrix.from_rows(rows)
+
+
+def signed_permutation(perm, signs) -> IntMatrix:
+    """The matrix sending e_col to signs[col] * e_perm[col]."""
+    n = len(perm)
+    entries = [0] * (n * n)
+    for col, row in enumerate(perm):
+        entries[row * n + col] = signs[col]
+    return IntMatrix(n, n, tuple(entries))
+
+
+def signed_permutation_generators(n: int) -> list[IntMatrix]:
+    """An n-cycle, a transposition and one sign change: generators of the
+    hyperoctahedral group B_n of order 2^n n!."""
+    ones = (1,) * n
+    return [signed_permutation(list(range(1, n)) + [0], ones),
+            signed_permutation([1, 0] + list(range(2, n)), ones),
+            signed_permutation(range(n), (-1,) + ones[1:])]
+
+
+def weyl_group_generators(cartan) -> list[IntMatrix]:
+    """Simple reflections s_i(alpha_j) = alpha_j - C_ij alpha_i on the root
+    lattice, in the basis of simple roots."""
+    n = len(cartan)
+    return [mat([[(r == j) - (r == i) * cartan[i][j] for j in range(n)]
+                 for r in range(n)])
+            for i in range(n)]
+
+
+# Bourbaki numbering
+CARTAN_F4 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))

