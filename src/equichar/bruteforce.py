@@ -4,10 +4,12 @@ on the symbolic pipeline.
 Everything here is deliberately direct: for each q, every generator and
 every class representative acts on all q^l points through one image array,
 `img[code]` being the code of `M·x mod q`, built from the matrix entries
-reduced mod q. Orbits come from a BFS over the generators' arrays, fixed
-points are counted as the codes an array maps to themselves, isotropy is
-read off every element's reduced rows at each orbit representative, and
-multiplicities are computed from the textbook inner product against the
+reduced mod q. Orbits come from a BFS over the generators' arrays, which
+labels every code with its orbit. Fixed points are the codes a class
+representative's array maps to themselves. Isotropy is counted per class
+from those same fixed points: since stabilizers along an orbit O are
+conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O.
+Multiplicities are computed from the textbook inner product against the
 counted fixed points. None of it shares code with the Smith-form route,
 which is the point.
 """
@@ -15,13 +17,17 @@ which is the point.
 from __future__ import annotations
 
 import os
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, mul
+from itertools import compress
+from operator import eq
 
 from .characters import CharacterTable, inner_product, rational_class_function
 from .checks import Verdict
-from .errors import EnumerationCapExceeded, ValidationError
+from .errors import (CertificationFailed, EnumerationCapExceeded,
+                     ValidationError)
 from .gcdpoly import GcdQuasiPolynomial
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix
@@ -70,12 +76,14 @@ def _image_array(mat: IntMatrix, q: int) -> list[int]:
 class OrbitDecomposition:
     """Complete orbit data of a group action on (Z/q)^l. Points are encoded
     as integers in mixed radix q; each orbit is sorted and orbits are sorted
-    by smallest member, so the whole object is deterministic."""
+    by smallest member, so the whole object is deterministic. isotropy[o]
+    lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
+    that meet the stabilizer of any point of orbit o."""
 
     q: int
     lattice_rank: int
     orbits: tuple[tuple[int, ...], ...]
-    isotropy: tuple[tuple[int, ...], ...]
+    isotropy: tuple[tuple[tuple[int, int], ...], ...]
     fixed_counts: tuple[int, ...]
 
     def decode(self, code: int) -> tuple[int, ...]:
@@ -96,41 +104,46 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    counts = tuple(sum(map(eq, _image_array(group.elements[rep_idx], q),
-                           range(total)))
-                   for rep_idx in group.class_representatives)
+    # one representative's array at a time: only its fixed codes are kept
+    fixed = [array("l", compress(range(total),
+                                 map(eq, _image_array(group.elements[rep], q),
+                                     range(total))))
+             for rep in group.class_representatives]
     gen_images = [_image_array(group.elements[i], q)
                   for i in group.generator_indices]
-    visited = bytearray(total)
+    label = array("l", [-1]) * total
     orbits = []
     for start in range(total):
-        if visited[start]:
+        if label[start] >= 0:
             continue
-        visited[start] = 1
+        index = len(orbits)
+        label[start] = index
         frontier = [start]
         members = [start]
         while frontier:
             code = frontier.pop()
             for img in gen_images:
                 image = img[code]
-                if not visited[image]:
-                    visited[image] = 1
+                if label[image] < 0:
+                    label[image] = index
                     frontier.append(image)
                     members.append(image)
         members.sort()
         orbits.append(tuple(members))
-    reduced = [[tuple(v % q for v in mat.row(i)) for i in range(group.rank)]
-               for mat in group.elements]
-    isotropy = []
-    for orbit in orbits:
-        rep = _decode(orbit[0], q, group.rank)
-        isotropy.append(tuple(
-            idx for idx, rows in enumerate(reduced)
-            if all(sum(map(mul, row, rep)) % q == x
-                   for row, x in zip(rows, rep))))
+    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
+    isotropy = [[] for _ in orbits]
+    for c, (codes, size) in enumerate(zip(fixed, group.class_sizes)):
+        for index, hits in Counter(map(label.__getitem__, codes)).items():
+            meets, rest = divmod(size * hits, len(orbits[index]))
+            if rest:
+                raise CertificationFailed(
+                    f"class {c} at q={q}: {hits} fixed points in an orbit "
+                    f"of {len(orbits[index])} do not divide evenly")
+            isotropy[index].append((c, meets))
     return OrbitDecomposition(q=q, lattice_rank=group.rank,
-                              orbits=tuple(orbits), isotropy=tuple(isotropy),
-                              fixed_counts=counts)
+                              orbits=tuple(orbits),
+                              isotropy=tuple(map(tuple, isotropy)),
+                              fixed_counts=tuple(map(len, fixed)))
 
 
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
@@ -145,14 +158,14 @@ def brute_orbit_count_for_linear(group: FiniteMatrixGroup,
                                  table: CharacterTable,
                                  dec: OrbitDecomposition, index: int) -> int:
     """Number of orbits whose isotropy lies in the kernel of the degree-1
-    row `index`."""
+    row `index`. A kernel is a union of classes, so an orbit counts when
+    every class its stabilizer meets is one where the row takes its
+    identity value."""
     values = table.rows[index].values
     kernel = {c for c, v in enumerate(values) if v == values[0]}
-    count = 0
-    for stab in dec.isotropy:
-        if all(group.class_of[g] in kernel for g in stab):
-            count += 1
-    return count
+    # orbits with the same isotropy are tested once
+    return sum(n for stab, n in Counter(dec.isotropy).items()
+               if kernel.issuperset(c for c, _ in stab))
 
 
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,

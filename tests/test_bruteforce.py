@@ -1,13 +1,16 @@
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from equichar import (EnumerationCapExceeded, brute_multiplicities,
+from equichar import (CertificationFailed, EnumerationCapExceeded, brute_multiplicities,
                       brute_orbit_count_for_linear, differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
                       generate_group, make_quasimonomial, ValidationError)
+from equichar import bruteforce
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
 from conftest import BUILTIN_NAMES, make_builtin_group, mat
@@ -26,17 +29,19 @@ def reference_apply(rows, point, q):
 def reference_action(group, q):
     """Orbits, isotropy and fixed counts of the action on (Z/q)^l, point by
     point over every group element. A point's code has coordinate j at
-    weight q^j, and points are listed in code order."""
+    weight q^j, and points are listed in code order. Each orbit's isotropy
+    is its representative's stabilizer, tested element by element and then
+    reduced to (class, number of stabilizer elements in it) pairs."""
     points = [p[::-1] for p in product(range(q), repeat=group.rank)]
     code_of = {p: code for code, p in enumerate(points)}
     rows = [g.to_rows() for g in group.elements]
     orbits = sorted({tuple(sorted({code_of[reference_apply(r, p, q)]
                                    for r in rows}))
                      for p in points})
-    isotropy = [tuple(idx for idx, r in enumerate(rows)
-                      if reference_apply(r, points[orbit[0]], q)
-                      == points[orbit[0]])
-                for orbit in orbits]
+    isotropy = [tuple(sorted(Counter(
+        group.class_of[idx] for idx, r in enumerate(rows)
+        if reference_apply(r, points[orbit[0]], q) == points[orbit[0]]
+    ).items())) for orbit in orbits]
     fixed = [sum(reference_apply(rows[rep], p, q) == p for p in points)
              for rep in group.class_representatives]
     return tuple(orbits), tuple(isotropy), tuple(fixed)
@@ -81,7 +86,7 @@ class TestEnumeration:
         for q in (2, 3, 4, 7):
             dec = enumerate_action(group, q)
             for orbit, stab in zip(dec.orbits, dec.isotropy):
-                assert len(orbit) * len(stab) == group.order
+                assert len(orbit) * sum(n for _, n in stab) == group.order
 
     def test_fixed_counts_constant_on_classes(self):
         group = make_builtin_group("s3-a2")
@@ -111,6 +116,32 @@ class TestEnumeration:
             dec = enumerate_action(group, q)
             assert (dec.orbits, dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
+
+    def test_image_arrays_one_per_generator_and_class(self, monkeypatch):
+        group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
+        built = []
+        original = bruteforce._image_array
+
+        def counting(matrix, q):
+            built.append(matrix)
+            return original(matrix, q)
+
+        monkeypatch.setattr(bruteforce, "_image_array", counting)
+        enumerate_action(group, 4)
+        assert 0 < len(built) <= (len(group.generator_indices)
+                                  + group.class_count)
+
+    def test_uneven_isotropy_count_raises(self):
+        # keeping one element of the transposition class makes |C| = 1;
+        # at q = 2 its one fixed point in the orbit of size 3 gives 1/3
+        group = make_builtin_group("s3-a2")
+        parts = list(group.class_partition)
+        c = next(c for c, part in enumerate(parts)
+                 if group.element_orders[part[0]] == 2)
+        parts[c] = parts[c][:1]
+        bad = replace(group, class_partition=tuple(parts))
+        with pytest.raises(CertificationFailed, match=f"class {c} at q=2"):
+            enumerate_action(bad, 2)
 
     def test_cap_raises(self):
         group = make_builtin_group("c6-z2")
@@ -231,4 +262,19 @@ class TestDifferentialCheck:
         assert not by_name["oracle-multiplicities"].passed
         assert not by_name["oracle-orbit-count"].passed
         assert "q=1" in by_name["oracle-multiplicities"].details
+        assert by_name["oracle-fixed-points"].passed
+
+    def test_corrupted_linear_orbit_count_detected(self):
+        group, table, eqp, fixed = pipeline("s3-a2")
+        sign = next(i for i in table.linear_indices()
+                    if i != table.trivial_index)
+        bad = list(eqp.multiplicities)
+        bad[sign] = bad[sign].add(
+            make_quasimonomial((), 0, 1, period=eqp.period))
+        verdicts, _ = differential_check(
+            group, table, tuple(bad), fixed, q_max=8)
+        by_name = {v.name: v for v in verdicts}
+        assert not by_name["oracle-linear-orbit-counts"].passed
+        assert f"row {sign} at q=1" in \
+            by_name["oracle-linear-orbit-counts"].details
         assert by_name["oracle-fixed-points"].passed
