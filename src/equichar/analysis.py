@@ -237,7 +237,7 @@ CONVENTIONS = {
         "whose isotropy group lies in the character kernel",
     "minimal-periods":
         "the declared period is certified minimal for the trivial row; for "
-        "other rows the empirical minimal period is reported and only its "
+        "other rows the exact minimal period is reported and only its "
         "divisibility into the declared period is asserted",
 }
 
@@ -329,7 +329,7 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
         method=symbolic,
         passed=(trivial_period == period
                 and all(period % mp == 0 for mp in minimal_periods)),
-        details=f"empirical minimal periods {list(minimal_periods)}"))
+        details=f"exact minimal periods {list(minimal_periods)}"))
 
     top_ref = _top_constituent_reference(group, data)
     verdicts.append(Verdict(

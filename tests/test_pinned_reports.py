@@ -13,50 +13,50 @@ from conftest import BUILTIN_NAMES, PROBLEMS_DIR
 
 BUILTIN_DIGESTS = {
     ("c6-z2", "text"):
-        "ce1565a67568c7e150a9907ead535b8fb8e2232b18f5abcd0eef7913d81c4129",
+        "14eb400c38cdbc1c9b49426c20ca68030012b96b3a354f8ee91a816d33b65da8",
     ("c6-z2", "json"):
-        "82bc7a63f27e6bbfdccfa2f3b0990424b55fd1aa773e203f76abb3c370808f0c",
+        "3d0045899726548279acd3335120e7b51f2533663843a3b297b8bebfbd530b68",
     ("c6-z2", "latex"):
         "858457afe2782812d7a1cbfbce0911bbc94809a1beb9944ba36d845032f911b1",
     ("c6-z3", "text"):
-        "ea8f2a6907997ad4824fc1864cf084fd4cef97b8d9a9f9ed07106fe434dfb255",
+        "95c5cc6cfecb1e7d7c21756a671217bf658fb6137c55a7aa3f81f9dd06b7eca3",
     ("c6-z3", "json"):
-        "5b2deb55b9fa99d1e498cee70a12b87e5a1507ba3ecbf6aa40394eeeaed87f84",
+        "d364d579d9f4dea358df776e2ee52c7c91f549b1c2aa539836bf8a100442e0bc",
     ("c6-z3", "latex"):
         "159a7e178a6654204e03c89fa2e0d49b40c5e3d0b441849da2b29b581256f23e",
     ("s3-a2", "text"):
-        "71bb51ce810f8779f6c386c341897894861af0089812bf65302289037dea592d",
+        "2578b14ab0b0e8400e21c16e9206c9e6de7feafe3716c9bb046cf0e018ecbe59",
     ("s3-a2", "json"):
-        "a418e66c13b9e51dd9a7b72a60b0b53b080eaa772d50301dbba39ff61b32ff0b",
+        "991f207f9b47515edc815a740cfcecfcdf671aa7cb4199d9ce12a2a731cdc6c0",
     ("s3-a2", "latex"):
         "4ee305e56028dc39aa30922902f63e3bc03d8420a832c06af10faddc721cbb99",
     ("trivial-z2", "text"):
-        "1c3f4ad1473fe5569ff34c8e12152371848adeb1e2da4f8187bc758394ee8918",
+        "b9585de7871ca99ef3c9631228a606290109183d3fd6f6e096d4a73da227f814",
     ("trivial-z2", "json"):
-        "29f4b5b76a19342974be333a12affd45806a2a4ab5f62bb3e01c67e31873f1f8",
+        "f12e954f88d7cd67dfeca0bf3dfc9c4850b01cf97efbde7da11e06343af6dd09",
     ("trivial-z2", "latex"):
         "397179b83f4e910a90399b666ee81bc04413bd20382c37cbc483004d2d03283c",
     ("dihedral-z2", "text"):
-        "ffe0147d89a3c77c9c0b5fd900f99ac88ab0023110ff9d6e459c0985c24c3bd2",
+        "2b0e2914be7504b75d11158c8c3b69a69e81f7c304216396be7c9693acfd7b23",
     ("dihedral-z2", "json"):
-        "0a5310f23aadaa81b7227dc7cadd804199e5842869c7a3db533b7e1ed91124e4",
+        "b1fb46ffcd54b51aaf88d7743a961a7980d85d6eb41b69aead21c2a4f362ccf2",
     ("dihedral-z2", "latex"):
         "c1d0f4c96946d5e0c6d6babaff3284c96b40f149a357cd78534d9a4a12488121",
 }
 
 PROBLEM_DIGESTS = {
     "c6_z2.json":
-        "82bc7a63f27e6bbfdccfa2f3b0990424b55fd1aa773e203f76abb3c370808f0c",
+        "3d0045899726548279acd3335120e7b51f2533663843a3b297b8bebfbd530b68",
     "c6_z2_with_table.json":
-        "1c8f2b091f567b185a16713063d654665154d65a89fbbbe470391c7acbec6377",
+        "acc6c30532526e5ce4620803fd00b99404638cf1ab9be93ef87ad209f5a9cd3d",
     "c6_z3.json":
-        "5b2deb55b9fa99d1e498cee70a12b87e5a1507ba3ecbf6aa40394eeeaed87f84",
+        "d364d579d9f4dea358df776e2ee52c7c91f549b1c2aa539836bf8a100442e0bc",
     "dihedral_z2.json":
-        "0a5310f23aadaa81b7227dc7cadd804199e5842869c7a3db533b7e1ed91124e4",
+        "b1fb46ffcd54b51aaf88d7743a961a7980d85d6eb41b69aead21c2a4f362ccf2",
     "s3_a2.json":
-        "a418e66c13b9e51dd9a7b72a60b0b53b080eaa772d50301dbba39ff61b32ff0b",
+        "991f207f9b47515edc815a740cfcecfcdf671aa7cb4199d9ce12a2a731cdc6c0",
     "trivial_z2.json":
-        "29f4b5b76a19342974be333a12affd45806a2a4ab5f62bb3e01c67e31873f1f8",
+        "f12e954f88d7cd67dfeca0bf3dfc9c4850b01cf97efbde7da11e06343af6dd09",
 }
 
 
