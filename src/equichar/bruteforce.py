@@ -17,7 +17,6 @@ which is the point.
 from __future__ import annotations
 
 import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,14 +103,12 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    # one representative's array at a time: only its fixed codes are kept
-    fixed = [array("l", compress(range(total),
-                                 map(eq, _image_array(group.elements[rep], q),
-                                     range(total))))
+    # one representative's array at a time: only its fixed-point mask is kept
+    fixed = [bytes(map(eq, _image_array(group.elements[rep], q), range(total)))
              for rep in group.class_representatives]
     gen_images = [_image_array(group.elements[i], q)
                   for i in group.generator_indices]
-    label = array("l", [-1]) * total
+    label = [-1] * total
     orbits = []
     for start in range(total):
         if label[start] >= 0:
@@ -132,8 +129,8 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         orbits.append(tuple(members))
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
     isotropy = [[] for _ in orbits]
-    for c, (codes, size) in enumerate(zip(fixed, group.class_sizes)):
-        for index, hits in Counter(map(label.__getitem__, codes)).items():
+    for c, (mask, size) in enumerate(zip(fixed, group.class_sizes)):
+        for index, hits in Counter(compress(label, mask)).items():
             meets, rest = divmod(size * hits, len(orbits[index]))
             if rest:
                 raise CertificationFailed(
@@ -143,7 +140,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
     return OrbitDecomposition(q=q, lattice_rank=group.rank,
                               orbits=tuple(orbits),
                               isotropy=tuple(map(tuple, isotropy)),
-                              fixed_counts=tuple(map(len, fixed)))
+                              fixed_counts=tuple(m.count(1) for m in fixed))
 
 
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
