@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
@@ -26,7 +26,7 @@ from .checks import Verdict
 from .errors import (CertificationFailed, NonRationalCoefficient,
                      NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms,
-                      make_quasimonomial, poly_eval)
+                      make_quasimonomial)
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix, smith_normal_form
 
@@ -194,6 +194,14 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     ]
 
 
+def _horner(nums: tuple[int, ...], q: int) -> int:
+    # coefficients from the top down
+    acc = 0
+    for c in nums:
+        acc = acc * q + c
+    return acc
+
+
 def integrality_failure(multiplicities, period: int,
                         ell: int) -> str | None:
     """Decide whether every multiplicity takes a nonnegative integer value at
@@ -206,20 +214,35 @@ def integrality_failure(multiplicities, period: int,
     at q in 1..period*(ell + 1) proves it for every q. For the sign, a
     constituent with a positive leading coefficient is positive beyond the
     Cauchy bound 1 + max|a_j / a_top| on its roots, so only the q below
-    that bound in its gcd class are evaluated."""
+    that bound in its gcd class are evaluated.
+
+    Every constituent is evaluated as integer numerators over one common
+    denominator (the lcm of its coefficients' denominators), so a value is
+    an integer iff its numerator is divisible by that denominator, and has
+    the sign of its numerator."""
+    divisors = divisors_of(period)
     for i, m in enumerate(multiplicities):
-        polys = {d: m.constituent(d) for d in divisors_of(period)}
+        # d -> (numerators from the top coefficient down, denominator)
+        scaled = {}
+        for d in divisors:
+            poly = m.constituent(d)
+            den = lcm(1, *(c.denominator for c in poly))
+            scaled[d] = (tuple(c.numerator * (den // c.denominator)
+                               for c in reversed(poly)), den)
         for q in range(1, period * (ell + 1) + 1):
-            value = poly_eval(polys[gcd(period, q)], q)
-            if value.denominator != 1:
-                return f"row {i}: value {value} at q={q} is not an integer"
-        for d, poly in polys.items():
-            if not poly or poly[-1] <= 0:
+            nums, den = scaled[gcd(period, q)]
+            acc = _horner(nums, q)
+            if acc % den:
+                return (f"row {i}: value {Fraction(acc, den)} at q={q} "
+                        f"is not an integer")
+        for d, (nums, den) in scaled.items():
+            if not nums or nums[0] <= 0:
                 return f"row {i}: leading coefficient at gcd {d} is not positive"
-            bound = 1 + max((abs(c / poly[-1]) for c in poly[:-1]), default=0)
-            for q in range(d, ceil(bound), d):
-                if gcd(period, q) == d and poly_eval(poly, q) < 0:
-                    return (f"row {i}: value {poly_eval(poly, q)} at q={q} "
+            # the ratios a_j / a_top are those of the numerators
+            bound = 1 + -(-max(map(abs, nums[1:]), default=0) // nums[0])
+            for q in range(d, bound, d):
+                if gcd(period, q) == d and (acc := _horner(nums, q)) < 0:
+                    return (f"row {i}: value {Fraction(acc, den)} at q={q} "
                             f"is negative")
     return None
 

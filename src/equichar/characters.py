@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .cyclo import Cyclotomic
 from .errors import (GroupMismatch, NoMatch, NotASubgroup, NotLinearCharacter,
@@ -416,6 +417,11 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             x = group.mul(x, reps[j])
         power_class.append(row)
 
+    # the DFT rows depend only on the order o: dft[o][r][u] = zeta^(-r*u*e/o)
+    dft = {o: [[zpow[(-r * (e // o) * u) % e] for u in range(o)]
+               for r in range(o)]
+           for o in {len(row) for row in power_class}}
+
     rows = []
     for t in range(k):
         values = []
@@ -425,9 +431,8 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             step = e // o
             inv_o = pow(o, p - 2, p)
             coeffs = [0] * e
-            for r in range(o):
-                acc = sum(v * zpow[(-r * step * u) % e]
-                          for u, v in enumerate(powers))
+            for r, dft_row in enumerate(dft[o]):
+                acc = sum(map(mul, powers, dft_row))
                 ms = (acc % p) * inv_o % p
                 if ms > degrees_mod[t]:
                     raise ValidationFailed("class algebra",

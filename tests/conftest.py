@@ -52,6 +52,26 @@ def mat(rows) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+# the companion matrices of Phi_3 = 1 + x + x^2 and of Phi_7 = 1 + x + ... + x^6
+# side by side: a generator of C21 on Z^8, of conductor 21, whose elements
+# have orders 1, 3, 7 and 21
+C21_GENERATOR = (
+    (0, -1, 0, 0, 0, 0, 0, 0),
+    (1, -1, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, -1),
+    (0, 0, 1, 0, 0, 0, 0, -1),
+    (0, 0, 0, 1, 0, 0, 0, -1),
+    (0, 0, 0, 0, 1, 0, 0, -1),
+    (0, 0, 0, 0, 0, 1, 0, -1),
+    (0, 0, 0, 0, 0, 0, 1, -1),
+)
+
+
+@pytest.fixture(scope="session")
+def c21_group() -> FiniteMatrixGroup:
+    return generate_group([mat(C21_GENERATOR)], rank=8)
+
+
 def signed_permutation(perm, signs) -> IntMatrix:
     """The matrix sending e_col to signs[col] * e_perm[col]."""
     n = len(perm)

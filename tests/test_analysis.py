@@ -3,7 +3,10 @@ multiplicity constituents, reciprocity pairings, and the verdict suite."""
 
 import dataclasses
 from fractions import Fraction
+from math import ceil, gcd, lcm
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from equichar import (NotACharacter, action_period, analyze,
@@ -12,7 +15,7 @@ from equichar import (NotACharacter, action_period, analyze,
                       reciprocity_character, report_to_dict)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
-from equichar.gcdpoly import from_terms, make_quasimonomial
+from equichar.gcdpoly import divisors_of, from_terms, make_quasimonomial
 
 from conftest import BUILTIN_NAMES, make_builtin_group
 
@@ -196,7 +199,75 @@ class TestEquivariant:
                 assert total == q ** group.rank
 
 
+def fraction_horner(poly, q):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * q + c
+    return acc
+
+
+def reference_integrality_failure(multiplicities, period, ell):
+    """The integrality and sign scan evaluated in Fraction arithmetic."""
+    for i, m in enumerate(multiplicities):
+        polys = {d: m.constituent(d) for d in divisors_of(period)}
+        for q in range(1, period * (ell + 1) + 1):
+            value = fraction_horner(polys[gcd(period, q)], q)
+            if value.denominator != 1:
+                return f"row {i}: value {value} at q={q} is not an integer"
+        for d, poly in polys.items():
+            if not poly or poly[-1] <= 0:
+                return f"row {i}: leading coefficient at gcd {d} is not positive"
+            bound = 1 + max((abs(c / poly[-1]) for c in poly[:-1]), default=0)
+            for q in range(d, ceil(bound), d):
+                if gcd(period, q) == d and fraction_horner(poly, q) < 0:
+                    return (f"row {i}: value {fraction_horner(poly, q)} "
+                            f"at q={q} is negative")
+    return None
+
+
+# binomial(q, k) as (power, coefficient) terms
+BINOMIAL_TERMS = {
+    0: ((0, Fraction(1)),),
+    1: ((1, Fraction(1)),),
+    2: ((1, Fraction(-1, 2)), (2, Fraction(1, 2))),
+    3: ((1, Fraction(1, 3)), (2, Fraction(-1, 2)), (3, Fraction(1, 6))),
+}
+
+
+@st.composite
+def quasi_polynomials(draw):
+    """A period dividing 12 and a from_terms quasi-polynomial of degree at
+    most 3 over it. Free terms have mixed-sign coefficients over 1..12.
+    Integer multiples of gcd products times binomial(q, k) add terms over 2
+    and 6 that keep the values integral, and a mostly positive multiple of
+    binomial(q, 3) leads, so that every outcome is reached."""
+    period = draw(st.sampled_from(divisors_of(12)))
+    divs = st.lists(st.sampled_from(divisors_of(period)), max_size=2).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    terms = draw(st.lists(st.tuples(divs, st.integers(0, 3), coeffs),
+                          max_size=2))
+    binomials = draw(st.lists(st.tuples(divs, st.integers(0, 2),
+                                        st.integers(-9, 9)), max_size=3))
+    binomials.append((draw(divs), 3, draw(st.integers(-1, 3))))
+    for d, k, c in binomials:
+        terms += [(d, power, c * a) for power, a in BINOMIAL_TERMS[k]]
+    return period, from_terms(period, terms)
+
+
 class TestIntegrality:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(quasi_polynomials(), min_size=1, max_size=3))
+    # q^2 - gcd(2, q) q - 2 gcd(2, q) + 2 is q^2 - q for odd q and
+    # q^2 - 2q - 2 for even q: negative at q = 2, the last even q below its
+    # Cauchy bound 3
+    @example([(2, from_terms(2, [((), 2, 1), ((2,), 1, -1), ((2,), 0, -2),
+                                 ((), 0, 2)]))])
+    def test_matches_fraction_reference(self, drawn):
+        period = lcm(*(p for p, _ in drawn))
+        qps = [qp for _, qp in drawn]
+        assert integrality_failure(qps, period, 3) == \
+            reference_integrality_failure(qps, period, 3)
+
     @pytest.mark.parametrize("terms, ell, expected", [
         ((((), 1, Fraction(1, 2)),), 1,
          "row 0: value 1/2 at q=1 is not an integer"),
@@ -288,6 +359,20 @@ class TestAnalyze:
             assert report.all_passed, [v for v in report.verdicts
                                        if not v.passed]
             assert report.oracle_q_max == 0
+
+    def test_composite_conductor_passes_every_verdict(self, c21_group):
+        # the lift uses one DFT table per element order
+        assert {c21_group.element_orders[r]
+                for r in c21_group.class_representatives} == {1, 3, 7, 21}
+        report = analyze(c21_group, verify=False)
+        assert report.period == 21
+        assert report.all_passed, [v for v in report.verdicts
+                                   if not v.passed]
+        integrality = next(v for v in report.verdicts
+                           if v.name == "integrality")
+        assert integrality.method == (
+            "proof for all q: exact values at q in 1..189, signs below "
+            "Cauchy root bounds")
 
     def test_minimal_periods_reported(self):
         report = analyze(make_builtin_group("c6-z2"), verify=False)

@@ -118,17 +118,21 @@ def f4_group():
 
 class TestDixonLargerGroups:
     # sha256 of json.dumps(table_to_dict(table)), recorded with the dense
-    # structure-constant cube and the exponent-wide lift
+    # structure-constant cube and the exponent-wide lift (C21: the lift over
+    # generator expressions)
     PINNED = {
         "B5": ("b207958a784d74ae59c6d2575f1d8a5e"
                "2bf2f19049221c3c6a1a206324c97634"),
         "F4": ("58faa5c0631cc229d552d58e0245e79d"
                "eeddba2921dc5370537a5aa28b629ae6"),
+        "C21": ("fcfe9477db1d01e18ab7f86e5cb30734"
+                "ce3315064f48131df5862d1eb9427fc9"),
     }
 
-    def test_tables_match_pinned_digests(self, b5_group, f4_group):
+    def test_tables_match_pinned_digests(self, b5_group, f4_group, c21_group):
         for name, group, order, k in (("B5", b5_group, 3840, 36),
-                                      ("F4", f4_group, 1152, 25)):
+                                      ("F4", f4_group, 1152, 25),
+                                      ("C21", c21_group, 21, 21)):
             assert (group.order, group.class_count) == (order, k)
             payload = json.dumps(table_to_dict(dixon_character_table(group)))
             assert hashlib.sha256(payload.encode()).hexdigest() == \
