@@ -507,14 +507,21 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
     return build_table(group, rows, source="user")
 
 
+def _cell(coeffs) -> list[list[int]]:
+    # [num, den] pairs up to the last nonzero coefficient
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return [[c.numerator, c.denominator] for c in coeffs[:end]]
+
+
 def table_to_dict(table: CharacterTable) -> dict:
-    """Serialize a table back into the exchange format."""
+    """Serialize a table back into the exchange format. Each value lists
+    its coefficients only up to the last nonzero one; the missing powers
+    are zero, as `ingest_character_table` reads them."""
     return {
         "conductor": table.group.exponent,
         "classes": list(table.group.class_representatives),
-        "rows": [
-            [[[c.numerator, c.denominator] for c in value.coeffs]
-             for value in row.values]
-            for row in table.rows
-        ],
+        "rows": [[_cell(value.coeffs) for value in row.values]
+                 for row in table.rows],
     }

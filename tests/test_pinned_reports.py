@@ -15,19 +15,19 @@ BUILTIN_DIGESTS = {
     ("c6-z2", "text"):
         "14eb400c38cdbc1c9b49426c20ca68030012b96b3a354f8ee91a816d33b65da8",
     ("c6-z2", "json"):
-        "3d0045899726548279acd3335120e7b51f2533663843a3b297b8bebfbd530b68",
+        "f3044b18a304d79a99dd67d70d70b03536edca4f64521e08c573f5ebd5951e06",
     ("c6-z2", "latex"):
         "858457afe2782812d7a1cbfbce0911bbc94809a1beb9944ba36d845032f911b1",
     ("c6-z3", "text"):
         "95c5cc6cfecb1e7d7c21756a671217bf658fb6137c55a7aa3f81f9dd06b7eca3",
     ("c6-z3", "json"):
-        "d364d579d9f4dea358df776e2ee52c7c91f549b1c2aa539836bf8a100442e0bc",
+        "b4dd64d543cf61e67399a2781835f4ba60aa70eaab302e0c1c5984a44c3ffaef",
     ("c6-z3", "latex"):
         "159a7e178a6654204e03c89fa2e0d49b40c5e3d0b441849da2b29b581256f23e",
     ("s3-a2", "text"):
         "2578b14ab0b0e8400e21c16e9206c9e6de7feafe3716c9bb046cf0e018ecbe59",
     ("s3-a2", "json"):
-        "991f207f9b47515edc815a740cfcecfcdf671aa7cb4199d9ce12a2a731cdc6c0",
+        "a15b96fede90432fa5de0d4de2c356a3929facf7df504c29b25dddffb93e3725",
     ("s3-a2", "latex"):
         "4ee305e56028dc39aa30922902f63e3bc03d8420a832c06af10faddc721cbb99",
     ("trivial-z2", "text"):
@@ -39,22 +39,22 @@ BUILTIN_DIGESTS = {
     ("dihedral-z2", "text"):
         "2b0e2914be7504b75d11158c8c3b69a69e81f7c304216396be7c9693acfd7b23",
     ("dihedral-z2", "json"):
-        "b1fb46ffcd54b51aaf88d7743a961a7980d85d6eb41b69aead21c2a4f362ccf2",
+        "ed9e655b58b92a75748081eeb668f5436fd5b1658917bc496cc200f0415756d6",
     ("dihedral-z2", "latex"):
         "c1d0f4c96946d5e0c6d6babaff3284c96b40f149a357cd78534d9a4a12488121",
 }
 
 PROBLEM_DIGESTS = {
     "c6_z2.json":
-        "3d0045899726548279acd3335120e7b51f2533663843a3b297b8bebfbd530b68",
+        "f3044b18a304d79a99dd67d70d70b03536edca4f64521e08c573f5ebd5951e06",
     "c6_z2_with_table.json":
-        "acc6c30532526e5ce4620803fd00b99404638cf1ab9be93ef87ad209f5a9cd3d",
+        "b36531965e2d42e024f5cfc8609c2a08e5edb1f6a601f3a78ee2f8c4f66bcb02",
     "c6_z3.json":
-        "d364d579d9f4dea358df776e2ee52c7c91f549b1c2aa539836bf8a100442e0bc",
+        "b4dd64d543cf61e67399a2781835f4ba60aa70eaab302e0c1c5984a44c3ffaef",
     "dihedral_z2.json":
-        "b1fb46ffcd54b51aaf88d7743a961a7980d85d6eb41b69aead21c2a4f362ccf2",
+        "ed9e655b58b92a75748081eeb668f5436fd5b1658917bc496cc200f0415756d6",
     "s3_a2.json":
-        "991f207f9b47515edc815a740cfcecfcdf671aa7cb4199d9ce12a2a731cdc6c0",
+        "a15b96fede90432fa5de0d4de2c356a3929facf7df504c29b25dddffb93e3725",
     "trivial_z2.json":
         "f12e954f88d7cd67dfeca0bf3dfc9c4850b01cf97efbde7da11e06343af6dd09",
 }
