@@ -45,14 +45,6 @@ def resolve_cap(cap: int | None = None) -> int:
     return int(env)
 
 
-def _decode(code: int, q: int, rank: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(rank):
-        code, digit = divmod(code, q)
-        coords.append(digit)
-    return tuple(coords)
-
-
 def _image_array(mat: IntMatrix, q: int) -> list[int]:
     """img[code] is the code of mat·x mod q for every point code of
     (Z/q)^rank, coordinate j having weight q^j."""
@@ -73,24 +65,23 @@ def _image_array(mat: IntMatrix, q: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Complete orbit data of a group action on (Z/q)^l. Points are encoded
-    as integers in mixed radix q; each orbit is sorted and orbits are sorted
-    by smallest member, so the whole object is deterministic. isotropy[o]
+    """Orbit data of a group action on (Z/q)^l. Points are encoded as
+    integers in mixed radix q, coordinate j having weight q^j. labels[code]
+    is the index of the orbit of that point; orbits are numbered in the
+    order of their smallest members, so the whole object is deterministic.
+    orbit_sizes[o] is the number of points of orbit o, and isotropy[o]
     lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
     that meet the stabilizer of any point of orbit o."""
 
     q: int
-    lattice_rank: int
-    orbits: tuple[tuple[int, ...], ...]
+    labels: list[int]
+    orbit_sizes: tuple[int, ...]
     isotropy: tuple[tuple[tuple[int, int], ...], ...]
     fixed_counts: tuple[int, ...]
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        return _decode(code, self.q, self.lattice_rank)
-
     @property
     def orbit_count(self) -> int:
-        return len(self.orbits)
+        return len(self.orbit_sizes)
 
 
 def enumerate_action(group: FiniteMatrixGroup, q: int,
@@ -109,14 +100,14 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
     gen_images = [_image_array(group.elements[i], q)
                   for i in group.generator_indices]
     label = [-1] * total
-    orbits = []
+    sizes = []
     for start in range(total):
         if label[start] >= 0:
             continue
-        index = len(orbits)
+        index = len(sizes)
         label[start] = index
         frontier = [start]
-        members = [start]
+        count = 1
         while frontier:
             code = frontier.pop()
             for img in gen_images:
@@ -124,21 +115,19 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
                 if label[image] < 0:
                     label[image] = index
                     frontier.append(image)
-                    members.append(image)
-        members.sort()
-        orbits.append(tuple(members))
+                    count += 1
+        sizes.append(count)
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
-    isotropy = [[] for _ in orbits]
+    isotropy = [[] for _ in sizes]
     for c, (mask, size) in enumerate(zip(fixed, group.class_sizes)):
         for index, hits in Counter(compress(label, mask)).items():
-            meets, rest = divmod(size * hits, len(orbits[index]))
+            meets, rest = divmod(size * hits, sizes[index])
             if rest:
                 raise CertificationFailed(
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
-                    f"of {len(orbits[index])} do not divide evenly")
+                    f"of {sizes[index]} do not divide evenly")
             isotropy[index].append((c, meets))
-    return OrbitDecomposition(q=q, lattice_rank=group.rank,
-                              orbits=tuple(orbits),
+    return OrbitDecomposition(q=q, labels=label, orbit_sizes=tuple(sizes),
                               isotropy=tuple(map(tuple, isotropy)),
                               fixed_counts=tuple(m.count(1) for m in fixed))
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable
 
@@ -80,36 +79,6 @@ class GcdQuasiPolynomial:
         return next(n for n in divisors_of(self.period)
                     if all(table[d] == table[gcd(n, d)] for d in table))
 
-    def degree(self) -> int:
-        return max(len(poly) for poly in self.constituents.values()) - 1
-
-    # --- arithmetic -----------------------------------------------------
-
-    def add(self, other: "GcdQuasiPolynomial") -> "GcdQuasiPolynomial":
-        period = lcm(self.period, other.period)
-        return GcdQuasiPolynomial(period, {
-            d: _poly_trim([x + y for x, y in zip_longest(
-                self.constituent(d), other.constituent(d), fillvalue=0)])
-            for d in divisors_of(period)})
-
-    def scale(self, factor) -> "GcdQuasiPolynomial":
-        f = Fraction(factor)
-        return GcdQuasiPolynomial(self.period, {
-            d: _poly_trim([c * f for c in poly])
-            for d, poly in self.constituents.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def equals(self, other: "GcdQuasiPolynomial") -> bool:
-        """Functional equality: same value at every integer. Both sides read
-        the constituent of gcd(lcm of the periods, q)."""
-        return all(self.constituent(d) == other.constituent(d)
-                   for d in divisors_of(lcm(self.period, other.period)))
-
     # --- serialization ----------------------------------------------------
 
     def serialize(self) -> dict:
@@ -120,30 +89,6 @@ class GcdQuasiPolynomial:
                 for d, poly in sorted(self.constituents.items())
             },
         }
-
-    @classmethod
-    def deserialize(cls, payload: dict) -> "GcdQuasiPolynomial":
-        """Read back what `serialize` writes. A period that is not a positive
-        int, a coefficient that is not a [num, den] pair of ints with
-        den != 0, or keys other than the divisors of the period raise
-        ValueError."""
-        period, raw = payload["period"], payload["constituents"]
-        if type(period) is not int or period < 1:
-            raise ValueError(f"invalid period {period!r}")
-        divisors = divisors_of(period)
-        if not isinstance(raw, dict) or set(raw) != {str(d) for d in divisors}:
-            raise ValueError("constituent keys must be the divisors of the period")
-        table = {}
-        for d in divisors:
-            pairs = raw[str(d)]
-            if not (isinstance(pairs, list) and all(
-                    isinstance(pair, list) and len(pair) == 2
-                    and all(type(v) is int for v in pair) and pair[1] != 0
-                    for pair in pairs)):
-                raise ValueError(f"constituent {d}: {pairs!r} is not a list of "
-                                 f"[num, den] integer pairs with den != 0")
-            table[d] = _poly_trim([Fraction(num, den) for num, den in pairs])
-        return cls(period, table)
 
 
 def from_terms(period: int, terms: Iterable[tuple[tuple[int, ...], int, object]]

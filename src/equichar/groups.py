@@ -53,18 +53,6 @@ class FiniteMatrixGroup:
     def mul(self, i: int, j: int) -> int:
         return self.index_of[self.elements[i].multiply(self.elements[j])]
 
-    def power(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inverse[i], -n)
-        acc = 0
-        for _ in range(n):
-            acc = self.mul(acc, i)
-        return acc
-
-    def conjugate(self, h: int, x: int) -> int:
-        """Index of h^-1 x h."""
-        return self.mul(self.mul(self.inverse[h], x), h)
-
 
 def _validated_generators(generators: Sequence[IntMatrix], rank: int | None) -> tuple[list[IntMatrix], int]:
     gens = list(generators)

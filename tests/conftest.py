@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from equichar import (FiniteMatrixGroup, IntMatrix, dixon_character_table,
-                      generate_group)
+from equichar import (FiniteMatrixGroup, GcdQuasiPolynomial, IntMatrix,
+                      dixon_character_table, generate_group)
 from equichar.cli import builtin
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -50,6 +51,19 @@ def d4_group(groups):
 
 def mat(rows) -> IntMatrix:
     return IntMatrix.from_rows(rows)
+
+
+def plus_one(qp: GcdQuasiPolynomial, divisors=None) -> GcdQuasiPolynomial:
+    """qp + 1 on the residue classes of the given divisors of its period,
+    all of them by default."""
+    table = dict(qp.constituents)
+    for d in divisors or table:
+        coeffs = list(table[d] or [Fraction(0)])
+        coeffs[0] += 1
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        table[d] = tuple(coeffs)
+    return GcdQuasiPolynomial(qp.period, table)
 
 
 # the companion matrices of Phi_3 = 1 + x + x^2 and of Phi_7 = 1 + x + ... + x^6

@@ -9,15 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from equichar import (NotACharacter, action_period, analyze,
-                      class_divisor_data, dixon_character_table,
-                      equivariant_qp, fixed_point_qp, multiplicity_qp,
-                      reciprocity_character, report_to_dict)
+from equichar import (NonRationalCoefficient, NotACharacter, action_period,
+                      analysis, analyze, class_divisor_data,
+                      dixon_character_table, equivariant_qp, fixed_point_qp,
+                      multiplicity_qp, reciprocity_character, report_to_dict)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
-from equichar.gcdpoly import divisors_of, from_terms, make_quasimonomial
+from equichar.gcdpoly import divisors_of, from_terms
 
-from conftest import BUILTIN_NAMES, make_builtin_group
+from conftest import BUILTIN_NAMES, make_builtin_group, plus_one
 
 
 def F(*nums):
@@ -198,6 +198,46 @@ class TestEquivariant:
                             for i, m in enumerate(eqp.multiplicities))
                 assert total == q ** group.rank
 
+    @pytest.mark.parametrize("name", ["s3-a2", "c6-z2"])
+    def test_dimension_identity_sees_one_constituent_off(self, name,
+                                                         monkeypatch):
+        # the verdict must read every row at every divisor: adding 1 to the
+        # constant term of any one of them breaks it
+        group = make_builtin_group(name)
+
+        def dimension_verdict():
+            report = analyze(group, verify=False)
+            return next(v for v in report.verdicts
+                        if v.name == "dimension-identity"), report
+
+        verdict, report = dimension_verdict()
+        assert verdict.passed
+        original = analysis.equivariant_qp
+        for row in range(report.table.size):
+            for d in divisors_of(report.period):
+                def shifted(*args, row=row, d=d):
+                    eqp = original(*args)
+                    mults = list(eqp.multiplicities)
+                    mults[row] = plus_one(mults[row], [d])
+                    return dataclasses.replace(eqp,
+                                               multiplicities=tuple(mults))
+                monkeypatch.setattr(analysis, "equivariant_qp", shifted)
+                assert not dimension_verdict()[0].passed, (row, d)
+
+    def test_non_rational_coefficient_names_row_key_and_value(self, pipelines):
+        # a row that is constant zeta_6 is no character, and its average
+        # against the identity class's fixed points is not rational
+        group, table, data = pipelines["c6-z2"]
+        zeta = Cyclotomic.root_of_unity(group.exponent, 1)
+        bad = dataclasses.replace(table.rows[0],
+                                  values=(zeta,) * group.class_count)
+        table = dataclasses.replace(table, rows=(bad, *table.rows[1:]))
+        with pytest.raises(NonRationalCoefficient) as info:
+            multiplicity_qp(group, table, data, 0)
+        assert str(info.value) == (
+            f"row 0: coefficient on ((), 2) is "
+            f"{zeta * Fraction(1, group.order)}, not rational")
+
 
 def fraction_horner(poly, q):
     acc = Fraction(0)
@@ -285,12 +325,10 @@ class TestIntegrality:
     def test_gcd_terms_checked_per_class(self):
         # q^2 - 3 gcd(2, q) q + 2 is q^2 - 3q + 2 = (q - 1)(q - 2) for odd q
         # and q^2 - 6q + 2 for even q, which is negative at q = 2 and q = 4
-        qp = make_quasimonomial((), 2, 1, period=2) + \
-            make_quasimonomial((2,), 1, -3) + \
-            make_quasimonomial((), 0, 2, period=2)
-        assert integrality_failure([qp], 2, 2) == \
+        terms = [((), 2, 1), ((2,), 1, -3), ((), 0, 2)]
+        assert integrality_failure([from_terms(2, terms)], 2, 2) == \
             "row 0: value -6 at q=2 is negative"
-        assert integrality_failure([qp.add(make_quasimonomial((2,), 0, 6))],
+        assert integrality_failure([from_terms(2, terms + [((2,), 0, 6)])],
                                    2, 2) is None
 
     def test_real_multiplicities_pass(self, pipelines):
@@ -399,6 +437,11 @@ class TestAnalyze:
         for entry in payload["class_data"]:
             assert set(entry) == {"class", "size", "rank", "divisors",
                                   "fixed_points"}
+        for entry in payload["orbit_counts"]:
+            i = entry["character_index"]
+            assert entry["quasi_polynomial"] == \
+                payload["multiplicities"][i]["quasi_polynomial"] == \
+                report.equivariant.multiplicities[i].serialize()
 
     def test_user_table_reaches_same_multiplicities(self, pipelines):
         from equichar import find_row
@@ -412,5 +455,5 @@ class TestAnalyze:
         for i in range(report.table.size):
             j = find_row(direct.table, report.table.rows[i].values)
             assert j is not None
-            assert report.equivariant.multiplicities[i].equals(
-                direct.equivariant.multiplicities[j])
+            assert report.equivariant.multiplicities[i] == \
+                direct.equivariant.multiplicities[j]

