@@ -50,7 +50,7 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
     ranks = []
     divisors = []
     for rep in group.class_representatives:
-        snf = smith_normal_form(group.elements[rep].sub(ident))
+        snf = smith_normal_form(group.matrix(rep).sub(ident))
         ranks.append(snf.rank)
         divisors.append(snf.divisors)
     # the action of the stored matrices is faithful: only the identity fixes
@@ -127,7 +127,7 @@ def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
     The determinant is multiplicative, so matching it on one representative
     per class shows that the parity function is a degree-1 character."""
     signs = tuple((-1) ** r for r in data.ranks)
-    dets = tuple(group.elements[rep].det() for rep in group.class_representatives)
+    dets = tuple(group.matrix(rep).det() for rep in group.class_representatives)
     if dets != signs:
         raise NotACharacter(
             f"determinants {list(dets)} differ from the rank parities "

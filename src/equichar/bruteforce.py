@@ -95,9 +95,9 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
     # one representative's array at a time: only its fixed-point mask is kept
-    fixed = [bytes(map(eq, _image_array(group.elements[rep], q), range(total)))
+    fixed = [bytes(map(eq, _image_array(group.matrix(rep), q), range(total)))
              for rep in group.class_representatives]
-    gen_images = [_image_array(group.elements[i], q)
+    gen_images = [_image_array(group.matrix(i), q)
                   for i in group.generator_indices]
     label = [-1] * total
     sizes = []

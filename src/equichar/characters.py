@@ -340,20 +340,18 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             if d == 1:
                 refined.append(basis)
                 continue
-            images = []
-            for vec in basis:
-                img = [sum(bmat[j][l] * vec[l] for l in range(k)) % p
-                       for j in range(k)]
-                images.append(img)
+            images = [[sum(map(mul, row, vec)) % p for row in bmat]
+                      for vec in basis]
             pivots = [next(c for c in range(k) if row[c] % p != 0)
                       for row in basis]
-            action = [[images[j][pivots[i]] % p for j in range(d)]
+            action = [[images[j][pivots[i]] for j in range(d)]
                       for i in range(d)]
+            columns = list(zip(*basis))
             # invariance check: the image must land back in the subspace
             for j in range(d):
-                recon = [sum(action[i][j] * basis[i][l] for i in range(d)) % p
-                         for l in range(k)]
-                if recon != [v % p for v in images[j]]:
+                coeffs = [row[j] for row in action]
+                recon = [sum(map(mul, coeffs, col)) % p for col in columns]
+                if recon != images[j]:
                     raise ValidationFailed("class algebra",
                                            "class matrix does not preserve a "
                                            "previously split eigenspace")
@@ -365,8 +363,8 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 coord_basis = _kernel_mod(shifted, p)
                 if not coord_basis:
                     continue
-                vecs = [[sum(coords[i] * basis[i][l] for i in range(d)) % p
-                         for l in range(k)] for coords in coord_basis]
+                vecs = [[sum(map(mul, coords, col)) % p for col in columns]
+                        for coords in coord_basis]
                 refined.append(_echelon_mod(vecs, p))
                 covered += len(coord_basis)
             if covered != d:

@@ -1,18 +1,25 @@
-"""Finite groups of unimodular integer matrices.
+"""Finite groups of unimodular integer matrices, held as permutations.
 
-A group is built by breadth-first closure from an explicit generator list.
-Element 0 is always the identity; the element order is the BFS discovery
-order, so it is reproducible for a fixed generator list. Products are
-computed on demand by `FiniteMatrixGroup.mul`. Conjugacy classes are orbits
-under conjugation by the generators (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 4), sorted by (order of the representative,
-representative index), which places the identity class first.
+A group acts faithfully on Omega, the union of the orbits of a lattice basis
+b_1..b_l under v -> M v, because Omega spans the lattice. The b_j are LLL
+reduced for a positive definite form that every element preserves, so they
+are short for it and their orbits stay small whatever basis the generators
+are written in. An element is stored as the permutation of Omega it
+induces, p(AB) = p(A) o p(B), and its matrix is rebuilt on demand from the
+images of the b_j. Closure is breadth-first from an explicit generator list:
+element 0 is the identity and the element order is the BFS discovery order,
+so it is reproducible for a fixed generator list. Conjugacy classes are
+orbits under conjugation by the generators (Holt, Eick and O'Brien, Handbook
+of Computational Group Theory, ch. 4), sorted by (order of the
+representative, representative index), which places the identity class
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatch, NonUnimodularGenerator,
@@ -25,18 +32,20 @@ DEFAULT_MAX_ORDER = 100_000
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     rank: int
-    elements: tuple[IntMatrix, ...]
+    points: tuple[tuple[int, ...], ...]  # Omega, starting with b_1..b_l
+    basis_inverse: IntMatrix  # inverse of the matrix with columns b_1..b_l
+    perms: tuple[tuple[int, ...], ...]  # perms[i][n]: position of M_i w_n
     generator_indices: tuple[int, ...]
     inverse: tuple[int, ...]
     class_partition: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     element_orders: tuple[int, ...]
     exponent: int
-    index_of: dict[IntMatrix, int] = field(compare=False, repr=False)
+    index_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
 
     @property
     def class_count(self) -> int:
@@ -51,7 +60,16 @@ class FiniteMatrixGroup:
         return tuple(len(c) for c in self.class_partition)
 
     def mul(self, i: int, j: int) -> int:
-        return self.index_of[self.elements[i].multiply(self.elements[j])]
+        a = self.perms[i]
+        return self.index_of[tuple([a[x] for x in self.perms[j]])]
+
+    def matrix(self, i: int) -> IntMatrix:
+        """The matrix M of element i: M B = W, where column j of B is b_j
+        and column j of W is its image M b_j."""
+        columns = [self.points[x] for x in self.perms[i][:self.rank]]
+        images = IntMatrix(self.rank, self.rank,
+                           tuple(v for row in zip(*columns) for v in row))
+        return images.multiply(self.basis_inverse)
 
 
 def _validated_generators(generators: Sequence[IntMatrix], rank: int | None) -> tuple[list[IntMatrix], int]:
@@ -74,66 +92,192 @@ def _validated_generators(generators: Sequence[IntMatrix], rank: int | None) -> 
     return gens, ell
 
 
+def _image(g_rows: list[tuple[int, ...]], v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([sum(map(mul, row, v)) for row in g_rows])
+
+
+def _orbit(g_rows: list[list[tuple[int, ...]]], seed: tuple[int, ...],
+           index: dict[tuple[int, ...], int], max_order: int) -> list[tuple[int, ...]]:
+    """Seed, which index holds, and the points of its orbit under v -> g v
+    (each g given by its rows) that index lacked, breadth-first; each new
+    point gets the next position in index. An orbit of a finite group has at
+    most |G| points, so OrderCapExceeded is raised once more than max_order
+    come from one seed."""
+    orbit = [seed]
+    for v in orbit:  # breadth-first: orbit grows while scanned
+        for rows in g_rows:
+            w = _image(rows, v)
+            if w not in index:
+                if len(orbit) == max_order:
+                    raise OrderCapExceeded(f"the orbit of {list(seed)} "
+                                           f"exceeded max_order={max_order}")
+                index[w] = len(index)
+                orbit.append(w)
+    return orbit
+
+
+def _invariant_form(gens: list[IntMatrix], ell: int, max_order: int) -> list[list[int]]:
+    """A positive definite P with g^T P g = P for every generator: the sum of
+    u u^T over the orbits of unit vectors under u -> g^T u, grown only for
+    the e_j outside the span of the orbits before. The transposes permute
+    each orbit, so P is invariant, and the orbits span, so P is definite.
+    An infinite group has an infinite orbit among them (a finite spanning
+    set acted on faithfully would make it finite), which hits max_order."""
+    transposed = [[tuple(g.entries[c::ell]) for c in range(ell)] for g in gens]
+    form = [[0] * ell for _ in range(ell)]
+    index: dict[tuple[int, ...], int] = {}
+    rank = 0
+    for j in range(ell):
+        if rank == ell:
+            break
+        unit = tuple(int(r == j) for r in range(ell))
+        # P = W W^T has the row space of the orbit vectors W
+        if unit in index or IntMatrix.from_rows([*form, unit]).rank() == rank:
+            continue
+        index[unit] = len(index)
+        coords = list(zip(*_orbit(transposed, unit, index, max_order)))
+        for a in range(ell):
+            for b in range(ell):
+                form[a][b] += sum(map(mul, coords[a], coords[b]))
+        rank = IntMatrix.from_rows(form).rank()
+    return form
+
+
+def _integral_gram_schmidt(gram: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Gram-Schmidt data of the basis with Gram matrix gram, in integers
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.6.7): d[i] is
+    the Gram determinant of the first i vectors, so the i-th squared length
+    is d[i+1] / d[i], and lam[i][j] = d[j+1] mu[i][j] for j < i."""
+    n = len(gram)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = gram[i][j]
+            for m in range(j):  # an exact division
+                u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
+def _reduced_basis(form: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """An LLL-reduced basis b_1..b_l of Z^l (Lovasz constant 3/4) for the
+    positive definite form, and the rows of the inverse of the matrix whose
+    columns are the b_j, by integral LLL on the Gram matrix. Each b_j is at
+    most 2^(l-1) times the j-th successive minimum in squared length, so for
+    an invariant form its orbit lies among a number of short vectors that
+    does not depend on the basis the generators are written in."""
+    n = len(form)
+    gram = [list(row) for row in form]  # gram[i][j] = b_i^T P b_j
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def subtract(k: int, j: int, r: int) -> None:  # b_k -= r b_j
+        basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
+        inverse[j] = [a + r * b for a, b in zip(inverse[j], inverse[k])]
+        gram[k] = [a - r * b for a, b in zip(gram[k], gram[j])]
+        for row in gram:
+            row[k] -= r * row[j]
+
+    k = 1
+    while k < n:
+        d, lam = _integral_gram_schmidt(gram)
+        for j in reversed(range(k)):  # size reduction: |mu[k][j]| <= 1/2
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+                subtract(k, j, r)
+                lam[k][j] -= r * d[j + 1]
+                for m in range(j):
+                    lam[k][m] -= r * lam[j][m]
+        # Lovasz: |b*_k|^2 >= (3/4 - mu[k][k-1]^2) |b*_(k-1)|^2, times
+        # 4 d[k] d[k-1]; a swap when it fails
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            k += 1
+            continue
+        for rows in (basis, inverse, gram):
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        for row in gram:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        k = max(k - 1, 1)
+    return basis, inverse
+
+
 def generate_group(generators: Sequence[IntMatrix],
                    max_order: int = DEFAULT_MAX_ORDER,
                    rank: int | None = None) -> FiniteMatrixGroup:
     """Close the generators under multiplication and package the group data.
 
-    Raises OrderCapExceeded as soon as the closure would pass max_order, so
-    infinite (or merely huge) generated groups fail fast instead of looping.
+    Raises OrderCapExceeded as soon as an orbit grown for the invariant form
+    or for Omega, or the closure, would pass max_order, so infinite (or
+    merely huge) generated groups fail fast instead of looping.
     """
     gens, ell = _validated_generators(generators, rank)
-    ident = IntMatrix.identity(ell)
-    elements: list[IntMatrix] = [ident]
-    index_of: dict[IntMatrix, int] = {ident: 0}
-    for current in elements:  # breadth-first: elements grows while scanned
-        for g in gens:
-            prod = current.multiply(g)
+    basis, basis_inverse = _reduced_basis(_invariant_form(gens, ell, max_order))
+    rows = [[g.row(r) for r in range(ell)] for g in gens]
+    index = {tuple(b): j for j, b in enumerate(basis)}
+    for b in basis:
+        _orbit(rows, tuple(b), index, max_order)
+    points = tuple(index)
+    gen_perms = [tuple([index[_image(g_rows, v)] for v in points])
+                 for g_rows in rows]
+    ident = tuple(range(len(points)))
+    perms, index_of = [ident], {ident: 0}
+    right: list[list[int]] = [[] for _ in gen_perms]  # right[g][x] = x g
+    for a in perms:  # breadth-first: perms grows while scanned
+        for b, table in zip(gen_perms, right):
+            prod = tuple([a[i] for i in b])
             if prod not in index_of:
-                if len(elements) + 1 > max_order:
+                if len(perms) == max_order:
                     raise OrderCapExceeded(
                         f"closure exceeded max_order={max_order}")
-                index_of[prod] = len(elements)
-                elements.append(prod)
+                index_of[prod] = len(perms)
+                perms.append(prod)
+            table.append(index_of[prod])
+    # the inverse lists the positions of Omega sorted by their images
+    inverse = [index_of[tuple(sorted(ident, key=x.__getitem__))]
+               for x in perms]
 
-    # one powering loop per element: its order, and its inverse as the
-    # last power before the identity
-    orders: list[int] = []
-    inverse: list[int] = []
-    for x in elements:
-        power, last, k = x, ident, 1
-        while power != ident:
-            power, last, k = power.multiply(x), power, k + 1
-        orders.append(k)
-        inverse.append(index_of[last])
-
-    # conjugacy classes as orbits of x -> g^-1 x g over the generators; the
-    # first member of each orbit is its smallest index
-    conjugators = [(elements[inverse[index_of[g]]], g) for g in gens]
+    # conjugacy classes as orbits of y -> g^-1 y g = ((y g)^-1 g)^-1 over the
+    # generators; the first member of each orbit is its smallest index
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
-    for x in range(len(elements)):
+    for x in range(len(perms)):
         if x in seen:
             continue
         members = [x]
         seen.add(x)
         for y in members:
-            for g_inv, g in conjugators:
-                z = index_of[g_inv.multiply(elements[y]).multiply(g)]
+            for table in right:
+                z = inverse[table[inverse[table[y]]]]
                 if z not in seen:
                     seen.add(z)
                     members.append(z)
         orbits.append(tuple(sorted(members)))
+
+    # the order is a class function: one powering loop per class
+    orders = [0] * len(perms)
+    for members in orbits:
+        power = rep = perms[members[0]]
+        k = 1
+        while power != ident:
+            power, k = tuple([power[i] for i in rep]), k + 1
+        for y in members:
+            orders[y] = k
     partition = tuple(sorted(orbits, key=lambda c: (orders[c[0]], c[0])))
-    class_of = [0] * len(elements)
+    class_of = [0] * len(perms)
     for c, members in enumerate(partition):
         for y in members:
             class_of[y] = c
 
     return FiniteMatrixGroup(
         rank=ell,
-        elements=tuple(elements),
-        generator_indices=tuple(index_of[g] for g in gens),
+        points=points,
+        basis_inverse=IntMatrix.from_rows(basis_inverse),
+        perms=tuple(perms),
+        generator_indices=tuple(table[0] for table in right),
         inverse=tuple(inverse),
         class_partition=partition,
         class_of=tuple(class_of),

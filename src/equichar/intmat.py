@@ -34,14 +34,6 @@ class IntMatrix:
                 raise DimensionMismatch(f"non-integer entry {v!r}")
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
-        # products and differences of validated matrices are valid by
-        # construction, so they skip the per-entry check of __post_init__
-        mat = object.__new__(cls)
-        mat.__dict__.update(rows=rows, cols=cols, entries=entries)
-        return mat
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
         data = [list(r) for r in rows]
         if not data:
@@ -55,9 +47,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -83,14 +72,13 @@ class IntMatrix:
                     obase = t * m
                     for j in range(m):
                         out[i * m + j] += a * other.entries[obase + j]
-        return IntMatrix._trusted(n, m, tuple(out))
+        return IntMatrix(n, m, tuple(out))
 
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape mismatch in subtraction")
-        return IntMatrix._trusted(
-            self.rows, self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols,
+                         tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def _bareiss(self) -> tuple[int, int]:
         """Rank and determinant (0 unless square of full rank) from one

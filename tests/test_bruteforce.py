@@ -34,7 +34,7 @@ def reference_action(group, q):
     reduced to (class, number of stabilizer elements in it) pairs."""
     points = [p[::-1] for p in product(range(q), repeat=group.rank)]
     code_of = {p: code for code, p in enumerate(points)}
-    rows = [g.to_rows() for g in group.elements]
+    rows = [group.matrix(i).to_rows() for i in range(group.order)]
     orbits = sorted({tuple(sorted({code_of[reference_apply(r, p, q)]
                                    for r in rows}))
                      for p in points})
@@ -122,7 +122,7 @@ class TestEnumeration:
             for members in group.class_partition:
                 counts = {
                     sum(1 for p in points
-                        if reference_apply(group.elements[x].to_rows(), p, q)
+                        if reference_apply(group.matrix(x).to_rows(), p, q)
                         == p)
                     for x in members[:2]}
                 assert len(counts) == 1

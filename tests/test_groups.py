@@ -7,9 +7,12 @@ import pytest
 from equichar import (DimensionMismatch, NonUnimodularGenerator,
                       OrderCapExceeded, cyclic_subgroup, generate_group,
                       is_subgroup, smith_normal_form)
+from equichar.cli import builtin
 from equichar.intmat import IntMatrix
 
-from conftest import mat, signed_permutation, signed_permutation_generators
+from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4, mat,
+                      signed_permutation, signed_permutation_generators,
+                      weyl_group_generators)
 
 
 def all_signed_permutations(n: int) -> list[IntMatrix]:
@@ -24,10 +27,10 @@ class TestGeneration:
         assert c6_group.rank == 2
         assert c6_group.exponent == 6
         # single-generator BFS lists the powers of the generator in order
-        gen = c6_group.elements[1]
+        gen = c6_group.matrix(1)
         power = IntMatrix.identity(2)
         for i in range(6):
-            assert c6_group.elements[i] == power
+            assert c6_group.matrix(i) == power
             power = power.multiply(gen)
 
     def test_symmetric_group_of_degree_three(self, s3_group):
@@ -45,6 +48,13 @@ class TestGeneration:
     def test_infinite_group_hits_order_cap(self):
         with pytest.raises(OrderCapExceeded):
             generate_group([mat([[1, 1], [0, 1]])], max_order=50)
+
+    def test_infinite_group_of_involutions_hits_order_cap(self):
+        # two reflections whose product is a shear: the infinite dihedral
+        # group, although each generator has order 2
+        with pytest.raises(OrderCapExceeded):
+            generate_group([mat([[-1, 0], [0, 1]]), mat([[-1, 1], [0, 1]])],
+                           max_order=50)
 
     def test_non_unimodular_generator_rejected(self):
         with pytest.raises(NonUnimodularGenerator):
@@ -67,9 +77,10 @@ class TestGeneration:
 class TestStructure:
     def test_closure_certificate(self, groups):
         for group in groups.values():
-            for i, a in enumerate(group.elements):
-                for j, b in enumerate(group.elements):
-                    assert group.elements[group.mul(i, j)] == a.multiply(b)
+            matrices = [group.matrix(i) for i in range(group.order)]
+            for i, a in enumerate(matrices):
+                for j, b in enumerate(matrices):
+                    assert group.matrix(group.mul(i, j)) == a.multiply(b)
 
     def test_inverses(self, d4_group):
         for i in range(d4_group.order):
@@ -77,7 +88,7 @@ class TestStructure:
 
     def test_identity_first_and_class_order(self, groups):
         for group in groups.values():
-            assert group.elements[0] == IntMatrix.identity(group.rank)
+            assert group.matrix(0) == IntMatrix.identity(group.rank)
             assert group.class_partition[0] == (0,)
             keys = [(group.element_orders[rep], rep)
                     for rep in group.class_representatives]
@@ -102,14 +113,14 @@ class TestStructure:
         group = generate_group(signed_permutation_generators(3))
         everything = all_signed_permutations(3)
         assert group.order == 48
-        assert set(group.elements) == set(everything)
+        assert {group.matrix(i) for i in range(group.order)} == set(everything)
         ident = IntMatrix.identity(3)
         inverse_of = {h: next(g for g in everything if h.multiply(g) == ident)
                       for h in everything}
         reference = {frozenset(inverse_of[h].multiply(x).multiply(h)
                                for h in everything)
                      for x in everything}
-        got = {frozenset(group.elements[i] for i in members)
+        got = {frozenset(group.matrix(i) for i in members)
                for members in group.class_partition}
         assert got == reference
         assert group.class_count == 10
@@ -135,7 +146,7 @@ class TestStructure:
         for group in groups.values():
             ident = IntMatrix.identity(group.rank)
             for members in group.class_partition:
-                snfs = [smith_normal_form(group.elements[x].sub(ident))
+                snfs = [smith_normal_form(group.matrix(x).sub(ident))
                         for x in members]
                 assert len({(s.rank, s.divisors) for s in snfs}) == 1
 
@@ -143,7 +154,8 @@ class TestStructure:
         # det R = (-1)^rank(R - I) for every element of every builtin
         for group in groups.values():
             ident = IntMatrix.identity(group.rank)
-            for element in group.elements:
+            for i in range(group.order):
+                element = group.matrix(i)
                 rank = element.sub(ident).rank()
                 assert element.det() == (-1) ** rank
 
@@ -167,7 +179,7 @@ class TestSubgroups:
 
     def test_is_subgroup_matches_closure_definition(self, d4_group):
         # every subset of D4, against "nonempty and closed under products"
-        elements = d4_group.elements
+        elements = [d4_group.matrix(i) for i in range(d4_group.order)]
         index_of = {m: i for i, m in enumerate(elements)}
         n = d4_group.order
         for size in range(n + 1):
@@ -193,3 +205,91 @@ def test_b5_closes_in_seconds():
     assert group.class_count == 36
     assert all(group.mul(i, group.inverse[i]) == 0 for i in range(group.order))
     assert elapsed < 10
+
+
+def reference_closure(generators, rank):
+    """Breadth-first closure on plain row tuples, right-multiplying by each
+    generator in turn: the element order generate_group must reproduce."""
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    elements, seen = [ident], {ident}
+    for x in elements:
+        for g in generators:
+            y = tuple(tuple(sum(x[i][t] * g[t][j] for t in range(rank))
+                            for j in range(rank)) for i in range(rank))
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+def permutation_matrix(images):
+    n = len(images)
+    return mat([[int(images[j] == i) for j in range(n)] for i in range(n)])
+
+
+# name -> (rank, generators)
+DIFFERENTIAL_GROUPS = {
+    **{name: (builtin(name).rank, builtin(name).generators)
+       for name in BUILTIN_NAMES},
+    "b4": (4, signed_permutation_generators(4)),
+    "s6": (6, [permutation_matrix([1, 0, 2, 3, 4, 5]),
+               permutation_matrix([1, 2, 3, 4, 5, 0])]),
+    "f4": (4, weyl_group_generators(CARTAN_F4)),
+    "c21": (8, [mat(C21_GENERATOR)]),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_closure_matches_matrix_reference(name):
+    rank, gens = DIFFERENTIAL_GROUPS[name]
+    group = generate_group(gens, rank=rank)
+    reference = reference_closure([tuple(map(tuple, g.to_rows())) for g in gens],
+                                  rank)
+    assert group.order == len(reference)
+    for n, rows in enumerate(reference):
+        assert tuple(map(tuple, group.matrix(n).to_rows())) == rows
+
+
+def test_b5_closure_makes_no_matrix_products(monkeypatch):
+    # closure runs on permutations of the spanning orbit: a matrix product
+    # per element would show up here long before it shows in a timing
+    calls = []
+    original = IntMatrix.multiply
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "multiply", counting)
+    group = generate_group(signed_permutation_generators(5))
+    assert group.order == 3840
+    assert not calls
+
+
+def dense_unimodular(n):
+    """D = L L^T for the lower unitriangular all-ones L, so D[i][j] =
+    min(i, j) + 1 and D^-1 = L^-T L^-1 with L^-1 = I minus the subdiagonal."""
+    lower_inv = [[int(i == j) - int(i == j + 1) for j in range(n)]
+                 for i in range(n)]
+    d = mat([[min(i, j) + 1 for j in range(n)] for i in range(n)])
+    d_inv = mat([list(col) for col in zip(*lower_inv)]).multiply(mat(lower_inv))
+    return d, d_inv
+
+
+@pytest.mark.parametrize("rank, generators", [
+    (5, signed_permutation_generators(5)),
+    (4, weyl_group_generators(CARTAN_F4)),
+], ids=["b5", "f4"])
+def test_omega_does_not_depend_on_the_basis(rank, generators):
+    # in the basis of D's columns the unit vectors have orbits of up to |G|
+    # points (6592 together for B5), but Omega stays the orbits of a short
+    # basis for the invariant form, and element n is still D^-1 M_n D
+    d, d_inv = dense_unimodular(rank)
+    assert d.multiply(d_inv) == IntMatrix.identity(rank)
+    group = generate_group(generators)
+    dense = generate_group([d_inv.multiply(g).multiply(d) for g in generators])
+    assert dense.order == group.order
+    assert dense.class_partition == group.class_partition
+    assert len(dense.points) == len(group.points)
+    for n in range(group.order):
+        assert dense.matrix(n) == d_inv.multiply(group.matrix(n)).multiply(d)
