@@ -14,7 +14,7 @@ from .analysis import (AnalysisReport, ClassDivisorData,
                        fixed_point_qp, multiplicity_qp, reciprocity_character,
                        report_to_dict)
 from .bruteforce import (OrbitDecomposition, brute_multiplicities,
-                         brute_orbit_count_for_linear, differential_check,
+                         brute_orbit_counts_for_linear, differential_check,
                          enumerate_action)
 from .characters import (CharacterTable, ClassFunction, Cyclotomic,
                          dixon_character_table, find_row, induce_trivial,
@@ -68,7 +68,7 @@ __all__ = [
     "action_period",
     "analyze",
     "brute_multiplicities",
-    "brute_orbit_count_for_linear",
+    "brute_orbit_counts_for_linear",
     "check_reciprocity",
     "class_divisor_data",
     "cyclic_subgroup",

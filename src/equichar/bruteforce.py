@@ -1,17 +1,18 @@
 """Brute-force orbit enumeration on (Z/q)^l, used as an independent check
 on the symbolic pipeline.
 
-Everything here is deliberately direct: for each q, every generator and
-every class representative acts on all q^l points through one image array,
-`img[code]` being the code of `M·x mod q`, built from the matrix entries
-reduced mod q. Orbits come from a BFS over the generators' arrays, which
-labels every code with its orbit. Fixed points are the codes a class
-representative's array maps to themselves. Isotropy is counted per class
-from those same fixed points: since stabilizers along an orbit O are
-conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O.
-Multiplicities are computed from the textbook inner product against the
-counted fixed points. None of it shares code with the Smith-form route,
-which is the point.
+Everything here is deliberately direct: for each q, the generators and the
+class representatives act on all q^l points through image arrays,
+`img[code]` being the code of `M·x mod q`. The generators' arrays are built
+from the matrix entries reduced mod q, and each representative's is
+composed from them and certified against its matrix. Orbits come from a BFS
+over the generators' arrays, which labels every code with its orbit. Fixed
+points are the codes a representative's array maps to themselves. Isotropy
+is counted per class from those same fixed points: since stabilizers along
+an orbit O are conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for
+every x in O. Multiplicities are the textbook inner products against the
+counted fixed points, as integer dot products with each row's coefficients.
+None of it shares code with the Smith-form route, which is the point.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import eq
+from operator import eq, mul
 
-from .characters import CharacterTable, inner_product, rational_class_function
+from .characters import CharacterTable
 from .checks import Verdict
 from .errors import (CertificationFailed, EnumerationCapExceeded,
                      ValidationError)
@@ -84,6 +85,57 @@ class OrbitDecomposition:
         return len(self.orbit_sizes)
 
 
+def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
+                 q: int) -> list[bytes]:
+    """Each class representative's fixed points as a byte mask. An element
+    first reached in closure order as a·g has the array img_a ∘ img_g, so a
+    representative's array is composed along the closure's breadth-first
+    tree (Schreier vectors: Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.1), each array dropped once no
+    representative below it is pending. A composition of linear maps is
+    linear, so agreeing with the matrix at the unit vectors certifies it."""
+    reps = group.class_representatives
+    parent, reached, missing = {0: (0, 0)}, [0], set(reps) - {0}
+    for a in reached:  # breadth-first, until every representative is reached
+        if not missing:
+            break
+        for j, g in enumerate(group.generator_indices):
+            x = group.mul(a, g)
+            if x not in parent:
+                parent[x] = (a, j)
+                reached.append(x)
+                missing.discard(x)
+    wanted = {0}  # the representatives and their ancestors
+    for x in reps:
+        while x not in wanted:
+            wanted.add(x)
+            x = parent[x][0]
+    pending = Counter(parent[x][0] for x in wanted if x)  # children to build
+    total = q ** group.rank
+    # the unit vectors' codes; (Z/1)^l is the one point 0
+    units = [q ** j for j in range(group.rank)] if q > 1 else []
+    images, masks = {0: range(total)}, [b""] * len(reps)
+    for x in filter(wanted.__contains__, reached):  # parents first
+        if x:
+            a, j = parent[x]
+            images[x] = list(map(images[a].__getitem__, gen_images[j]))
+            pending[a] -= 1
+            if not pending[a]:
+                del images[a]
+        if reps[c := group.class_of[x]] == x:
+            img, m = images[x], group.matrix(x)
+            # column j of the matrix mod q, coded like a point
+            if [img[u] for u in units] != [sum(v % q * u for v, u in zip(
+                    m.entries[j::m.cols], units)) for j in range(len(units))]:
+                raise CertificationFailed(
+                    f"class {c} at q={q}: the composed image array of "
+                    f"element {x} disagrees with its matrix")
+            masks[c] = bytes(map(eq, img, range(total)))
+            if not pending[x]:
+                del images[x]
+    return masks
+
+
 def enumerate_action(group: FiniteMatrixGroup, q: int,
                      cap: int | None = None) -> OrbitDecomposition:
     if q < 1:
@@ -94,11 +146,9 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    # one representative's array at a time: only its fixed-point mask is kept
-    fixed = [bytes(map(eq, _image_array(group.matrix(rep), q), range(total)))
-             for rep in group.class_representatives]
     gen_images = [_image_array(group.matrix(i), q)
                   for i in group.generator_indices]
+    fixed = _fixed_masks(group, gen_images, q)
     label = [-1] * total
     sizes = []
     for start in range(total):
@@ -132,26 +182,51 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
                               fixed_counts=tuple(m.count(1) for m in fixed))
 
 
+def _multiplicity_columns(group: FiniteMatrixGroup,
+                          table: CharacterTable) -> list[list[tuple]]:
+    """Per row chi, the coefficient columns of |C_c|·conj(chi(c)) on the
+    powers of zeta_e, one entry per class c, without the all-zero ones; the
+    constant column stays first, as it holds chi(1) at the identity class."""
+    return [[col for col in zip(*((v.conjugate() * size).coeffs for size, v
+                                  in zip(group.class_sizes, row.values)))
+             if any(col)] for row in table.rows]
+
+
+def _counted_multiplicities(columns: list[list[tuple]], order: int,
+                            dec: OrbitDecomposition) -> tuple[Fraction, ...]:
+    values = []
+    for i, row in enumerate(columns):
+        # rational only when all but the constant dot product vanish
+        constant, *rest = (sum(map(mul, col, dec.fixed_counts)) for col in row)
+        if any(rest):
+            raise CertificationFailed(
+                f"row {i} at q={dec.q}: the inner product with the counted "
+                f"fixed points is not rational")
+        values.append(Fraction(constant, order))
+    return tuple(values)
+
+
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
                          dec: OrbitDecomposition) -> tuple[Fraction, ...]:
     """Inner product of each table row against the counted permutation
     character: (1/|G|) sum over classes of size * fixed * conj(value)."""
-    counted = rational_class_function(group, dec.fixed_counts)
-    return tuple(inner_product(counted, row).as_fraction() for row in table.rows)
+    return _counted_multiplicities(_multiplicity_columns(group, table),
+                                   group.order, dec)
 
 
-def brute_orbit_count_for_linear(group: FiniteMatrixGroup,
-                                 table: CharacterTable,
-                                 dec: OrbitDecomposition, index: int) -> int:
-    """Number of orbits whose isotropy lies in the kernel of the degree-1
-    row `index`. A kernel is a union of classes, so an orbit counts when
-    every class its stabilizer meets is one where the row takes its
-    identity value."""
-    values = table.rows[index].values
-    kernel = {c for c, v in enumerate(values) if v == values[0]}
-    # orbits with the same isotropy are tested once
-    return sum(n for stab, n in Counter(dec.isotropy).items()
-               if kernel.issuperset(c for c, _ in stab))
+def brute_orbit_counts_for_linear(table: CharacterTable,
+                                  dec: OrbitDecomposition) -> dict[int, int]:
+    """For each degree-1 row, the number of orbits whose isotropy lies in
+    its kernel, a union of classes: an orbit counts when every class its
+    stabilizer meets is one where the row takes its identity value. Orbits
+    with the same isotropy are tested once."""
+    tally, counts = Counter(dec.isotropy), {}
+    for i in table.linear_indices():
+        values = table.rows[i].values
+        kernel = {c for c, v in enumerate(values) if v == values[0]}
+        counts[i] = sum(n for stab, n in tally.items()
+                        if kernel.issuperset(c for c, _ in stab))
+    return counts
 
 
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
@@ -162,42 +237,36 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     q_max (clamped by the point cap). Returns the verdicts and the largest q
     actually enumerated."""
     cap = resolve_cap(cap)
-    linear = table.linear_indices()
-    first_bad: dict[str, str] = {}
+    columns = _multiplicity_columns(group, table)
+    first_bad: dict[str, str] = {}  # the first mismatch of each check
     covered = 0
     for q in range(1, q_max + 1):
         if q ** group.rank > cap:
             break
         dec = enumerate_action(group, q, cap)
-        for c in range(group.class_count):
+        for c, counted in enumerate(dec.fixed_counts):
             predicted = fixed_qps[c].evaluate(q)
-            if predicted != dec.fixed_counts[c] and "fixed-points" not in first_bad:
-                first_bad["fixed-points"] = (
-                    f"class {c} at q={q}: predicted {predicted}, "
-                    f"counted {dec.fixed_counts[c]}")
-        brute = brute_multiplicities(group, table, dec)
-        for i in range(table.size):
-            predicted = multiplicities[i].evaluate(q)
-            if predicted != brute[i] and "multiplicities" not in first_bad:
-                first_bad["multiplicities"] = (
-                    f"row {i} at q={q}: predicted {predicted}, counted {brute[i]}")
-        burnside = sum(group.class_sizes[c] * dec.fixed_counts[c]
-                       for c in range(group.class_count))
-        if (burnside != dec.orbit_count * group.order
-                and "burnside" not in first_bad):
-            first_bad["burnside"] = (
-                f"q={q}: {dec.orbit_count} orbits but class-weighted fixed "
-                f"sum is {burnside}")
-        predicted = multiplicities[table.trivial_index].evaluate(q)
-        if predicted != dec.orbit_count and "orbit-count" not in first_bad:
-            first_bad["orbit-count"] = (
-                f"q={q}: predicted {predicted}, enumerated {dec.orbit_count}")
-        for i in linear:
-            predicted = multiplicities[i].evaluate(q)
-            counted = brute_orbit_count_for_linear(group, table, dec, i)
-            if predicted != counted and "linear-orbit-counts" not in first_bad:
-                first_bad["linear-orbit-counts"] = (
-                    f"row {i} at q={q}: predicted {predicted}, counted {counted}")
+            if predicted != counted:
+                first_bad.setdefault("fixed-points", f"class {c} at q={q}: "
+                                     f"predicted {predicted}, counted {counted}")
+        predicted = [qp.evaluate(q) for qp in multiplicities]
+        brute = _counted_multiplicities(columns, group.order, dec)
+        for i, counted in enumerate(brute):
+            if predicted[i] != counted:
+                first_bad.setdefault("multiplicities", f"row {i} at q={q}: "
+                                     f"predicted {predicted[i]}, counted {counted}")
+        burnside = sum(map(mul, group.class_sizes, dec.fixed_counts))
+        if burnside != dec.orbit_count * group.order:
+            first_bad.setdefault("burnside", f"q={q}: {dec.orbit_count} orbits "
+                                 f"but class-weighted fixed sum is {burnside}")
+        trivial = predicted[table.trivial_index]
+        if trivial != dec.orbit_count:
+            first_bad.setdefault("orbit-count", f"q={q}: predicted {trivial}, "
+                                 f"enumerated {dec.orbit_count}")
+        for i, counted in brute_orbit_counts_for_linear(table, dec).items():
+            if predicted[i] != counted:
+                first_bad.setdefault("linear-orbit-counts", f"row {i} at q={q}: "
+                                     f"predicted {predicted[i]}, counted {counted}")
         covered = q
     method = (f"enumeration, q in 1..{covered}" if covered
               else "enumeration skipped, cap too small")

@@ -6,11 +6,11 @@ from itertools import product
 import pytest
 
 from equichar import (CertificationFailed, EnumerationCapExceeded, brute_multiplicities,
-                      brute_orbit_count_for_linear, differential_check,
+                      brute_orbit_counts_for_linear, differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
                       generate_group, make_quasimonomial, ValidationError)
-from equichar import bruteforce
+from equichar import Cyclotomic, bruteforce
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
 from conftest import BUILTIN_NAMES, make_builtin_group, mat, plus_one
@@ -154,8 +154,19 @@ class TestEnumeration:
 
         monkeypatch.setattr(bruteforce, "_image_array", counting)
         enumerate_action(group, 4)
-        assert 0 < len(built) <= (len(group.generator_indices)
-                                  + group.class_count)
+        assert len(built) == len(group.generator_indices)
+
+    def test_miscomposed_representative_raises(self):
+        # swapping two representatives in the product lookup makes the walk
+        # compose each one's array along the other's word
+        group = make_builtin_group("s3-a2")
+        first, second = group.class_representatives[1:3]
+        index_of = dict(group.index_of)
+        index_of[group.perms[first]] = second
+        index_of[group.perms[second]] = first
+        bad = replace(group, index_of=index_of)
+        with pytest.raises(CertificationFailed, match="composed image array"):
+            enumerate_action(bad, 3)
 
     def test_uneven_isotropy_count_raises(self):
         # keeping one element of the transposition class makes |C| = 1;
@@ -225,24 +236,35 @@ class TestBruteMultiplicities:
         assert sum(mults) == 36  # degrees are all 1, so the sum is q^2
         assert all(v.denominator == 1 and v >= 0 for v in mults)
 
+    def test_non_character_counts_raise(self):
+        # counts that differ on a class and its inverse class give an
+        # irrational inner product with a faithful row
+        group = make_builtin_group("c6-z2")
+        table = dixon_character_table(group)
+        dec = enumerate_action(group, 6)
+        bad = replace(dec, fixed_counts=tuple(range(group.class_count)))
+        with pytest.raises(CertificationFailed, match="q=6.*not rational"):
+            brute_multiplicities(group, table, bad)
+
 
 class TestLinearOrbitCounts:
     def test_total_count_for_trivial(self):
         group = make_builtin_group("c6-z2")
         table = dixon_character_table(group)
         dec = enumerate_action(group, 6)
-        assert brute_orbit_count_for_linear(
-            group, table, dec, table.trivial_index) == dec.orbit_count == 8
+        counts = brute_orbit_counts_for_linear(table, dec)
+        assert sorted(counts) == list(table.linear_indices())
+        assert counts[table.trivial_index] == dec.orbit_count == 8
 
     def test_sign_restricted_count_for_s3(self):
         group = make_builtin_group("s3-a2")
         table = dixon_character_table(group)
         sign = next(i for i in range(3) if table.degrees[i] == 1
                     and i != table.trivial_index)
-        assert brute_orbit_count_for_linear(
-            group, table, enumerate_action(group, 2), sign) == 0
-        assert brute_orbit_count_for_linear(
-            group, table, enumerate_action(group, 4), sign) == 1
+        assert brute_orbit_counts_for_linear(
+            table, enumerate_action(group, 2))[sign] == 0
+        assert brute_orbit_counts_for_linear(
+            table, enumerate_action(group, 4))[sign] == 1
 
 
 class TestDifferentialCheck:
@@ -253,6 +275,25 @@ class TestDifferentialCheck:
                 group, table, eqp.multiplicities, fixed, q_max=10)
             assert covered == 10
             assert all(v.passed for v in verdicts)
+
+    def test_cyclotomic_products_do_not_grow_with_q(self, monkeypatch):
+        group, table, eqp, fixed = pipeline("c6-z2")
+        calls = []
+        original = Cyclotomic.__mul__
+
+        def counting(self, other):
+            calls.append(None)
+            return original(self, other)
+
+        monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+        monkeypatch.setattr(Cyclotomic, "__rmul__", counting)
+        per_run = []
+        for q_max in (4, 8):
+            calls.clear()
+            differential_check(group, table, eqp.multiplicities, fixed,
+                               q_max=q_max)
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1] > 0
 
     def test_cap_clamps_range(self):
         group, table, eqp, fixed = pipeline("c6-z2")
