@@ -250,8 +250,8 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
                 first_bad.setdefault("fixed-points", f"class {c} at q={q}: "
                                      f"predicted {predicted}, counted {counted}")
         predicted = [qp.evaluate(q) for qp in multiplicities]
-        brute = _counted_multiplicities(columns, group.order, dec)
-        for i, counted in enumerate(brute):
+        for i, counted in enumerate(
+                _counted_multiplicities(columns, group.order, dec)):
             if predicted[i] != counted:
                 first_bad.setdefault("multiplicities", f"row {i} at q={q}: "
                                      f"predicted {predicted[i]}, counted {counted}")
