@@ -25,8 +25,8 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
 from .checks import Verdict
 from .errors import (CertificationFailed, NonRationalCoefficient,
                      NotACharacter)
-from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms,
-                      make_quasimonomial)
+from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
+                      integer_constituents, make_quasimonomial)
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix, smith_normal_form
 
@@ -187,14 +187,6 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     ]
 
 
-def _horner(nums: tuple[int, ...], q: int) -> int:
-    # coefficients from the top down
-    acc = 0
-    for c in nums:
-        acc = acc * q + c
-    return acc
-
-
 def integrality_failure(multiplicities, period: int,
                         ell: int) -> str | None:
     """Decide whether every multiplicity takes a nonnegative integer value at
@@ -210,21 +202,12 @@ def integrality_failure(multiplicities, period: int,
     that bound in its gcd class are evaluated.
 
     Every constituent is evaluated as integer numerators over one common
-    denominator (the lcm of its coefficients' denominators), so a value is
-    an integer iff its numerator is divisible by that denominator, and has
-    the sign of its numerator."""
-    divisors = divisors_of(period)
+    denominator (`integer_constituents`)."""
     for i, m in enumerate(multiplicities):
-        # d -> (numerators from the top coefficient down, denominator)
-        scaled = {}
-        for d in divisors:
-            poly = m.constituent(d)
-            den = lcm(1, *(c.denominator for c in poly))
-            scaled[d] = (tuple(c.numerator * (den // c.denominator)
-                               for c in reversed(poly)), den)
+        scaled = integer_constituents(m, period)
         for q in range(1, period * (ell + 1) + 1):
             nums, den = scaled[gcd(period, q)]
-            acc = _horner(nums, q)
+            acc = horner(nums, q)
             if acc % den:
                 return (f"row {i}: value {Fraction(acc, den)} at q={q} "
                         f"is not an integer")
@@ -234,7 +217,7 @@ def integrality_failure(multiplicities, period: int,
             # the ratios a_j / a_top are those of the numerators
             bound = 1 + -(-max(map(abs, nums[1:]), default=0) // nums[0])
             for q in range(d, bound, d):
-                if gcd(period, q) == d and (acc := _horner(nums, q)) < 0:
+                if gcd(period, q) == d and (acc := horner(nums, q)) < 0:
                     return (f"row {i}: value {Fraction(acc, den)} at q={q} "
                             f"is negative")
     return None

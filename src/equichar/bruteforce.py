@@ -1,18 +1,21 @@
 """Brute-force orbit enumeration on (Z/q)^l, used as an independent check
 on the symbolic pipeline.
 
-Everything here is deliberately direct: for each q, the generators and the
-class representatives act on all q^l points through image arrays,
-`img[code]` being the code of `M·x mod q`. The generators' arrays are built
-from the matrix entries reduced mod q, and each representative's is
-composed from them and certified against its matrix. Orbits come from a BFS
-over the generators' arrays, which labels every code with its orbit. Fixed
-points are the codes a representative's array maps to themselves. Isotropy
-is counted per class from those same fixed points: since stabilizers along
-an orbit O are conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for
-every x in O. Multiplicities are the textbook inner products against the
-counted fixed points, as integer dot products with each row's coefficients.
-None of it shares code with the Smith-form route, which is the point.
+Everything here is deliberately direct: for each q, group elements act on
+all q^l points through image arrays, `img[code]` being the code of
+`M·x mod q`. The generators' arrays are built from the matrix entries
+reduced mod q, and orbits come from a BFS over them, which labels every
+code with its orbit. Fixed points are the codes a representative's array
+maps to themselves. The classes of rep^k, k prime to the order of rep,
+share them (rep^k generates rep's cyclic group), so only the first class
+of each such Galois family gets an array, composed from the generators'
+along the closure's stored BFS tree and certified against its matrix; the
+identity class fixes all q^l points and gets none. Isotropy is counted per
+class from the fixed points: since stabilizers along an orbit O are
+conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O.
+Multiplicities are the textbook inner products against the counted fixed
+points, as integer dot products with each row's coefficients. None of it
+shares code with the Smith-form route, which is the point.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 from operator import eq, mul
 
 from .characters import CharacterTable
 from .checks import Verdict
 from .errors import (CertificationFailed, EnumerationCapExceeded,
                      ValidationError)
-from .gcdpoly import GcdQuasiPolynomial
+from .gcdpoly import GcdQuasiPolynomial, horner, integer_constituents
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix
 
@@ -86,43 +90,34 @@ class OrbitDecomposition:
 
 
 def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                 q: int) -> list[bytes]:
-    """Each class representative's fixed points as a byte mask. An element
-    first reached in closure order as a·g has the array img_a ∘ img_g, so a
-    representative's array is composed along the closure's breadth-first
-    tree (Schreier vectors: Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 4.1), each array dropped once no
-    representative below it is pending. A composition of linear maps is
-    linear, so agreeing with the matrix at the unit vectors certifies it."""
-    reps = group.class_representatives
-    parent, reached, missing = {0: (0, 0)}, [0], set(reps) - {0}
-    for a in reached:  # breadth-first, until every representative is reached
-        if not missing:
-            break
-        for j, g in enumerate(group.generator_indices):
-            x = group.mul(a, g)
-            if x not in parent:
-                parent[x] = (a, j)
-                reached.append(x)
-                missing.discard(x)
-    wanted = {0}  # the representatives and their ancestors
-    for x in reps:
-        while x not in wanted:
+                 classes: set[int], q: int) -> dict[int, bytes]:
+    """The given classes' representatives' fixed points as byte masks. An
+    element first reached in closure as a·g has the array img_a ∘ img_g, so
+    arrays are composed along the closure's breadth-first tree (Schreier
+    vectors: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    4.1), each dropped once no pending element below it needs it. A
+    composition of linear maps is linear, so agreeing with the matrix at
+    the unit vectors certifies it."""
+    parent, reps = group.parent, group.class_representatives
+    wanted = set()  # the representatives and their ancestors
+    for c in classes:
+        x = reps[c]
+        while x and x not in wanted:
             wanted.add(x)
             x = parent[x][0]
-    pending = Counter(parent[x][0] for x in wanted if x)  # children to build
+    pending = Counter(parent[x][0] for x in wanted)  # children to build
     total = q ** group.rank
     # the unit vectors' codes; (Z/1)^l is the one point 0
     units = [q ** j for j in range(group.rank)] if q > 1 else []
-    images, masks = {0: range(total)}, [b""] * len(reps)
-    for x in filter(wanted.__contains__, reached):  # parents first
-        if x:
-            a, j = parent[x]
-            images[x] = list(map(images[a].__getitem__, gen_images[j]))
-            pending[a] -= 1
-            if not pending[a]:
-                del images[a]
-        if reps[c := group.class_of[x]] == x:
+    images, masks = {}, {}
+    for x in sorted(wanted):  # parents first
+        a, j = parent[x]  # a generator's own array serves as is
+        images[x] = (list(map(images[a].__getitem__, gen_images[j])) if a
+                     else gen_images[j])
+        pending[a] -= 1
+        if not pending[a]:
+            images.pop(a, None)
+        if (c := group.class_of[x]) in classes and reps[c] == x:
             img, m = images[x], group.matrix(x)
             # column j of the matrix mod q, coded like a point
             if [img[u] for u in units] != [sum(v % q * u for v, u in zip(
@@ -148,7 +143,12 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
     gen_images = [_image_array(group.matrix(i), q)
                   for i in group.generator_indices]
-    fixed = _fixed_masks(group, gen_images, q)
+    # x^k generates the group x does for k prime to its order, so such
+    # powers fix the same points: each Galois family of classes is masked
+    # once, at its first class; the identity class (0) needs no mask
+    leader = [min(p for k, p in enumerate(powers) if gcd(k, len(powers)) == 1)
+              for powers in group.power_classes]
+    masks = _fixed_masks(group, gen_images, set(leader) - {0}, q)
     label = [-1] * total
     sizes = []
     for start in range(total):
@@ -167,10 +167,14 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
                     frontier.append(image)
                     count += 1
         sizes.append(count)
-    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
-    isotropy = [[] for _ in sizes]
-    for c, (mask, size) in enumerate(zip(fixed, group.class_sizes)):
-        for index, hits in Counter(compress(label, mask)).items():
+    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
+    # the identity fixes every point, so it is in every stabilizer once
+    isotropy = [[(0, 1)] for _ in sizes]
+    fixed = [total]
+    tallies = {c: Counter(compress(label, m)) for c, m in masks.items()}
+    for c, size in enumerate(group.class_sizes[1:], 1):
+        fixed.append(masks[leader[c]].count(1))
+        for index, hits in tallies[leader[c]].items():
             meets, rest = divmod(size * hits, sizes[index])
             if rest:
                 raise CertificationFailed(
@@ -179,7 +183,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
             isotropy[index].append((c, meets))
     return OrbitDecomposition(q=q, labels=label, orbit_sizes=tuple(sizes),
                               isotropy=tuple(map(tuple, isotropy)),
-                              fixed_counts=tuple(m.count(1) for m in fixed))
+                              fixed_counts=tuple(fixed))
 
 
 def _multiplicity_columns(group: FiniteMatrixGroup,
@@ -192,8 +196,9 @@ def _multiplicity_columns(group: FiniteMatrixGroup,
              if any(col)] for row in table.rows]
 
 
-def _counted_multiplicities(columns: list[list[tuple]], order: int,
-                            dec: OrbitDecomposition) -> tuple[Fraction, ...]:
+def _counted_multiplicities(columns: list[list[tuple]],
+                            dec: OrbitDecomposition) -> list[int]:
+    """|G| times each row's inner product with the counted fixed points."""
     values = []
     for i, row in enumerate(columns):
         # rational only when all but the constant dot product vanish
@@ -202,16 +207,31 @@ def _counted_multiplicities(columns: list[list[tuple]], order: int,
             raise CertificationFailed(
                 f"row {i} at q={dec.q}: the inner product with the counted "
                 f"fixed points is not rational")
-        values.append(Fraction(constant, order))
-    return tuple(values)
+        values.append(constant)
+    return values
 
 
 def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
                          dec: OrbitDecomposition) -> tuple[Fraction, ...]:
     """Inner product of each table row against the counted permutation
     character: (1/|G|) sum over classes of size * fixed * conj(value)."""
-    return _counted_multiplicities(_multiplicity_columns(group, table),
-                                   group.order, dec)
+    return tuple(Fraction(v, group.order) for v in _counted_multiplicities(
+        _multiplicity_columns(group, table), dec))
+
+
+def _linear_kernels(table: CharacterTable) -> dict[int, set[int]]:
+    """Each degree-1 row's kernel: the classes of its identity value."""
+    return {i: {c for c, v in enumerate(values) if v == values[0]}
+            for i in table.linear_indices()
+            for values in [table.rows[i].values]}
+
+
+def _linear_orbit_counts(kernels: dict[int, set[int]],
+                         dec: OrbitDecomposition) -> dict[int, int]:
+    tally = Counter(dec.isotropy)
+    return {i: sum(n for stab, n in tally.items()
+                   if kernel.issuperset(c for c, _ in stab))
+            for i, kernel in kernels.items()}
 
 
 def brute_orbit_counts_for_linear(table: CharacterTable,
@@ -220,13 +240,7 @@ def brute_orbit_counts_for_linear(table: CharacterTable,
     its kernel, a union of classes: an orbit counts when every class its
     stabilizer meets is one where the row takes its identity value. Orbits
     with the same isotropy are tested once."""
-    tally, counts = Counter(dec.isotropy), {}
-    for i in table.linear_indices():
-        values = table.rows[i].values
-        kernel = {c for c, v in enumerate(values) if v == values[0]}
-        counts[i] = sum(n for stab, n in tally.items()
-                        if kernel.issuperset(c for c, _ in stab))
-    return counts
+    return _linear_orbit_counts(_linear_kernels(table), dec)
 
 
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
@@ -235,38 +249,46 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
                        q_max: int, cap: int | None = None) -> tuple[list[Verdict], int]:
     """Compare every symbolic prediction against enumeration for q up to
     q_max (clamped by the point cap). Returns the verdicts and the largest q
-    actually enumerated."""
+    actually enumerated. Predictions are compared in integers, as numerators
+    over their constituent's denominator."""
     cap = resolve_cap(cap)
     columns = _multiplicity_columns(group, table)
+    kernels = _linear_kernels(table)
+    # every constituent over one denominator, on the classes of the lcm period
+    period = lcm(1, *(qp.period for qp in (*fixed_qps, *multiplicities)))
+    fixed_prep, mult_prep = ([integer_constituents(qp, period) for qp in qps]
+                             for qps in (fixed_qps, multiplicities))
     first_bad: dict[str, str] = {}  # the first mismatch of each check
+
+    def compare(key, where, value, counted, scale=1, verb="counted"):
+        num, den = value  # predicted num/den against counted/scale
+        if num * scale != counted * den:
+            first_bad.setdefault(key, f"{where}: predicted {Fraction(num, den)}"
+                                 f", {verb} {Fraction(counted, scale)}")
+
     covered = 0
     for q in range(1, q_max + 1):
         if q ** group.rank > cap:
             break
         dec = enumerate_action(group, q, cap)
+        d = gcd(period, q)
+        fixed, mults = ([(horner(nums, q), den) for nums, den in
+                         (t[d] for t in prep)]
+                        for prep in (fixed_prep, mult_prep))
         for c, counted in enumerate(dec.fixed_counts):
-            predicted = fixed_qps[c].evaluate(q)
-            if predicted != counted:
-                first_bad.setdefault("fixed-points", f"class {c} at q={q}: "
-                                     f"predicted {predicted}, counted {counted}")
-        predicted = [qp.evaluate(q) for qp in multiplicities]
-        for i, counted in enumerate(
-                _counted_multiplicities(columns, group.order, dec)):
-            if predicted[i] != counted:
-                first_bad.setdefault("multiplicities", f"row {i} at q={q}: "
-                                     f"predicted {predicted[i]}, counted {counted}")
+            compare("fixed-points", f"class {c} at q={q}", fixed[c], counted)
+        for i, counted in enumerate(_counted_multiplicities(columns, dec)):
+            compare("multiplicities", f"row {i} at q={q}", mults[i], counted,
+                    group.order)
         burnside = sum(map(mul, group.class_sizes, dec.fixed_counts))
         if burnside != dec.orbit_count * group.order:
             first_bad.setdefault("burnside", f"q={q}: {dec.orbit_count} orbits "
                                  f"but class-weighted fixed sum is {burnside}")
-        trivial = predicted[table.trivial_index]
-        if trivial != dec.orbit_count:
-            first_bad.setdefault("orbit-count", f"q={q}: predicted {trivial}, "
-                                 f"enumerated {dec.orbit_count}")
-        for i, counted in brute_orbit_counts_for_linear(table, dec).items():
-            if predicted[i] != counted:
-                first_bad.setdefault("linear-orbit-counts", f"row {i} at q={q}: "
-                                     f"predicted {predicted[i]}, counted {counted}")
+        compare("orbit-count", f"q={q}", mults[table.trivial_index],
+                dec.orbit_count, verb="enumerated")
+        for i, counted in _linear_orbit_counts(kernels, dec).items():
+            compare("linear-orbit-counts", f"row {i} at q={q}", mults[i],
+                    counted)
         covered = q
     method = (f"enumeration, q in 1..{covered}" if covered
               else "enumeration skipped, cap too small")

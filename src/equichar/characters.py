@@ -406,25 +406,17 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     # e/o, each with multiplicity (1/o) sum_{u<o} chi(x^u) zeta_e^(-s u)
     z = _root_of_unity_mod(p, e)
     zpow = [pow(z, s, p) for s in range(e)]
-    power_class = []
-    for j in range(k):
-        row = []
-        x = 0
-        for _ in range(group.element_orders[reps[j]]):
-            row.append(group.class_of[x])
-            x = group.mul(x, reps[j])
-        power_class.append(row)
 
     # the DFT rows depend only on the order o: dft[o][r][u] = zeta^(-r*u*e/o)
     dft = {o: [[zpow[(-r * (e // o) * u) % e] for u in range(o)]
                for r in range(o)]
-           for o in {len(row) for row in power_class}}
+           for o in {len(row) for row in group.power_classes}}
 
     rows = []
     for t in range(k):
         values = []
         for j in range(k):
-            powers = [chi_mod[t][c] for c in power_class[j]]
+            powers = [chi_mod[t][c] for c in group.power_classes[j]]
             o = len(powers)
             step = e // o
             inv_o = pow(o, p - 2, p)

@@ -35,13 +35,6 @@ def _poly_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def poly_eval(coeffs: Iterable[Fraction], q) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * q + c
-    return acc
-
-
 @dataclass(frozen=True)
 class GcdQuasiPolynomial:
     period: int
@@ -58,7 +51,7 @@ class GcdQuasiPolynomial:
     # --- evaluation -----------------------------------------------------
 
     def evaluate(self, q: int) -> Fraction:
-        return poly_eval(self.constituent(q), q)
+        return Fraction(horner(reversed(self.constituent(q)), q))
 
     def constituent(self, r: int) -> tuple[Fraction, ...]:
         """Polynomial (coefficients low to high) giving the value on the
@@ -89,6 +82,29 @@ class GcdQuasiPolynomial:
                 for d, poly in sorted(self.constituents.items())
             },
         }
+
+
+def horner(coeffs: Iterable, q: int):
+    """The value at q of the coefficients, top one first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * q + c
+    return acc
+
+
+def integer_constituents(qp: GcdQuasiPolynomial, period: int
+                         ) -> dict[int, tuple[tuple[int, ...], int]]:
+    """d -> (nums, den) for every divisor d of period, a multiple of
+    qp.period: the constituent on the class of d is horner(nums, q) / den,
+    its coefficients as integer numerators over the lcm of their
+    denominators, top coefficient first."""
+    table = {}
+    for d in divisors_of(period):
+        poly = qp.constituent(d)
+        den = lcm(1, *(c.denominator for c in poly))
+        table[d] = (tuple(c.numerator * (den // c.denominator)
+                          for c in reversed(poly)), den)
+    return table
 
 
 def from_terms(period: int, terms: Iterable[tuple[tuple[int, ...], int, object]]

@@ -41,6 +41,8 @@ class FiniteMatrixGroup:
     class_of: tuple[int, ...]
     element_orders: tuple[int, ...]
     exponent: int
+    parent: tuple[tuple[int, int], ...]  # (a, j): x first reached as a g_j
+    power_classes: tuple[tuple[int, ...], ...]  # [c][u]: class of rep_c^u
     index_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
@@ -224,10 +226,10 @@ def generate_group(generators: Sequence[IntMatrix],
     gen_perms = [tuple([index[_image(g_rows, v)] for v in points])
                  for g_rows in rows]
     ident = tuple(range(len(points)))
-    perms, index_of = [ident], {ident: 0}
+    perms, index_of, parent = [ident], {ident: 0}, [(0, 0)]
     right: list[list[int]] = [[] for _ in gen_perms]  # right[g][x] = x g
-    for a in perms:  # breadth-first: perms grows while scanned
-        for b, table in zip(gen_perms, right):
+    for x, a in enumerate(perms):  # breadth-first: perms grows while scanned
+        for j, (b, table) in enumerate(zip(gen_perms, right)):
             prod = tuple([a[i] for i in b])
             if prod not in index_of:
                 if len(perms) == max_order:
@@ -235,6 +237,7 @@ def generate_group(generators: Sequence[IntMatrix],
                         f"closure exceeded max_order={max_order}")
                 index_of[prod] = len(perms)
                 perms.append(prod)
+                parent.append((x, j))
             table.append(index_of[prod])
     # the inverse lists the positions of Omega sorted by their images
     inverse = [index_of[tuple(sorted(ident, key=x.__getitem__))]
@@ -258,14 +261,15 @@ def generate_group(generators: Sequence[IntMatrix],
         orbits.append(tuple(sorted(members)))
 
     # the order is a class function: one powering loop per class
-    orders = [0] * len(perms)
+    orders, powers = [0] * len(perms), {}
     for members in orbits:
         power = rep = perms[members[0]]
-        k = 1
+        powers[members[0]] = seq = [0]
         while power != ident:
-            power, k = tuple([power[i] for i in rep]), k + 1
+            seq.append(index_of[power])
+            power = tuple([power[i] for i in rep])
         for y in members:
-            orders[y] = k
+            orders[y] = len(seq)
     partition = tuple(sorted(orbits, key=lambda c: (orders[c[0]], c[0])))
     class_of = [0] * len(perms)
     for c, members in enumerate(partition):
@@ -283,6 +287,9 @@ def generate_group(generators: Sequence[IntMatrix],
         class_of=tuple(class_of),
         element_orders=tuple(orders),
         exponent=lcm(*orders),
+        parent=tuple(parent),
+        power_classes=tuple(tuple([class_of[x] for x in powers[c[0]]])
+                            for c in partition),
         index_of=index_of,
     )
 

@@ -11,6 +11,7 @@ from equichar import (CertificationFailed, EnumerationCapExceeded, brute_multipl
                       class_divisor_data, equivariant_qp,
                       generate_group, make_quasimonomial, ValidationError)
 from equichar import Cyclotomic, bruteforce
+from equichar.groups import FiniteMatrixGroup
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
 from conftest import BUILTIN_NAMES, make_builtin_group, mat, plus_one
@@ -157,14 +158,13 @@ class TestEnumeration:
         assert len(built) == len(group.generator_indices)
 
     def test_miscomposed_representative_raises(self):
-        # swapping two representatives in the product lookup makes the walk
-        # compose each one's array along the other's word
+        # swapping two representatives' entries in the closure tree makes
+        # each one's array the other's
         group = make_builtin_group("s3-a2")
         first, second = group.class_representatives[1:3]
-        index_of = dict(group.index_of)
-        index_of[group.perms[first]] = second
-        index_of[group.perms[second]] = first
-        bad = replace(group, index_of=index_of)
+        parent = list(group.parent)
+        parent[first], parent[second] = parent[second], parent[first]
+        bad = replace(group, parent=tuple(parent))
         with pytest.raises(CertificationFailed, match="composed image array"):
             enumerate_action(bad, 3)
 
@@ -295,6 +295,38 @@ class TestDifferentialCheck:
             per_run.append(len(calls))
         assert per_run[0] == per_run[1] > 0
 
+    def test_enumeration_makes_no_group_products(self, monkeypatch):
+        groups = [make_builtin_group(name) for name in BUILTIN_NAMES]
+        groups.append(generate_group([mat(rows) for rows in B3_GENERATORS],
+                                     rank=3))
+
+        def forbidden(self, i, j):
+            raise AssertionError("group.mul called during enumeration")
+
+        monkeypatch.setattr(FiniteMatrixGroup, "mul", forbidden)
+        for group in groups:
+            for q in (1, 2, 4):
+                enumerate_action(group, q)
+
+    def test_matrices_only_for_generators_and_family_leaders(self,
+                                                             monkeypatch):
+        # C6 on Z^3: the generator's digit array, then one certificate for
+        # each Galois family other than the identity's: {g, g^5}, {g^2, g^4}
+        # and {g^3}
+        group = make_builtin_group("c6-z3")
+        calls = []
+        original = FiniteMatrixGroup.matrix
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
+        for q in (1, 3, 6):
+            calls.clear()
+            enumerate_action(group, q)
+            assert len(calls) == 1 + 3
+
     def test_cap_clamps_range(self):
         group, table, eqp, fixed = pipeline("c6-z2")
         verdicts, covered = differential_check(
@@ -317,6 +349,26 @@ class TestDifferentialCheck:
         # the untouched predictions still pass
         assert by_name["oracle-multiplicities"].passed
         assert by_name["oracle-orbit-count"].passed
+
+    def test_corrupted_fixed_points_off_a_family_leader_detected(self):
+        # g^5 fixes what g fixes, and only g's class is masked; a fault in
+        # the Smith form of g^5 alone must still show
+        group, table, eqp, fixed = pipeline("c6-z2")
+        g = group.generator_indices[0]
+        x = g
+        for _ in range(4):
+            x = group.mul(x, g)
+        victim = group.class_of[x]
+        assert victim > group.class_of[g]
+        bad = list(fixed)
+        bad[victim] = plus_one(fixed[victim])
+        verdicts, _ = differential_check(
+            group, table, eqp.multiplicities, tuple(bad), q_max=8)
+        by_name = {v.name: v for v in verdicts}
+        assert not by_name["oracle-fixed-points"].passed
+        assert by_name["oracle-fixed-points"].details.startswith(
+            f"class {victim} at q=1:")
+        assert by_name["oracle-multiplicities"].passed
 
     def test_corrupted_multiplicity_detected(self):
         group, table, eqp, fixed = pipeline("s3-a2")

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar import GcdQuasiPolynomial, divisors_of, make_quasimonomial
-from equichar.gcdpoly import from_terms
+from equichar import (GcdQuasiPolynomial, class_divisor_data, divisors_of,
+                      dixon_character_table, equivariant_qp,
+                      make_quasimonomial)
+from equichar.gcdpoly import from_terms, horner, integer_constituents
+
+from conftest import BUILTIN_NAMES, make_builtin_group
 
 
 F = Fraction
@@ -234,3 +238,20 @@ def test_each_residue_class_is_a_single_polynomial(qp, r):
     points = [(x, qp.evaluate(x)) for x in xs]
     for extra in (r + count * qp.period, r + (count + 1) * qp.period):
         assert qp.evaluate(extra) == _lagrange_value(points, extra)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_integer_constituents_agree_with_evaluate(name):
+    group = make_builtin_group(name)
+    eqp = equivariant_qp(group, dixon_character_table(group),
+                         class_divisor_data(group))
+    period = eqp.period
+    for qp in eqp.multiplicities:
+        table = integer_constituents(qp, period)
+        assert sorted(table) == list(divisors_of(period))
+        for q in range(-period, 3 * period + 1):
+            nums, den = table[gcd(period, q)]
+            assert den > 0 and all(type(n) is int for n in nums)
+            value = F(horner(nums, q), den)
+            assert value == qp.evaluate(q) == sum(
+                c * F(q) ** k for k, c in enumerate(qp.constituent(q)))

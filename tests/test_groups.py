@@ -250,6 +250,47 @@ def test_closure_matches_matrix_reference(name):
         assert tuple(map(tuple, group.matrix(n).to_rows())) == rows
 
 
+# name -> (rank, generators) of the groups whose recorded tree and power
+# maps are checked against plain products
+RECORDED_GROUPS = {
+    **{name: (builtin(name).rank, builtin(name).generators)
+       for name in BUILTIN_NAMES},
+    "b3": (3, signed_permutation_generators(3)),
+    "f4": (4, weyl_group_generators(CARTAN_F4)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_GROUPS)
+def test_parent_is_the_breadth_first_tree(name):
+    rank, gens = RECORDED_GROUPS[name]
+    group = generate_group(gens, rank=rank)
+    assert len(group.parent) == group.order
+    for x in range(1, group.order):
+        a, j = group.parent[x]
+        assert a < x
+        assert group.mul(a, group.generator_indices[j]) == x
+    # and x is first reached there, scanning a in order and then j
+    first = {0: (0, 0)}
+    for a in range(group.order):
+        for j, g in enumerate(group.generator_indices):
+            first.setdefault(group.mul(a, g), (a, j))
+    assert group.parent == tuple(first[x] for x in range(group.order))
+
+
+@pytest.mark.parametrize("name", RECORDED_GROUPS)
+def test_power_classes_match_plain_powers(name):
+    rank, gens = RECORDED_GROUPS[name]
+    group = generate_group(gens, rank=rank)
+    assert len(group.power_classes) == group.class_count
+    for c, rep in enumerate(group.class_representatives):
+        expected, x = [], 0
+        for _ in range(group.element_orders[rep]):
+            expected.append(group.class_of[x])
+            x = group.mul(x, rep)
+        assert x == 0
+        assert group.power_classes[c] == tuple(expected)
+
+
 def test_b5_closure_makes_no_matrix_products(monkeypatch):
     # closure runs on permutations of the spanning orbit: a matrix product
     # per element would show up here long before it shows in a timing
