@@ -352,7 +352,7 @@ class TestDifferentialCheck:
 
     def test_corrupted_fixed_points_off_a_family_leader_detected(self):
         # g^5 fixes what g fixes, and only g's class is masked; a fault in
-        # the Smith form of g^5 alone must still show
+        # the fixed-point quasi-polynomial of g^5's class alone must show
         group, table, eqp, fixed = pipeline("c6-z2")
         g = group.generator_indices[0]
         x = g
