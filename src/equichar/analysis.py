@@ -4,11 +4,14 @@ decomposition of its mod-q permutation characters, with verification.
 For each conjugacy class the Smith normal form of (R - I) supplies the
 elementary divisors e_1 | ... | e_r; the number of fixed points of that
 class on (Z/q)^l is then gcd(e_1, q) * ... * gcd(e_r, q) * q^(l - r), a
-single gcd-form quasi-monomial. Averaging against irreducible characters
-produces the multiplicity quasi-polynomials. `analyze` then checks each
-structural fact once (gcd-property, leading terms, minimal period, the
-reciprocity twist by the parity character of the ranks, dimension identity,
-integrality), each verdict a proof for all q, and optionally compares
+single gcd-form quasi-monomial. The classes of one Galois family (the
+classes of rep^a, a prime to the order of rep) share their Smith form, so
+it is computed once per family, as is the determinant. Averaging against
+irreducible characters produces the multiplicity quasi-polynomials.
+`analyze` then checks each structural fact once (gcd-property, leading
+terms, minimal period, the reciprocity twist by the parity character of
+the ranks, dimension identity, integrality, tested once per distinct
+multiplicity), each verdict a proof for all q, and optionally compares
 everything against brute-force orbit enumeration for small q.
 """
 
@@ -46,13 +49,18 @@ class ClassDivisorData:
 
 
 def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
+    # One Smith form per Galois family. Conjugation by a unimodular element
+    # keeps a Smith form, and for R = rep_leader and a prime to its order o,
+    # R^a - I = (R - I)(I + R + ... + R^(a-1)) and, with a*b = 1 (mod o),
+    # R - I = (R^a)^b - I = (R^a - I)(I + R^a + ... + R^(a(b-1))). So
+    # R^a - I and R - I have the same column lattice, hence the same rank
+    # and elementary divisors.
     ident = IntMatrix.identity(group.rank)
-    ranks = []
-    divisors = []
-    for rep in group.class_representatives:
-        snf = smith_normal_form(group.matrix(rep).sub(ident))
-        ranks.append(snf.rank)
-        divisors.append(snf.divisors)
+    reps = group.class_representatives
+    snfs = {c: smith_normal_form(group.matrix(reps[c]).sub(ident))
+            for c in group.leaders}
+    ranks = [snfs[leader].rank for leader, _ in group.families]
+    divisors = [snfs[leader].divisors for leader, _ in group.families]
     # the action of the stored matrices is faithful: only the identity fixes
     # the whole lattice
     if ranks[0] != 0 or not all(r > 0 for r in ranks[1:]):
@@ -125,9 +133,12 @@ def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
     det(R_gamma). Returns it with its row index in the table.
 
     The determinant is multiplicative, so matching it on one representative
-    per class shows that the parity function is a degree-1 character."""
+    per class shows that the parity function is a degree-1 character. It is
+    computed once per Galois family: det(rep_c) = det(rep_leader)^a."""
     signs = tuple((-1) ** r for r in data.ranks)
-    dets = tuple(group.matrix(rep).det() for rep in group.class_representatives)
+    reps = group.class_representatives
+    leader_dets = {c: group.matrix(reps[c]).det() for c in group.leaders}
+    dets = tuple(leader_dets[leader] ** a for leader, a in group.families)
     if dets != signs:
         raise NotACharacter(
             f"determinants {list(dets)} differ from the rank parities "
@@ -202,8 +213,15 @@ def integrality_failure(multiplicities, period: int,
     that bound in its gcd class are evaluated.
 
     Every constituent is evaluated as integer numerators over one common
-    denominator (`integer_constituents`)."""
+    denominator (`integer_constituents`). Galois-conjugate rows have equal
+    multiplicities, so each distinct one is tested once, at its first row,
+    which is the row a failure names."""
+    seen = set()
     for i, m in enumerate(multiplicities):
+        key = (m.period, tuple(sorted(m.constituents.items())))
+        if key in seen:
+            continue
+        seen.add(key)
         scaled = integer_constituents(m, period)
         for q in range(1, period * (ell + 1) + 1):
             nums, den = scaled[gcd(period, q)]

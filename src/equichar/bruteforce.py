@@ -7,15 +7,17 @@ all q^l points through image arrays, `img[code]` being the code of
 reduced mod q, and orbits come from a BFS over them, which labels every
 code with its orbit. Fixed points are the codes a representative's array
 maps to themselves. The classes of rep^k, k prime to the order of rep,
-share them (rep^k generates rep's cyclic group), so only the first class
-of each such Galois family gets an array, composed from the generators'
-along the closure's stored BFS tree and certified against its matrix; the
-identity class fixes all q^l points and gets none. Isotropy is counted per
-class from the fixed points: since stabilizers along an orbit O are
-conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O.
-Multiplicities are the textbook inner products against the counted fixed
-points, as integer dot products with each row's coefficients. None of it
-shares code with the Smith-form route, which is the point.
+share them (rep^k generates rep's cyclic group), so only the leader of
+each such Galois family (`group.families`) gets an array, composed from
+the generators' along the closure's stored BFS tree and certified against
+its matrix; the identity class fixes all q^l points and gets none. The
+generators' and leaders' matrices are built once per differential check.
+Isotropy is counted per class from the fixed points: since stabilizers
+along an orbit O are conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O|
+for every x in O. Multiplicities are the textbook inner products against
+the counted fixed points, as integer dot products with each row's
+coefficients. None of it shares code with the Smith-form route, which is
+the point.
 """
 
 from __future__ import annotations
@@ -89,9 +91,19 @@ class OrbitDecomposition:
         return len(self.orbit_sizes)
 
 
+def _action_matrices(group: FiniteMatrixGroup
+                     ) -> tuple[list[IntMatrix], dict[int, IntMatrix]]:
+    """The generators' matrices, and the representative's matrix of each
+    Galois family's leader class but the identity's, by class."""
+    reps = group.class_representatives
+    return ([group.matrix(i) for i in group.generator_indices],
+            {c: group.matrix(reps[c]) for c in group.leaders if c})
+
+
 def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                 classes: set[int], q: int) -> dict[int, bytes]:
-    """The given classes' representatives' fixed points as byte masks. An
+                 matrices: dict[int, IntMatrix], q: int) -> dict[int, bytes]:
+    """The fixed points of the representatives of the classes that key
+    matrices, as byte masks. An
     element first reached in closure as a·g has the array img_a ∘ img_g, so
     arrays are composed along the closure's breadth-first tree (Schreier
     vectors: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
@@ -100,7 +112,7 @@ def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
     the unit vectors certifies it."""
     parent, reps = group.parent, group.class_representatives
     wanted = set()  # the representatives and their ancestors
-    for c in classes:
+    for c in matrices:
         x = reps[c]
         while x and x not in wanted:
             wanted.add(x)
@@ -117,8 +129,8 @@ def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
         pending[a] -= 1
         if not pending[a]:
             images.pop(a, None)
-        if (c := group.class_of[x]) in classes and reps[c] == x:
-            img, m = images[x], group.matrix(x)
+        if (c := group.class_of[x]) in matrices and reps[c] == x:
+            img, m = images[x], matrices[c]
             # column j of the matrix mod q, coded like a point
             if [img[u] for u in units] != [sum(v % q * u for v, u in zip(
                     m.entries[j::m.cols], units)) for j in range(len(units))]:
@@ -131,8 +143,12 @@ def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
     return masks
 
 
-def enumerate_action(group: FiniteMatrixGroup, q: int,
-                     cap: int | None = None) -> OrbitDecomposition:
+def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
+                     matrices: tuple[list[IntMatrix], dict[int, IntMatrix]]
+                     | None = None) -> OrbitDecomposition:
+    """The orbit decomposition of (Z/q)^l. matrices, as `_action_matrices`
+    returns them, is built here unless a caller that runs several q passes
+    it."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     cap = resolve_cap(cap)
@@ -141,14 +157,12 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    gen_images = [_image_array(group.matrix(i), q)
-                  for i in group.generator_indices]
+    gen_matrices, leader_matrices = matrices or _action_matrices(group)
+    gen_images = [_image_array(m, q) for m in gen_matrices]
     # x^k generates the group x does for k prime to its order, so such
     # powers fix the same points: each Galois family of classes is masked
-    # once, at its first class; the identity class (0) needs no mask
-    leader = [min(p for k, p in enumerate(powers) if gcd(k, len(powers)) == 1)
-              for powers in group.power_classes]
-    masks = _fixed_masks(group, gen_images, set(leader) - {0}, q)
+    # once, at its leader; the identity class (0) needs no mask
+    masks = _fixed_masks(group, gen_images, leader_matrices, q)
     label = [-1] * total
     sizes = []
     for start in range(total):
@@ -173,8 +187,9 @@ def enumerate_action(group: FiniteMatrixGroup, q: int,
     fixed = [total]
     tallies = {c: Counter(compress(label, m)) for c, m in masks.items()}
     for c, size in enumerate(group.class_sizes[1:], 1):
-        fixed.append(masks[leader[c]].count(1))
-        for index, hits in tallies[leader[c]].items():
+        leader = group.families[c][0]
+        fixed.append(masks[leader].count(1))
+        for index, hits in tallies[leader].items():
             meets, rest = divmod(size * hits, sizes[index])
             if rest:
                 raise CertificationFailed(
@@ -266,11 +281,12 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
             first_bad.setdefault(key, f"{where}: predicted {Fraction(num, den)}"
                                  f", {verb} {Fraction(counted, scale)}")
 
+    matrices = _action_matrices(group)
     covered = 0
     for q in range(1, q_max + 1):
         if q ** group.rank > cap:
             break
-        dec = enumerate_action(group, q, cap)
+        dec = enumerate_action(group, q, cap, matrices)
         d = gcd(period, q)
         fixed, mults = ([(horner(nums, q), den) for nums, den in
                          (t[d] for t in prep)]

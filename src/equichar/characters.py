@@ -7,7 +7,10 @@ prime field are the central characters. A class matrix is built only when
 the eigenspace split reaches its class. Degrees and character values are
 then recovered modulo p and lifted to exact cyclotomic integers through the
 root-of-unity multiplicity counting formula, at the order of each class's
-representative. The finished table is checked against first orthogonality,
+representative. Only the leader of each Galois family of classes is lifted:
+a class whose representative is conjugate to rep_leader^a takes the
+leader's eigenvalue multiplicities on zeta_o^(r*a) in place of zeta_o^r.
+The finished table is checked against first orthogonality,
 which for a square table implies the second, before being returned, and the
 same validation is applied to user-supplied tables.
 """
@@ -412,27 +415,33 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                for r in range(o)]
            for o in {len(row) for row in group.power_classes}}
 
+    # chi(rep_leader^a) has the eigenvalues zeta_o^(r*a) of chi(rep_leader),
+    # with the same multiplicities: only family leaders are lifted
     rows = []
     for t in range(k):
-        values = []
-        for j in range(k):
+        lifted = {}
+        for j in group.leaders:
             powers = [chi_mod[t][c] for c in group.power_classes[j]]
             o = len(powers)
-            step = e // o
             inv_o = pow(o, p - 2, p)
-            coeffs = [0] * e
-            for r, dft_row in enumerate(dft[o]):
-                acc = sum(map(mul, powers, dft_row))
-                ms = (acc % p) * inv_o % p
-                if ms > degrees_mod[t]:
-                    raise ValidationFailed("class algebra",
-                                           f"eigenvalue multiplicity lift {ms} "
-                                           f"exceeds degree {degrees_mod[t]}")
-                coeffs[r * step] = ms
-            if sum(coeffs) != degrees_mod[t]:
+            mults = [(acc % p) * inv_o % p for acc in (
+                sum(map(mul, powers, dft_row)) for dft_row in dft[o])]
+            if (top := max(mults)) > degrees_mod[t]:
+                raise ValidationFailed("class algebra",
+                                       f"eigenvalue multiplicity lift {top} "
+                                       f"exceeds degree {degrees_mod[t]}")
+            if sum(mults) != degrees_mod[t]:
                 raise ValidationFailed("class algebra",
                                        "eigenvalue multiplicities do not sum "
                                        "to the degree")
+            lifted[j] = mults
+        values = []
+        for leader, a in group.families:
+            mults = lifted[leader]
+            o = len(mults)
+            coeffs = [0] * e
+            for r, ms in enumerate(mults):
+                coeffs[r * a % o * (e // o)] = ms
             values.append(Cyclotomic.from_powers(e, coeffs))
         rows.append(ClassFunction(group, tuple(values)))
 

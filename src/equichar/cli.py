@@ -307,8 +307,34 @@ def render_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _to_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for values built from
+    plain dicts with string keys, lists, tuples, strings, numbers, booleans
+    and None. json lays out an indented dump with its pure-Python encoder,
+    so containers are joined here and only scalars go to its C encoder."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
+                 else [_to_json(v, inner) for v in value])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_encode_scalar(k)}: {_to_json(v, inner)}"
+                 for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return _encode_scalar(value)
+
+
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return _to_json(report_to_dict(report)) + "\n"
 
 
 def render_latex(report: AnalysisReport) -> str:

@@ -5,7 +5,8 @@ Those powers are linearly dependent, so vectors are kept in the canonical
 reduced form obtained by taking the remainder modulo the m-th cyclotomic
 polynomial: only the first phi(m) coefficients can be nonzero, and equal
 values always have identical stored coefficients. Equality is therefore
-plain tuple comparison.
+plain tuple comparison. The remainder is taken in one pass, from a table
+cached per conductor of zeta^s reduced for phi(m) <= s < m.
 
 A coefficient keeps the exact rational type the arithmetic produced: an
 `int` until a `Fraction` enters (a user-table entry, or the 1/|G| of an
@@ -60,16 +61,35 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(m: int, vec: list[Rationalish]) -> tuple[Rationalish, ...]:
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple[int, tuple[tuple[tuple[int, int], ...],
+                                                  ...]]:
+    """phi(m) and, for each s in phi(m)..m-1, zeta^s mod the m-th cyclotomic
+    polynomial as sparse (power, coefficient) pairs below phi(m). Each row is
+    zeta times the one before, with the zeta^phi(m) this makes replaced by
+    the first row."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    for i in range(m - 1, deg - 1, -1):
-        c = vec[i]
+    top = [-c for c in phi[:deg]]  # zeta^deg
+    dense, rows = top, []
+    for _ in range(deg, m):
+        rows.append(tuple((t, c) for t, c in enumerate(dense) if c))
+        carry = dense[-1]
+        dense = [0, *dense[:-1]]
+        if carry:
+            dense = [a + carry * b for a, b in zip(dense, top)]
+    return deg, tuple(rows)
+
+
+def _reduce(m: int, vec: list[Rationalish]) -> tuple[Rationalish, ...]:
+    """The remainder of sum vec[s] zeta^s modulo the cyclotomic polynomial,
+    in one pass over the powers at or above its degree."""
+    deg, table = _reduction_table(m)
+    for c, pairs in zip(vec[deg:], table):
         if c:
-            vec[i] = 0
-            for t in range(deg):
-                if phi[t]:
-                    vec[i - deg + t] -= c * phi[t]
+            for t, r in pairs:
+                vec[t] += c * r
+    vec[deg:] = [0] * (m - deg)
     return tuple(vec)
 
 

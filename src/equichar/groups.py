@@ -12,13 +12,17 @@ so it is reproducible for a fixed generator list. Conjugacy classes are
 orbits under conjugation by the generators (Holt, Eick and O'Brien, Handbook
 of Computational Group Theory, ch. 4), sorted by (order of the
 representative, representative index), which places the identity class
-first.
+first. The classes of rep^a, a prime to the order of rep, form a Galois
+family: they generate conjugate cyclic groups, so they share fixed points,
+Smith forms and Galois-conjugate character values, and each class records
+the family's smallest class (its leader) and such an a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -43,6 +47,8 @@ class FiniteMatrixGroup:
     exponent: int
     parent: tuple[tuple[int, int], ...]  # (a, j): x first reached as a g_j
     power_classes: tuple[tuple[int, ...], ...]  # [c][u]: class of rep_c^u
+    # [c]: (leader, a), rep_c conjugate to rep_leader^a, a prime to the order
+    families: tuple[tuple[int, int], ...]
     index_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
@@ -53,13 +59,19 @@ class FiniteMatrixGroup:
     def class_count(self) -> int:
         return len(self.class_partition)
 
-    @property
+    @cached_property
     def class_representatives(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.class_partition)
 
-    @property
+    @cached_property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.class_partition)
+
+    @cached_property
+    def leaders(self) -> tuple[int, ...]:
+        """The classes that lead their Galois family, in class order."""
+        return tuple(c for c, (leader, _) in enumerate(self.families)
+                     if leader == c)
 
     def mul(self, i: int, j: int) -> int:
         a = self.perms[i]
@@ -275,6 +287,16 @@ def generate_group(generators: Sequence[IntMatrix],
     for c, members in enumerate(partition):
         for y in members:
             class_of[y] = c
+    power_classes = [[class_of[x] for x in powers[c[0]]] for c in partition]
+    # rep_c^u for u prime to o runs over c's family, whose smallest class is
+    # the leader; rep_leader^a is in class c for the smallest such a
+    families = []
+    for c, seq in enumerate(power_classes):
+        o = len(seq)
+        leader = min(seq[u] for u in range(o) if gcd(u, o) == 1)
+        a = next(a for a in range(1, o + 1)
+                 if power_classes[leader][a % o] == c)
+        families.append((leader, a))
 
     return FiniteMatrixGroup(
         rank=ell,
@@ -288,8 +310,8 @@ def generate_group(generators: Sequence[IntMatrix],
         element_orders=tuple(orders),
         exponent=lcm(*orders),
         parent=tuple(parent),
-        power_classes=tuple(tuple([class_of[x] for x in powers[c[0]]])
-                            for c in partition),
+        power_classes=tuple(map(tuple, power_classes)),
+        families=tuple(families),
         index_of=index_of,
     )
 

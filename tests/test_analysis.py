@@ -9,15 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from equichar import (NonRationalCoefficient, NotACharacter, action_period,
-                      analysis, analyze, class_divisor_data,
-                      dixon_character_table, equivariant_qp, fixed_point_qp,
-                      multiplicity_qp, reciprocity_character, report_to_dict)
+from equichar import (FiniteMatrixGroup, IntMatrix, NonRationalCoefficient,
+                      NotACharacter, action_period, analysis, analyze,
+                      class_divisor_data, dixon_character_table,
+                      equivariant_qp, fixed_point_qp, generate_group,
+                      multiplicity_qp, reciprocity_character, report_to_dict,
+                      smith_normal_form)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
 from equichar.gcdpoly import divisors_of, from_terms
 
-from conftest import BUILTIN_NAMES, make_builtin_group, plus_one
+from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4,
+                      make_builtin_group, mat, plus_one,
+                      signed_permutation_generators, weyl_group_generators)
 
 
 def F(*nums):
@@ -119,6 +123,53 @@ class TestClassDivisorData:
                     "trivial-z2": 1, "dihedral-z2": 2}
         for name, (_, _, data) in pipelines.items():
             assert action_period(data) == expected[name]
+
+
+def family_test_groups(pipelines):
+    """The builtins with their tables, then C21, B4 and F4 with theirs."""
+    extra = [generate_group([mat(C21_GENERATOR)], rank=8),
+             generate_group(signed_permutation_generators(4)),
+             generate_group(weyl_group_generators(CARTAN_F4))]
+    return [(group, table) for group, table, _ in pipelines.values()] + \
+        [(group, dixon_character_table(group)) for group in extra]
+
+
+class TestGaloisFamilies:
+    def test_smith_forms_and_determinants_match_per_class(self, pipelines):
+        for group, table in family_test_groups(pipelines):
+            data = class_divisor_data(group)
+            ident = IntMatrix.identity(group.rank)
+            matrices = [group.matrix(x) for x in group.class_representatives]
+            snfs = [smith_normal_form(m.sub(ident)) for m in matrices]
+            assert data.ranks == tuple(snf.rank for snf in snfs)
+            assert data.divisors == tuple(snf.divisors for snf in snfs)
+            delta, _ = reciprocity_character(group, table, data)
+            assert [v.as_fraction() for v in delta.values] == \
+                [m.det() for m in matrices]
+
+    def test_one_smith_form_and_determinant_per_family(self, monkeypatch):
+        group = generate_group([mat(C21_GENERATOR)], rank=8)
+        table = dixon_character_table(group)
+        snf_calls, matrix_calls = [], []
+        original_snf = analysis.smith_normal_form
+        original_matrix = FiniteMatrixGroup.matrix
+
+        def counting_snf(a):
+            snf_calls.append(a)
+            return original_snf(a)
+
+        def counting_matrix(self, i):
+            matrix_calls.append(i)
+            return original_matrix(self, i)
+
+        monkeypatch.setattr(analysis, "smith_normal_form", counting_snf)
+        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting_matrix)
+        data = class_divisor_data(group)
+        assert len(snf_calls) == len(group.leaders) == 4
+        matrix_calls.clear()
+        reciprocity_character(group, table, data)
+        reps = group.class_representatives
+        assert matrix_calls == [reps[c] for c in group.leaders]
 
 
 class TestFixedPoints:
@@ -330,6 +381,29 @@ class TestIntegrality:
             "row 0: value -6 at q=2 is negative"
         assert integrality_failure([from_terms(2, terms + [((2,), 0, 6)])],
                                    2, 2) is None
+
+    def test_equal_failing_rows_name_the_first(self):
+        good = from_terms(1, [((), 1, 1)])
+        bad = from_terms(1, [((), 1, Fraction(1, 2))])
+        assert integrality_failure([good, bad, bad], 1, 1) == \
+            "row 1: value 1/2 at q=1 is not an integer"
+
+    def test_each_distinct_multiplicity_tested_once(self, monkeypatch):
+        # C21's 21 rows fall into 4 Galois orbits, with 4 multiplicities
+        group = generate_group([mat(C21_GENERATOR)], rank=8)
+        eqp = equivariant_qp(group, dixon_character_table(group),
+                             class_divisor_data(group))
+        prepared = []
+        original = analysis.integer_constituents
+
+        def counting(qp, period):
+            prepared.append(qp)
+            return original(qp, period)
+
+        monkeypatch.setattr(analysis, "integer_constituents", counting)
+        assert integrality_failure(eqp.multiplicities, eqp.period,
+                                   eqp.lattice_rank) is None
+        assert len(prepared) == 4
 
     def test_real_multiplicities_pass(self, pipelines):
         for group, table, data in pipelines.values():

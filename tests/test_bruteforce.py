@@ -327,6 +327,25 @@ class TestDifferentialCheck:
             enumerate_action(group, q)
             assert len(calls) == 1 + 3
 
+    def test_matrices_built_once_per_check(self, monkeypatch):
+        # c6-z3: the generator and the three non-identity family leaders,
+        # whatever the number of q
+        group, table, eqp, fixed = pipeline("c6-z3")
+        calls = []
+        original = FiniteMatrixGroup.matrix
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
+        for q_max in (2, 6):
+            calls.clear()
+            verdicts, covered = differential_check(
+                group, table, eqp.multiplicities, fixed, q_max=q_max)
+            assert covered == q_max and all(v.passed for v in verdicts)
+            assert len(calls) == 1 + 3
+
     def test_cap_clamps_range(self):
         group, table, eqp, fixed = pipeline("c6-z2")
         verdicts, covered = differential_check(

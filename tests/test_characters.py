@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 import hashlib
 import json
@@ -152,6 +153,54 @@ class TestDixonLargerGroups:
         monkeypatch.setattr(FiniteMatrixGroup, "mul", counting_mul)
         dixon_character_table(b5_group)
         assert 0 < calls < b5_group.order * b5_group.class_count / 10
+
+
+def per_class(group):
+    """The group with every class leading its own family, so that Dixon's
+    lift runs at every class: the straightforward per-class lift."""
+    return replace(group, families=tuple((c, 1)
+                                         for c in range(group.class_count)))
+
+
+class TestGaloisFamilies:
+    def test_lift_matches_per_class_lift(self, groups, b5_group, f4_group,
+                                         c21_group):
+        for group in (*groups.values(), b5_group, f4_group, c21_group):
+            reference = per_class(group)
+            assert reference.leaders == tuple(range(group.class_count))
+            assert [row.values for row in
+                    dixon_character_table(group).rows] == \
+                [row.values for row in dixon_character_table(reference).rows]
+
+    def test_c21_rows_are_powers_of_zeta(self, c21_group):
+        # chi_s(g^k) = zeta_21^(s k): one row per s in 0..20
+        g = c21_group.generator_indices[0]
+        power_of, x = {}, 0
+        for k in range(21):
+            power_of[x] = k
+            x = c21_group.mul(x, g)
+        expected = {tuple(Cyclotomic.root_of_unity(21, s * power_of[rep])
+                          for rep in c21_group.class_representatives)
+                    for s in range(21)}
+        rows = dixon_character_table(c21_group).rows
+        assert {row.values for row in rows} == expected
+        assert len(rows) == 21
+
+    def test_lift_runs_at_leaders_only(self, c21_group, monkeypatch):
+        # C21 has 4 families (orders 1, 3, 7 and 21): 4 lifts per row, each
+        # reading one power map
+        reads = []
+
+        class Recording(tuple):
+            def __getitem__(self, c):
+                reads.append(c)
+                return tuple.__getitem__(self, c)
+
+        group = replace(c21_group,
+                        power_classes=Recording(c21_group.power_classes))
+        dixon_character_table(group)
+        assert set(reads) == set(group.leaders) and len(group.leaders) == 4
+        assert len(reads) == 21 * 4
 
 
 class TestCoefficientTypes:

@@ -10,7 +10,8 @@ import pytest
 
 from equichar import (ParseError, UnknownExample, ValidationError, Verdict,
                       divisors_of, errors)
-from equichar.cli import (BUILTINS, _describe_error, builtin,
+from equichar.analysis import report_to_dict
+from equichar.cli import (BUILTINS, _describe_error, _to_json, builtin,
                           format_constituent, main, parse_input, render_json,
                           render_latex, render_text, run_analyze)
 
@@ -137,6 +138,29 @@ class TestRendering:
                 assert [Fraction(*pair) for pair in
                         written["constituents"][str(d)]] == \
                     list(original.constituent(d))
+
+
+class TestJsonWriter:
+    EDGE_VALUES = [
+        {}, [], "", 0, -1, None, True, 1.5,
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+        [[[]], [{}], [[], {}]],
+        [True, False, None, 1, 0], [1, True], [None], [False, 2],
+        ["quote \" backslash \\ tab \t newline \n", "\u0001", "é ☃ 𝄞"],
+        {"k\u00e9y \"x\"": "\u2028"},
+        [-1, -(10 ** 40), 10 ** 40, 0], (1, 2), [(3, "4"), ()],
+        [1.0, -2.5, 1e300, 3], {"nested": [[1, 2], [3, [4, [5, {}]]]]},
+    ]
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_values_match_json_dumps(self, value):
+        assert _to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_reports_match_json_dumps(self, name):
+        report = run_analyze(builtin(name))
+        assert render_json(report) == \
+            json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 class TestMain:

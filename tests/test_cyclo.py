@@ -139,6 +139,32 @@ def test_galois_is_ring_map(a, s):
     assert (a + a).galois(s) == image + image
 
 
+def polynomial_remainder(m, coeffs):
+    """The remainder of sum coeffs[s] x^s on division by the m-th
+    cyclotomic polynomial, by schoolbook long division, padded to m."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for t, p in enumerate(phi):
+                rem[top - deg + t] -= c * p
+    return tuple(rem[:deg]) + (0,) * (m - deg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 12, 15, 21, 30, 105, 360, 840]),
+       st.data())
+def test_reduction_matches_polynomial_remainder(m, data):
+    sparse = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=m - 1),
+        st.integers(-9, 9) | small_rationals, max_size=12))
+    coeffs = [sparse.get(s, 0) for s in range(m)]
+    assert Cyclotomic.from_powers(m, coeffs).coeffs == \
+        polynomial_remainder(m, coeffs)
+
+
 def test_inexact_division_is_certification_failure_under_optimize():
     # `python -O` strips assert statements, so certification must not use them
     src = Path(__file__).resolve().parent.parent / "src"

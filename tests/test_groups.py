@@ -1,5 +1,5 @@
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 import time
 
 import pytest
@@ -334,3 +334,47 @@ def test_omega_does_not_depend_on_the_basis(rank, generators):
     assert len(dense.points) == len(group.points)
     for n in range(group.order):
         assert dense.matrix(n) == d_inv.multiply(group.matrix(n)).multiply(d)
+
+
+def dense_b5():
+    d, d_inv = dense_unimodular(5)
+    return generate_group([d_inv.multiply(g).multiply(d)
+                           for g in signed_permutation_generators(5)])
+
+
+# name -> group whose Galois families are checked with plain matrix products
+FAMILY_GROUPS = {
+    **{name: lambda name=name: generate_group(builtin(name).generators,
+                                              rank=builtin(name).rank)
+       for name in BUILTIN_NAMES},
+    "c21": lambda: generate_group([mat(C21_GENERATOR)], rank=8),
+    "b4": lambda: generate_group(signed_permutation_generators(4)),
+    "f4": lambda: generate_group(weyl_group_generators(CARTAN_F4)),
+    "b5-dense": dense_b5,
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_GROUPS)
+def test_families_match_plain_powers_and_conjugacy(name):
+    group = FAMILY_GROUPS[name]()
+    matrices = [group.matrix(n) for n in range(group.order)]
+    index = {m: n for n, m in enumerate(matrices)}
+    reps = [matrices[x] for x in group.class_representatives]
+    for c, (leader, a) in enumerate(group.families):
+        order = group.element_orders[group.class_representatives[c]]
+        assert gcd(a, order) == 1
+        # the family: the classes of rep_c^u for u prime to the order
+        family, power = set(), IntMatrix.identity(group.rank)
+        for u in range(order):
+            if gcd(u, order) == 1:
+                family.add(group.class_of[index[power]])
+            power = power.multiply(reps[c])
+        assert leader == min(family)
+        assert group.families[leader] == (leader, 1)
+        # g^-1 rep_leader^a g = rep_c for some element g
+        power = IntMatrix.identity(group.rank)
+        for _ in range(a):
+            power = power.multiply(reps[leader])
+        assert any(power.multiply(g) == g.multiply(reps[c]) for g in matrices)
+    assert group.leaders == tuple(sorted({leader for leader, _
+                                          in group.families}))
