@@ -7,7 +7,8 @@ class on (Z/q)^l is then gcd(e_1, q) * ... * gcd(e_r, q) * q^(l - r), a
 single gcd-form quasi-monomial. The classes of one Galois family (the
 classes of rep^a, a prime to the order of rep) share their Smith form, so
 it is computed once per family, as is the determinant. Averaging against
-irreducible characters produces the multiplicity quasi-polynomials.
+irreducible characters, summed as integer coefficient vectors, produces the
+multiplicity quasi-polynomials; rows with equal term lists share one.
 `analyze` then checks each structural fact once (gcd-property, leading
 terms, minimal period, the reciprocity twist by the parity character of
 the ranks, dimension identity, integrality, tested once per distinct
@@ -24,9 +25,10 @@ from math import gcd, lcm
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          ingest_character_table, find_row,
-                         rational_class_function, tensor_identify)
+                         rational_class_function)
 from .checks import Verdict
-from .errors import (CertificationFailed, NonRationalCoefficient,
+from .cyclo import Cyclotomic
+from .errors import (CertificationFailed, NoMatch, NonRationalCoefficient,
                      NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
                       integer_constituents, make_quasimonomial)
@@ -88,24 +90,36 @@ def fixed_point_qp(data: ClassDivisorData,
                               period=action_period(data))
 
 
+def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
+                        data: ClassDivisorData, i: int) -> tuple:
+    """The (divisors, power, coeff) terms of row i's multiplicity. Values
+    are summed per term as reduced coefficient vectors: reduction is linear,
+    so the sum is reduced, and rational iff only its constant term is
+    nonzero."""
+    accum: dict[tuple[tuple[int, ...], int], list] = {}
+    for c, (size, value) in enumerate(zip(group.class_sizes,
+                                          table.rows[i].values)):
+        key = (data.reduced_divisors(c), data.lattice_rank - data.ranks[c])
+        prev = accum.get(key)
+        accum[key] = ([a * size for a in value.coeffs] if prev is None else
+                      [b + a * size for b, a in zip(prev, value.coeffs)])
+    terms = []
+    for key, vec in accum.items():
+        if any(vec[1:]):
+            value = Cyclotomic(group.exponent, tuple(vec))
+            raise NonRationalCoefficient(
+                f"row {i}: coefficient on {key} is "
+                f"{value * Fraction(1, group.order)}, not rational")
+        terms.append((*key, Fraction(vec[0], group.order)))
+    return tuple(terms)
+
+
 def multiplicity_qp(group: FiniteMatrixGroup, table: CharacterTable,
                     data: ClassDivisorData, i: int) -> GcdQuasiPolynomial:
     """Multiplicity of irreducible row i in the permutation character of the
     action on (Z/q)^l, as a quasi-polynomial in q."""
-    accum: dict[tuple[tuple[int, ...], int], object] = {}
-    for c in range(group.class_count):
-        key = (data.reduced_divisors(c), data.lattice_rank - data.ranks[c])
-        weight = table.rows[i].values[c] * group.class_sizes[c]
-        accum[key] = accum[key] + weight if key in accum else weight
-    terms = []
-    for key, value in accum.items():
-        try:
-            terms.append((*key, Fraction(value.as_fraction(), group.order)))
-        except ValueError:
-            raise NonRationalCoefficient(
-                f"row {i}: coefficient on {key} is "
-                f"{value * Fraction(1, group.order)}, not rational")
-    return from_terms(action_period(data), terms)
+    return from_terms(action_period(data),
+                      _multiplicity_terms(group, table, data, i))
 
 
 @dataclass(frozen=True)
@@ -120,11 +134,19 @@ class EquivariantQuasiPolynomial:
 
 def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
                    data: ClassDivisorData) -> EquivariantQuasiPolynomial:
-    mults = tuple(multiplicity_qp(group, table, data, i)
-                  for i in range(table.size))
+    # rows with equal term lists, such as Galois-conjugate rows, share one
+    # quasi-polynomial
+    period = action_period(data)
+    shared: dict[tuple, GcdQuasiPolynomial] = {}
+    mults = []
+    for i in range(table.size):
+        terms = _multiplicity_terms(group, table, data, i)
+        if (qp := shared.get(terms)) is None:
+            qp = shared[terms] = from_terms(period, terms)
+        mults.append(qp)
     return EquivariantQuasiPolynomial(lattice_rank=data.lattice_rank,
-                                      period=action_period(data),
-                                      multiplicities=mults)
+                                      period=period,
+                                      multiplicities=tuple(mults))
 
 
 def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
@@ -152,7 +174,31 @@ def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
 
 def _reflected(poly: tuple[Fraction, ...], ell: int) -> tuple[Fraction, ...]:
     # coefficients of (-1)^ell * g(-t)
-    return tuple(c * (-1) ** (ell + p) for p, c in enumerate(poly))
+    return tuple(-c if (ell + p) % 2 else c for p, c in enumerate(poly))
+
+
+def _twist_indices(table: CharacterTable, delta: ClassFunction) -> list[int]:
+    """For each row i, the index of the row chi_i (x) delta. delta takes
+    only the values +-1, so the twist negates the values on the classes
+    where delta = -1, and the twisted row is looked up by its values."""
+    m = delta.group.exponent
+    one, minus = Cyclotomic.rational(m, 1), Cyclotomic.rational(m, -1)
+    if any(v != one and v != minus for v in delta.values):
+        raise NotACharacter("the twisting character takes a value other "
+                            "than 1 and -1")
+    flips = [c for c, v in enumerate(delta.values) if v == minus]
+    index = {row.values: i for i, row in enumerate(table.rows)}
+    twist = []
+    for i, row in enumerate(table.rows):
+        values = list(row.values)
+        for c in flips:
+            values[c] = -values[c]
+        j = index.get(tuple(values))
+        if j is None:
+            raise NoMatch(f"row {i} twisted by the given character is not in "
+                          f"the table")
+        twist.append(j)
+    return twist
 
 
 def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
@@ -162,7 +208,7 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     F(q) = (-1)^l delta (x) F(-q)."""
     ell = eqp.lattice_rank
     period = eqp.period
-    twist = [tensor_identify(table, i, delta) for i in range(table.size)]
+    twist = _twist_indices(table, delta)
     # the twist is an involution, so this one pass over the rows also covers
     # the aggregate identity read from the other side. Constituents depend on
     # a residue r only through gcd(period, r) = gcd(period, -r), so the
@@ -304,7 +350,9 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
     period = action_period(data)
     effective_q_max = q_max if q_max is not None else max(24, 4 * period)
 
-    fixed = tuple(fixed_point_qp(data, c) for c in range(group.class_count))
+    # classes of one Galois family share their fixed-point quasi-polynomial
+    by_leader = {c: fixed_point_qp(data, c) for c in group.leaders}
+    fixed = tuple(by_leader[leader] for leader, _ in group.families)
     eqp = equivariant_qp(group, table, data)
     delta, delta_index = reciprocity_character(group, table, data)
     linear = table.linear_indices()
@@ -421,8 +469,16 @@ def report_to_dict(report: AnalysisReport) -> dict:
     group = report.group
     data = report.data
     table = report.table
-    # an orbit-count entry repeats its row's multiplicity: serialize it once
-    serialized = [m.serialize() for m in report.equivariant.multiplicities]
+    # an orbit-count entry repeats its row's multiplicity, and rows or
+    # classes may share one quasi-polynomial object: serialize each once
+    layouts: dict[int, dict] = {}
+
+    def layout(qp: GcdQuasiPolynomial) -> dict:
+        if (found := layouts.get(id(qp))) is None:
+            found = layouts[id(qp)] = qp.serialize()
+        return found
+
+    serialized = [layout(m) for m in report.equivariant.multiplicities]
     return {
         "name": report.name,
         "rank": group.rank,
@@ -441,7 +497,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "size": group.class_sizes[c],
                 "rank": data.ranks[c],
                 "divisors": list(data.reduced_divisors(c)),
-                "fixed_points": report.fixed_point_qps[c].serialize(),
+                "fixed_points": layout(report.fixed_point_qps[c]),
             }
             for c in range(group.class_count)
         ],

@@ -10,9 +10,13 @@ root-of-unity multiplicity counting formula, at the order of each class's
 representative. Only the leader of each Galois family of classes is lifted:
 a class whose representative is conjugate to rep_leader^a takes the
 leader's eigenvalue multiplicities on zeta_o^(r*a) in place of zeta_o^r.
-The finished table is checked against first orthogonality,
-which for a square table implies the second, before being returned, and the
-same validation is applied to user-supplied tables.
+Such an eigenvalue multiset is a sparse preimage of the value in
+Z[x]/(x^e - 1), and each distinct one is reduced to a value once. The
+finished table is checked against first orthogonality, which for a square
+table implies the second, before being returned; each distinct value enters
+that check once, through its preimage where that is sparser than its
+reduced coefficients, after the preimage is confirmed to reduce to it. The
+same validation, without preimages, is applied to user-supplied tables.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _reduce
 from .errors import (GroupMismatch, NoMatch, NotASubgroup, NotLinearCharacter,
                      PrimeSearchFailed, ValidationFailed)
 from .groups import FiniteMatrixGroup, is_subgroup
@@ -99,8 +103,8 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
 
-def _validate_rows(group: FiniteMatrixGroup,
-                   rows: tuple[ClassFunction, ...]) -> tuple[tuple[int, ...], int]:
+def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
+                   preimages=None) -> tuple[tuple[int, ...], int]:
     k = group.class_count
     if len(rows) != k:
         raise ValidationFailed("squareness",
@@ -118,17 +122,46 @@ def _validate_rows(group: FiniteMatrixGroup,
         raise ValidationFailed("degree sum",
                                f"sum of squared degrees is {sum(d*d for d in degrees)},"
                                f" group order is {group.order}")
+    # Each distinct value gets one sparse term list on the powers of zeta_e:
+    # its reduced coefficients, or its preimage in Z[x]/(x^e - 1) where that
+    # has fewer terms. Reduction modulo the cyclotomic polynomial is a ring
+    # map from Z[x]/(x^e - 1) that sends x^-1 to the complex conjugate of
+    # zeta_e, so sums over either form reduce to the same value, once each
+    # preimage is confirmed to reduce to the value stored with it.
+    e = group.exponent
+    sparse: dict = {}
+    entry_terms = []
+    for i, row in enumerate(rows):
+        line = []
+        for c, v in enumerate(row.values):
+            key = v.coeffs if preimages is None else (preimages[i][c], v.coeffs)
+            if (terms := sparse.get(key)) is None:
+                pairs = tuple((s, a) for s, a in enumerate(v.coeffs) if a)
+                if preimages is not None:
+                    pre = preimages[i][c]
+                    vec = [0] * e
+                    for s, a in pre:
+                        vec[s] += a
+                    if _reduce(e, vec) != v.coeffs:
+                        raise ValidationFailed(
+                            "lift", f"row {i}, class {c}: stored value is not "
+                                    f"the reduction of its eigenvalue multiset")
+                    if len(pre) < len(pairs):
+                        pairs = pre
+                # the terms and those of the complex conjugate
+                terms = sparse[key] = (pairs, [(-s % e, a) for s, a in pairs])
+            line.append(terms)
+        entry_terms.append(line)
     # First orthogonality for the square table X reads X D X* = |G| I with
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, which therefore needs no check of its own.
     # Each entry is summed exactly on the powers of zeta_e and reduced once.
-    e = group.exponent
-    weighted = [[[(s, c * size) for s, c in enumerate(v.coeffs) if c]
-                 for v, size in zip(row.values, group.class_sizes)]
-                for row in rows]
-    conjugated = [[[(-s % e, c) for s, c in enumerate(v.coeffs) if c]
-                   for v in row.values] for row in rows]
+    weighted = [[[(s, a * size) for s, a in pairs]
+                 for (pairs, _), size in zip(line, group.class_sizes)]
+                for line in entry_terms]
+    conjugated = [[conj for _, conj in line] for line in entry_terms]
+    targets = ((0,) * e, Cyclotomic.rational(e, group.order).coeffs)
     for i in range(k):
         for j in range(i, k):
             vec = [0] * e
@@ -136,8 +169,7 @@ def _validate_rows(group: FiniteMatrixGroup,
                 for s, a in left:
                     for t, b in right:
                         vec[(s + t) % e] += a * b
-            expected = group.order if i == j else 0
-            if Cyclotomic.from_powers(e, vec) != Cyclotomic.rational(e, expected):
+            if _reduce(e, vec) != targets[i == j]:
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
     one = Cyclotomic.rational(e, 1)
     trivial = None
@@ -150,9 +182,14 @@ def _validate_rows(group: FiniteMatrixGroup,
     return tuple(degrees), trivial
 
 
-def build_table(group: FiniteMatrixGroup, rows, source: str) -> CharacterTable:
+def build_table(group: FiniteMatrixGroup, rows, source: str,
+                preimages=None) -> CharacterTable:
+    """Validate rows and wrap them as a table. `preimages`, if given, holds
+    for each stored value a sparse preimage in Z[x]/(x^e - 1) as (power,
+    coefficient) pairs, row by row; it is confirmed against the value and
+    used where it is sparser."""
     rows = tuple(rows)
-    degrees, trivial = _validate_rows(group, rows)
+    degrees, trivial = _validate_rows(group, rows, preimages)
     return CharacterTable(group=group, rows=rows, degrees=degrees,
                           trivial_index=trivial, source=source)
 
@@ -226,22 +263,26 @@ def _root_of_unity_mod(p: int, e: int) -> int:
     raise PrimeSearchFailed(f"no element of order {e} in F_{p}")
 
 def _echelon_mod(vectors: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over F_p; canonical basis of the row span."""
-    rows = [list(v) for v in vectors]
+    """Reduced row echelon form over F_p; canonical basis of the row span.
+    Rows at or below the current one are zero left of the current column,
+    so row operations start at the pivot column."""
+    rows = [[v % p for v in vec] for vec in vectors]
     width = len(rows[0]) if rows else 0
     r = 0
     for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        tail = [v * inv % p for v in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            if i != r and (f := row[c]):
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         r += 1
+        if r == len(rows):
+            break
     return rows[:r]
 
 def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
@@ -416,8 +457,11 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
            for o in {len(row) for row in group.power_classes}}
 
     # chi(rep_leader^a) has the eigenvalues zeta_o^(r*a) of chi(rep_leader),
-    # with the same multiplicities: only family leaders are lifted
-    rows = []
+    # with the same multiplicities: only family leaders are lifted. The
+    # eigenvalue multiset sum mults[r] x^(r*a*e/o) is a sparse preimage of
+    # the value in Z[x]/(x^e - 1), and each distinct one is reduced once.
+    built: dict[tuple, Cyclotomic] = {}
+    lifts = []
     for t in range(k):
         lifted = {}
         for j in group.leaders:
@@ -434,20 +478,24 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 raise ValidationFailed("class algebra",
                                        "eigenvalue multiplicities do not sum "
                                        "to the degree")
-            lifted[j] = mults
-        values = []
+            lifted[j] = (o, [(r, m) for r, m in enumerate(mults) if m])
+        values, pres = [], []
         for leader, a in group.families:
-            mults = lifted[leader]
-            o = len(mults)
-            coeffs = [0] * e
-            for r, ms in enumerate(mults):
-                coeffs[r * a % o * (e // o)] = ms
-            values.append(Cyclotomic.from_powers(e, coeffs))
-        rows.append(ClassFunction(group, tuple(values)))
+            o, nonzero = lifted[leader]
+            pre = tuple(sorted((r * a % o * (e // o), m) for r, m in nonzero))
+            if (value := built.get(pre)) is None:
+                coeffs = [0] * e
+                for s, m in pre:
+                    coeffs[s] = m
+                value = built[pre] = Cyclotomic.from_powers(e, coeffs)
+            pres.append(pre)
+            values.append(value)
+        lifts.append((ClassFunction(group, tuple(values)), pres))
 
-    rows.sort(key=lambda r: (r.values[0].as_fraction(),
-                             tuple(v.coeffs for v in r.values)))
-    return build_table(group, rows, source="dixon")
+    lifts.sort(key=lambda lift: (lift[0].values[0].as_fraction(),
+                                 tuple(v.coeffs for v in lift[0].values)))
+    return build_table(group, [row for row, _ in lifts], source="dixon",
+                       preimages=[pres for _, pres in lifts])
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +565,18 @@ def _cell(coeffs) -> list[list[int]]:
 def table_to_dict(table: CharacterTable) -> dict:
     """Serialize a table back into the exchange format. Each value lists
     its coefficients only up to the last nonzero one; the missing powers
-    are zero, as `ingest_character_table` reads them."""
+    are zero, as `ingest_character_table` reads them. Equal values share
+    one cell list."""
+    cells: dict = {}
+
+    def cell(coeffs):
+        if (found := cells.get(coeffs)) is None:
+            found = cells[coeffs] = _cell(coeffs)
+        return found
+
     return {
         "conductor": table.group.exponent,
         "classes": list(table.group.class_representatives),
-        "rows": [[_cell(value.coeffs) for value in row.values]
+        "rows": [[cell(value.coeffs) for value in row.values]
                  for row in table.rows],
     }

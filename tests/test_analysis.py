@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from equichar import (FiniteMatrixGroup, IntMatrix, NonRationalCoefficient,
-                      NotACharacter, action_period, analysis, analyze,
-                      class_divisor_data, dixon_character_table,
-                      equivariant_qp, fixed_point_qp, generate_group,
-                      multiplicity_qp, reciprocity_character, report_to_dict,
-                      smith_normal_form)
+from equichar import (FiniteMatrixGroup, IntMatrix, NoMatch,
+                      NonRationalCoefficient, NotACharacter, action_period,
+                      analysis, analyze, class_divisor_data,
+                      dixon_character_table, equivariant_qp, find_row,
+                      fixed_point_qp, generate_group, multiplicity_qp,
+                      reciprocity_character, report_to_dict,
+                      smith_normal_form, tensor_identify)
 from equichar.analysis import integrality_failure
 from equichar.cyclo import Cyclotomic
 from equichar.gcdpoly import divisors_of, from_terms
@@ -233,6 +234,14 @@ class TestGoldenMultiplicities:
 
 
 class TestEquivariant:
+    def test_equal_term_lists_share_one_multiplicity(self, c21_group):
+        # 21 rows of C21 in 4 Galois orbits: 4 distinct term lists
+        table = dixon_character_table(c21_group)
+        eqp = equivariant_qp(c21_group, table, class_divisor_data(c21_group))
+        assert len(eqp.multiplicities) == 21
+        assert len({id(m) for m in eqp.multiplicities}) == 4
+        assert len(set(map(repr, eqp.multiplicities))) == 4
+
     def test_leading_coefficients(self, pipelines):
         for name, (group, table, data) in pipelines.items():
             eqp = equivariant_qp(group, table, data)
@@ -455,6 +464,45 @@ class TestReciprocity:
         delta = multiplicity_qp(group, table, data, sign)
         for q in range(-12, 13):
             assert triv.evaluate(q) == delta.evaluate(-q)
+
+    def test_twist_makes_no_cyclotomic_product(self, pipelines, c21_group,
+                                               monkeypatch):
+        cases = [pipelines[name] for name in ("c6-z3", "s3-a2")]
+        table = dixon_character_table(c21_group)
+        cases.append((c21_group, table, class_divisor_data(c21_group)))
+        prepared = []
+        for group, table, data in cases:
+            delta, _ = reciprocity_character(group, table, data)
+            prepared.append((table, equivariant_qp(group, table, data), delta))
+
+        def refuse(self, other):
+            raise AssertionError("Cyclotomic product in check_reciprocity")
+
+        monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
+        monkeypatch.setattr(Cyclotomic, "__rmul__", refuse)
+        for table, eqp, delta in prepared:
+            verdicts = analysis.check_reciprocity(table, eqp, delta)
+            assert all(v.passed for v in verdicts)
+
+    def test_twist_twists_by_delta(self, pipelines):
+        # the rows check_reciprocity pairs are those tensor_identify finds
+        for group, table, data in pipelines.values():
+            delta, _ = reciprocity_character(group, table, data)
+            assert analysis._twist_indices(table, delta) == \
+                [tensor_identify(table, i, delta) for i in range(table.size)]
+
+    def test_twist_with_missing_row_names_it(self, pipelines):
+        group, table, data = pipelines["s3-a2"]
+        delta, _ = reciprocity_character(group, table, data)
+        sign = find_row(table, delta.values)
+        # both rows now hold the sign character, whose twist is gone
+        rows = list(table.rows)
+        rows[table.trivial_index] = rows[sign]
+        first = min(sign, table.trivial_index)
+        with pytest.raises(NoMatch, match=f"row {first} twisted by the given "
+                                          f"character is not in the table"):
+            analysis._twist_indices(dataclasses.replace(table, rows=rows),
+                                    delta)
 
     def test_even_rank_trivial_delta_gives_symmetry(self, pipelines):
         group, table, data = pipelines["c6-z2"]

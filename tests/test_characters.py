@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from equichar import (FiniteMatrixGroup, NoMatch, NotASubgroup,
                       induce_trivial, ingest_character_table, inner_product,
                       rational_class_function, table_to_dict,
                       tensor_identify)
+from equichar import characters
+from equichar.characters import _echelon_mod, build_table
 from equichar.cli import parse_input
 from equichar.cyclo import Cyclotomic
 
@@ -201,6 +204,107 @@ class TestGaloisFamilies:
         dixon_character_table(group)
         assert set(reads) == set(group.leaders) and len(group.leaders) == 4
         assert len(reads) == 21 * 4
+
+
+class TestDistinctValues:
+    def test_c21_builds_each_distinct_value_once(self, c21_group,
+                                                 monkeypatch):
+        built = []
+        from_powers = Cyclotomic.from_powers.__func__
+
+        def recording(cls, m, coeffs):
+            value = from_powers(cls, m, coeffs)
+            built.append(value)
+            return value
+
+        monkeypatch.setattr(Cyclotomic, "from_powers", classmethod(recording))
+        table = dixon_character_table(c21_group)
+        distinct = {v for row in table.rows for v in row.values}
+        assert len(distinct) == 21
+        assert len(built) <= len(distinct)
+
+    @staticmethod
+    def captured_build(group, monkeypatch):
+        # the rows and preimages Dixon hands to build_table
+        captured = {}
+        original = characters.build_table
+
+        def capture(group, rows, source, preimages=None):
+            captured.update(rows=list(rows), preimages=preimages)
+            return original(group, rows, source, preimages)
+
+        monkeypatch.setattr(characters, "build_table", capture)
+        dixon_character_table(group)
+        monkeypatch.setattr(characters, "build_table", original)
+        return captured["rows"], [list(p) for p in captured["preimages"]]
+
+    def test_preimage_disagreeing_with_stored_value_fails(self, c21_group,
+                                                           monkeypatch):
+        rows, preimages = self.captured_build(c21_group, monkeypatch)
+        assert build_table(c21_group, rows, "dixon", preimages).rows == \
+            tuple(rows)
+        # move one eigenvalue of a value at class 1 to the next power
+        (s, mult), = preimages[1][1]
+        preimages[1][1] = (((s + 1) % 21, mult),)
+        with pytest.raises(ValidationFailed) as info:
+            build_table(c21_group, rows, "dixon", preimages)
+        assert info.value.relation == "lift"
+
+    def test_stored_value_disagreeing_with_preimage_fails(self, s3_group,
+                                                          monkeypatch):
+        rows, preimages = self.captured_build(s3_group, monkeypatch)
+        # add 1 to the last value of the 2-dimensional row
+        row = max(rows, key=lambda r: r.values[0].as_fraction())
+        last = row.values[-1].as_fraction()
+        changed = replace(row, values=(
+            *row.values[:-1], Cyclotomic.rational(s3_group.exponent, last + 1)))
+        rows[rows.index(row)] = changed
+        with pytest.raises(ValidationFailed) as info:
+            build_table(s3_group, rows, "dixon", preimages)
+        assert info.value.relation == "lift"
+
+
+def plain_rref(vectors, p):
+    """Gauss-Jordan over F_p on whole rows, as a reference."""
+    rows = [[v % p for v in vec] for vec in vectors]
+    width = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_plain_rref(self, seed):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 7, 43, 337])
+        height, width = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(height, width))
+        # rows spanning a space of at most `rank` dimensions, some entries
+        # far outside 0..p-1
+        basis = [[rng.randint(-3 * p, 3 * p) for _ in range(width)]
+                 for _ in range(rank)]
+        vectors = [[sum(rng.randint(-2, 2) * b[j] for b in basis)
+                    + p * rng.randint(-2, 2) for j in range(width)]
+                   for _ in range(height)]
+        if rng.random() < 0.3:
+            vectors[0][0] += p
+        assert _echelon_mod(vectors, p) == plain_rref(vectors, p)
+
+    def test_unreduced_zero_rows_vanish(self):
+        assert _echelon_mod([[5, 10], [0, 5]], 5) == []
+        assert _echelon_mod([[6, 5], [5, 12]], 5) == [[1, 0], [0, 1]]
 
 
 class TestCoefficientTypes:

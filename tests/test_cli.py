@@ -11,9 +11,9 @@ import pytest
 from equichar import (ParseError, UnknownExample, ValidationError, Verdict,
                       divisors_of, errors)
 from equichar.analysis import report_to_dict
-from equichar.cli import (BUILTINS, _describe_error, _to_json, builtin,
-                          format_constituent, main, parse_input, render_json,
-                          render_latex, render_text, run_analyze)
+from equichar.cli import (BUILTINS, _build_parser, _describe_error, _to_json,
+                          builtin, format_constituent, main, parse_input,
+                          render_json, render_latex, render_text, run_analyze)
 
 from conftest import PROBLEMS_DIR
 
@@ -140,6 +140,11 @@ class TestRendering:
                     list(original.constituent(d))
 
 
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+    assert main(["builtins"]) == 0 and main(["builtins"]) == 0
+
+
 class TestJsonWriter:
     EDGE_VALUES = [
         {}, [], "", 0, -1, None, True, 1.5,
@@ -155,6 +160,28 @@ class TestJsonWriter:
     @pytest.mark.parametrize("value", EDGE_VALUES)
     def test_edge_values_match_json_dumps(self, value):
         assert _to_json(value) == json.dumps(value, indent=2)
+
+    @staticmethod
+    def shared_values():
+        cell = [[1, 2], [3, 4]]
+        flags = [[True, 1], [1, 0]]
+        return [
+            [cell, cell],
+            {"a": cell, "b": [cell, {"c": cell}], "d": cell},
+            [cell, [cell, [cell]]],
+            [flags, flags, [flags]],
+            [[[True, 1]], [[True, 1]]],
+            [[[1], []], [[1], []], cell, [[1, True]]],
+            ([cell, cell], [cell, (cell,)]),
+        ]
+
+    def test_shared_lists_match_json_dumps(self):
+        for value in self.shared_values():
+            assert _to_json(value) == json.dumps(value, indent=2)
+            # the same value two levels deep
+            assert _to_json(value, "    ") == \
+                json.dumps([[value]], indent=2)[len("[\n  [\n    "):
+                                                -len("\n  ]\n]")]
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_builtin_reports_match_json_dumps(self, name):
