@@ -11,10 +11,8 @@ for small q.
 from .analysis import (AnalysisReport, ClassDivisorData,
                        EquivariantQuasiPolynomial, action_period, analyze,
                        check_reciprocity, class_divisor_data, equivariant_qp,
-                       fixed_point_qp, multiplicity_qp, reciprocity_character,
-                       report_to_dict)
-from .bruteforce import (OrbitDecomposition, brute_multiplicities,
-                         brute_orbit_counts_for_linear, differential_check,
+                       fixed_point_qp, reciprocity_character, report_to_dict)
+from .bruteforce import (OrbitDecomposition, differential_check,
                          enumerate_action)
 from .characters import (CharacterTable, ClassFunction, Cyclotomic,
                          dixon_character_table, find_row, induce_trivial,
@@ -67,8 +65,6 @@ __all__ = [
     "Verdict",
     "action_period",
     "analyze",
-    "brute_multiplicities",
-    "brute_orbit_counts_for_linear",
     "check_reciprocity",
     "class_divisor_data",
     "cyclic_subgroup",
@@ -85,7 +81,6 @@ __all__ = [
     "inner_product",
     "is_subgroup",
     "make_quasimonomial",
-    "multiplicity_qp",
     "rational_class_function",
     "reciprocity_character",
     "report_to_dict",

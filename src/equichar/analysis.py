@@ -11,16 +11,17 @@ irreducible characters, summed as integer coefficient vectors, produces the
 multiplicity quasi-polynomials; rows with equal term lists share one.
 `analyze` then checks each structural fact once (gcd-property, leading
 terms, minimal period, the reciprocity twist by the parity character of
-the ranks, dimension identity, integrality, tested once per distinct
-multiplicity), each verdict a proof for all q, and optionally compares
-everything against brute-force orbit enumeration for small q.
+the ranks, dimension identity, integrality), each on the stored integer
+numerators of each distinct multiplicity object rather than of each row,
+each verdict a proof for all q, and optionally compares everything against
+brute-force orbit enumeration for small q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
@@ -31,7 +32,7 @@ from .cyclo import Cyclotomic
 from .errors import (CertificationFailed, NoMatch, NonRationalCoefficient,
                      NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
-                      integer_constituents, make_quasimonomial)
+                      make_quasimonomial, rows_by_object)
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix, smith_normal_form
 
@@ -74,11 +75,7 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
 def action_period(data: ClassDivisorData) -> int:
     """lcm of the largest elementary divisors over all classes; this is the
     common period of every quasi-polynomial the action produces."""
-    period = 1
-    for chain in data.divisors:
-        if chain:
-            period = lcm(period, chain[-1])
-    return period
+    return lcm(1, *(chain[-1] for chain in data.divisors if chain))
 
 
 def fixed_point_qp(data: ClassDivisorData,
@@ -112,14 +109,6 @@ def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
                 f"{value * Fraction(1, group.order)}, not rational")
         terms.append((*key, Fraction(vec[0], group.order)))
     return tuple(terms)
-
-
-def multiplicity_qp(group: FiniteMatrixGroup, table: CharacterTable,
-                    data: ClassDivisorData, i: int) -> GcdQuasiPolynomial:
-    """Multiplicity of irreducible row i in the permutation character of the
-    action on (Z/q)^l, as a quasi-polynomial in q."""
-    return from_terms(action_period(data),
-                      _multiplicity_terms(group, table, data, i))
 
 
 @dataclass(frozen=True)
@@ -172,9 +161,12 @@ def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
     return cf, idx
 
 
-def _reflected(poly: tuple[Fraction, ...], ell: int) -> tuple[Fraction, ...]:
-    # coefficients of (-1)^ell * g(-t)
-    return tuple(-c if (ell + p) % 2 else c for p, c in enumerate(poly))
+def _reflected(qp: GcdQuasiPolynomial, ell: int) -> GcdQuasiPolynomial:
+    # (-1)^ell * qp(-q): constituents depend on r only through
+    # gcd(period, r) = gcd(period, -r), so each numerator is reflected in place
+    return GcdQuasiPolynomial(qp.period, qp.denominator, {
+        d: tuple(-c if (ell + p) % 2 else c for p, c in enumerate(nums))
+        for d, nums in qp.numerators.items()})
 
 
 def _twist_indices(table: CharacterTable, delta: ClassFunction) -> list[int]:
@@ -206,38 +198,42 @@ def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
     """Constituent-level verification of the twist identity
     m(chi_i (x) delta; q) = (-1)^l m(chi_i; -q) and of its aggregate form
     F(q) = (-1)^l delta (x) F(-q)."""
-    ell = eqp.lattice_rank
     period = eqp.period
+    mults = eqp.multiplicities
     twist = _twist_indices(table, delta)
-    # the twist is an involution, so this one pass over the rows also covers
-    # the aggregate identity read from the other side. Constituents depend on
-    # a residue r only through gcd(period, r) = gcd(period, -r), so the
-    # divisors d of the period stand for every residue, and the smallest
-    # failing d is also the smallest failing residue.
-    failures = []
-    for i in range(table.size):
-        j = twist[i]
-        for d in divisors_of(period):
-            lhs = eqp.multiplicities[j].constituent(d)
-            rhs = _reflected(eqp.multiplicities[i].constituent(d), ell)
-            if lhs != rhs:
-                failures.append((i, d))
+    reflected = {id(qp): _reflected(qp, eqp.lattice_rank)
+                 for qp, _ in rows_by_object(mults)}
+    # the twist is an involution, so this pass also covers the aggregate
+    # identity read from the other side. Canonical tables of one period are
+    # equal iff every constituent is: == runs once per distinct pair of
+    # objects, at its first row, and the smallest failing divisor d is also
+    # the smallest failing residue.
+    first_rows: dict[tuple[int, int], int] = {}
+    for i, j in enumerate(twist):
+        first_rows.setdefault((id(mults[i]), id(mults[j])), i)
+    failure = None
+    for i in first_rows.values():
+        lhs, rhs = mults[twist[i]], reflected[id(mults[i])]
+        if lhs != rhs:
+            failure = (i, next(d for d in divisors_of(period)
+                               if lhs.constituent(d) != rhs.constituent(d)))
+            break
     involution = all(twist[j] == i for i, j in enumerate(twist))
     method = f"symbolic, constituents mod {period}"
-    details = f"first failure at row, residue {failures[0]}" if failures else ""
+    details = f"first failure at row, residue {failure}" if failure else ""
     return [
         Verdict(
             name="reciprocity-twist",
             statement="m(chi_i (x) delta; q) = (-1)^l m(chi_i; -q) for every row i",
             method=method,
-            passed=not failures,
+            passed=failure is None,
             details=details,
         ),
         Verdict(
             name="reciprocity-aggregate",
             statement="F(q) = (-1)^l delta (x) F(-q), componentwise",
             method=method,
-            passed=not failures and involution,
+            passed=failure is None and involution,
             details=details or ("" if involution else
                                 "twisting by delta is not an involution"),
         ),
@@ -258,28 +254,22 @@ def integrality_failure(multiplicities, period: int,
     Cauchy bound 1 + max|a_j / a_top| on its roots, so only the q below
     that bound in its gcd class are evaluated.
 
-    Every constituent is evaluated as integer numerators over one common
-    denominator (`integer_constituents`). Galois-conjugate rows have equal
-    multiplicities, so each distinct one is tested once, at its first row,
-    which is the row a failure names."""
-    seen = set()
-    for i, m in enumerate(multiplicities):
-        key = (m.period, tuple(sorted(m.constituents.items())))
-        if key in seen:
-            continue
-        seen.add(key)
-        scaled = integer_constituents(m, period)
+    Values are the stored integer numerators evaluated at q, over the
+    denominator. Each distinct multiplicity is tested once, at its first
+    row, which is the row a failure names."""
+    for m, (i, *_) in rows_by_object(multiplicities):
+        den = m.denominator
+        table = {d: m.numerators[gcd(m.period, d)] for d in divisors_of(period)}
         for q in range(1, period * (ell + 1) + 1):
-            nums, den = scaled[gcd(period, q)]
-            acc = horner(nums, q)
+            acc = horner(table[gcd(period, q)], q)
             if acc % den:
                 return (f"row {i}: value {Fraction(acc, den)} at q={q} "
                         f"is not an integer")
-        for d, (nums, den) in scaled.items():
-            if not nums or nums[0] <= 0:
+        for d, nums in table.items():
+            if not nums or nums[-1] <= 0:
                 return f"row {i}: leading coefficient at gcd {d} is not positive"
             # the ratios a_j / a_top are those of the numerators
-            bound = 1 + -(-max(map(abs, nums[1:]), default=0) // nums[0])
+            bound = 1 + -(-max(map(abs, nums[:-1]), default=0) // nums[-1])
             for q in range(d, bound, d):
                 if gcd(period, q) == d and (acc := horner(nums, q)) < 0:
                     return (f"row {i}: value {Fraction(acc, den)} at q={q} "
@@ -327,20 +317,6 @@ class AnalysisReport:
         return all(v.passed for v in self.verdicts)
 
 
-def _top_constituent_reference(group: FiniteMatrixGroup,
-                               data: ClassDivisorData) -> tuple[Fraction, ...]:
-    # (1/|G|) sum over classes of size * prod(divisors) * t^(l - rank)
-    coeffs = [Fraction(0)] * (data.lattice_rank + 1)
-    for c in range(group.class_count):
-        prod = Fraction(group.class_sizes[c], group.order)
-        for e in data.divisors[c]:
-            prod *= e
-        coeffs[data.lattice_rank - data.ranks[c]] += prod
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
             name: str = "", q_max: int | None = None,
             verify: bool = True) -> AnalysisReport:
@@ -356,29 +332,32 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
     eqp = equivariant_qp(group, table, data)
     delta, delta_index = reciprocity_character(group, table, data)
     linear = table.linear_indices()
-    minimal_periods = tuple(m.minimal_period() for m in eqp.multiplicities)
+    # every check below reads each distinct multiplicity once, with its rows
+    shared = rows_by_object(eqp.multiplicities)
+    periods = {id(qp): qp.minimal_period() for qp, _ in shared}
+    minimal_periods = tuple(periods[id(m)] for m in eqp.multiplicities)
 
     verdicts: list[Verdict] = []
     symbolic = f"symbolic, constituents mod {period}"
 
-    produced = list(fixed) + list(eqp.multiplicities)
     gcd_ok = all(
-        qp.constituent(r) == qp.constituent(gcd(period, r))
-        for qp in produced for r in range(1, period + 1))
+        qp.numerators[gcd(qp.period, r)] == qp.numerators[gcd(qp.period, period, r)]
+        for qp, _ in rows_by_object((*fixed, *eqp.multiplicities))
+        for r in range(1, period + 1))
     verdicts.append(Verdict(
         name="gcd-property",
         statement="constituents depend on the residue r only through gcd(period, r)",
         method=symbolic,
         passed=gcd_ok))
 
+    # every multiplicity has the period of eqp, so its numerators are keyed
+    # by the divisors of `period`
     ell = data.lattice_rank
-    leading_ok = True
-    for i, qp in enumerate(eqp.multiplicities):
-        expected = Fraction(table.degrees[i], group.order)
-        for d in divisors_of(period):
-            poly = qp.constituent(d)
-            if len(poly) - 1 != ell or poly[-1] != expected:
-                leading_ok = False
+    leading_ok = all(
+        len(nums) == ell + 1
+        and nums[-1] * group.order == degree * qp.denominator
+        for qp, rows in shared for degree in {table.degrees[i] for i in rows}
+        for nums in qp.numerators.values())
     verdicts.append(Verdict(
         name="leading-term",
         statement="every multiplicity has degree l with leading coefficient "
@@ -396,27 +375,37 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
                 and all(period % mp == 0 for mp in minimal_periods)),
         details=f"exact minimal periods {list(minimal_periods)}"))
 
-    top_ref = _top_constituent_reference(group, data)
+    # |G| times the class average of prod(divisors) * t^(l - rank); only
+    # the identity has rank 0, so the t^l coefficient is 1 and nothing trims
+    top_ref = [0] * (ell + 1)
+    for size, rank, chain in zip(group.class_sizes, data.ranks, data.divisors):
+        top_ref[ell - rank] += size * prod(chain)
+    trivial = eqp.multiplicities[table.trivial_index]
     verdicts.append(Verdict(
         name="top-constituent",
         statement="the constituent of the trivial row at the full-period "
                   "residue equals the class average of prod(divisors) * "
                   "t^(l - rank)",
         method=symbolic,
-        passed=eqp.multiplicities[table.trivial_index].constituent(period) == top_ref))
+        passed=[n * group.order for n in trivial.numerators[period]] ==
+               [c * trivial.denominator for c in top_ref]))
 
-    # every multiplicity has period `period` and degree at most l, so the
-    # weighted sum is q^l iff at every divisor its trimmed constituent is
+    # each distinct multiplicity counts with the summed degrees of its rows,
+    # over the lcm of the denominators; every one has degree at most l, so
+    # the weighted sum is q^l iff at every divisor its trimmed constituent is
     # that of q^l
+    den = lcm(*(qp.denominator for qp, _ in shared))
+    weighted = [(qp, sum(table.degrees[i] for i in rows) * (den // qp.denominator))
+                for qp, rows in shared]
     dim_ok = True
     for d in divisors_of(period):
         total = [0] * (ell + 1)
-        for degree, qp in zip(table.degrees, eqp.multiplicities):
-            for p, c in enumerate(qp.constituent(d)):
-                total[p] += degree * c
+        for qp, weight in weighted:
+            for p, c in enumerate(qp.numerators[d]):
+                total[p] += weight * c
         while total and total[-1] == 0:
             total.pop()
-        if total != [0] * ell + [1]:
+        if total != [0] * ell + [den]:
             dim_ok = False
             break
     verdicts.append(Verdict(
@@ -471,14 +460,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
     table = report.table
     # an orbit-count entry repeats its row's multiplicity, and rows or
     # classes may share one quasi-polynomial object: serialize each once
-    layouts: dict[int, dict] = {}
-
-    def layout(qp: GcdQuasiPolynomial) -> dict:
-        if (found := layouts.get(id(qp))) is None:
-            found = layouts[id(qp)] = qp.serialize()
-        return found
-
-    serialized = [layout(m) for m in report.equivariant.multiplicities]
+    mults = report.equivariant.multiplicities
+    layout = {id(qp): qp.serialize() for qp, _ in
+              rows_by_object((*mults, *report.fixed_point_qps))}
+    serialized = [layout[id(m)] for m in mults]
     return {
         "name": report.name,
         "rank": group.rank,
@@ -497,7 +482,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "size": group.class_sizes[c],
                 "rank": data.ranks[c],
                 "divisors": list(data.reduced_divisors(c)),
-                "fixed_points": layout(report.fixed_point_qps[c]),
+                "fixed_points": layout[id(report.fixed_point_qps[c])],
             }
             for c in range(group.class_count)
         ],

@@ -27,14 +27,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from operator import eq, mul
 
 from .characters import CharacterTable
 from .checks import Verdict
 from .errors import (CertificationFailed, EnumerationCapExceeded,
                      ValidationError)
-from .gcdpoly import GcdQuasiPolynomial, horner, integer_constituents
+from .gcdpoly import GcdQuasiPolynomial, horner, rows_by_object
 from .groups import FiniteMatrixGroup
 from .intmat import IntMatrix
 
@@ -226,14 +226,6 @@ def _counted_multiplicities(columns: list[list[tuple]],
     return values
 
 
-def brute_multiplicities(group: FiniteMatrixGroup, table: CharacterTable,
-                         dec: OrbitDecomposition) -> tuple[Fraction, ...]:
-    """Inner product of each table row against the counted permutation
-    character: (1/|G|) sum over classes of size * fixed * conj(value)."""
-    return tuple(Fraction(v, group.order) for v in _counted_multiplicities(
-        _multiplicity_columns(group, table), dec))
-
-
 def _linear_kernels(table: CharacterTable) -> dict[int, set[int]]:
     """Each degree-1 row's kernel: the classes of its identity value."""
     return {i: {c for c, v in enumerate(values) if v == values[0]}
@@ -243,19 +235,14 @@ def _linear_kernels(table: CharacterTable) -> dict[int, set[int]]:
 
 def _linear_orbit_counts(kernels: dict[int, set[int]],
                          dec: OrbitDecomposition) -> dict[int, int]:
-    tally = Counter(dec.isotropy)
-    return {i: sum(n for stab, n in tally.items()
-                   if kernel.issuperset(c for c, _ in stab))
-            for i, kernel in kernels.items()}
-
-
-def brute_orbit_counts_for_linear(table: CharacterTable,
-                                  dec: OrbitDecomposition) -> dict[int, int]:
     """For each degree-1 row, the number of orbits whose isotropy lies in
     its kernel, a union of classes: an orbit counts when every class its
     stabilizer meets is one where the row takes its identity value. Orbits
     with the same isotropy are tested once."""
-    return _linear_orbit_counts(_linear_kernels(table), dec)
+    tally = Counter(dec.isotropy)
+    return {i: sum(n for stab, n in tally.items()
+                   if kernel.issuperset(c for c, _ in stab))
+            for i, kernel in kernels.items()}
 
 
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
@@ -265,14 +252,11 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     """Compare every symbolic prediction against enumeration for q up to
     q_max (clamped by the point cap). Returns the verdicts and the largest q
     actually enumerated. Predictions are compared in integers, as numerators
-    over their constituent's denominator."""
+    over their denominator, each distinct object evaluated once per q."""
     cap = resolve_cap(cap)
     columns = _multiplicity_columns(group, table)
     kernels = _linear_kernels(table)
-    # every constituent over one denominator, on the classes of the lcm period
-    period = lcm(1, *(qp.period for qp in (*fixed_qps, *multiplicities)))
-    fixed_prep, mult_prep = ([integer_constituents(qp, period) for qp in qps]
-                             for qps in (fixed_qps, multiplicities))
+    objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
     first_bad: dict[str, str] = {}  # the first mismatch of each check
 
     def compare(key, where, value, counted, scale=1, verb="counted"):
@@ -287,10 +271,10 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
         if q ** group.rank > cap:
             break
         dec = enumerate_action(group, q, cap, matrices)
-        d = gcd(period, q)
-        fixed, mults = ([(horner(nums, q), den) for nums, den in
-                         (t[d] for t in prep)]
-                        for prep in (fixed_prep, mult_prep))
+        value = {id(qp): (horner(qp.numerators[gcd(qp.period, q)], q),
+                          qp.denominator) for qp in objects}
+        fixed, mults = ([value[id(qp)] for qp in qps]
+                        for qps in (fixed_qps, multiplicities))
         for c, counted in enumerate(dec.fixed_counts):
             compare("fixed-points", f"class {c} at q={q}", fixed[c], counted)
         for i, counted in enumerate(_counted_multiplicities(columns, dec)):

@@ -27,14 +27,13 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from pathlib import Path
 
 from .analysis import AnalysisReport, analyze, report_to_dict
 from .bruteforce import MAX_POINTS_ENV
 from .errors import EquicharError, ParseError, UnknownExample, ValidationError
-from .gcdpoly import divisors_of
+from .gcdpoly import divisors_of, rows_by_object
 from .groups import DEFAULT_MAX_ORDER, generate_group
 from .intmat import IntMatrix
 
@@ -190,49 +189,50 @@ def run_analyze(spec: ProblemSpec) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 
 
-def _poly_pieces(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    # common denominator and integer numerator coefficients, low to high
-    denom = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return denom, [int(c * denom) for c in coeffs]
-
-
-def _format_poly(nums: list[int], var: str, latex: bool) -> str:
-    if not any(nums):
-        return "0"
+def format_constituent(nums: tuple[int, ...], den: int,
+                       latex: bool = False) -> str:
+    """The polynomial in q with integer coefficients nums (low to high) over
+    den, numerators and denominator divided by their gcd first."""
+    common = gcd(den, *nums)
+    denom = den // common
     parts = []
     for power in range(len(nums) - 1, -1, -1):
-        c = nums[power]
-        if c == 0:
+        mag = abs(nums[power]) // common
+        if mag == 0:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        sign = "-" if nums[power] < 0 else "+"
         if power == 0:
             body = str(mag)
         else:
             if power == 1:
-                head = var
+                head = "q"
             elif latex:
-                head = f"{var}^{{{power}}}"
+                head = f"q^{{{power}}}"
             else:
-                head = f"{var}^{power}"
+                head = f"q^{power}"
             body = head if mag == 1 else f"{mag}{head}"
         parts.append((sign, body))
+    if not parts:
+        return "0"
     first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def format_constituent(coeffs: tuple[Fraction, ...], var: str = "q",
-                       latex: bool = False) -> str:
-    denom, nums = _poly_pieces(coeffs)
-    body = _format_poly(nums, var, latex)
+    body = ("-" if first_sign == "-" else "") + first_body
+    for sign, part in parts[1:]:
+        body += f" {sign} {part}"
     if denom == 1:
         return body
     if latex:
         return rf"\dfrac{{1}}{{{denom}}}\left({body}\right)"
     return f"({body})/{denom}"
+
+
+def _constituent_texts(report: AnalysisReport, latex: bool) -> list[list[str]]:
+    """Per row, its constituents formatted in divisor order (every
+    multiplicity has the report's period), once per distinct object."""
+    mults = report.equivariant.multiplicities
+    texts = {id(qp): [format_constituent(nums, qp.denominator, latex=latex)
+                      for nums in qp.numerators.values()]
+             for qp, _ in rows_by_object(mults)}
+    return [texts[id(qp)] for qp in mults]
 
 
 def _row_label(report: AnalysisReport, i: int) -> str:
@@ -283,13 +283,11 @@ def render_text(report: AnalysisReport) -> str:
             f"divisors {list(divs) or '[]'}, fixed {div_text}")
     lines.append("")
     lines.append(f"multiplicities, constituents by gcd({report.period}, q):")
-    eqp = report.equivariant
-    for i in range(report.table.size):
+    for i, texts in enumerate(_constituent_texts(report, latex=False)):
         lines.append(f"  m[{i}] for {_row_label(report, i)}, "
                      f"minimal period {report.minimal_periods[i]}:")
-        qp = eqp.multiplicities[i]
-        for d in divisors_of(report.period):
-            lines.append(f"    gcd = {d}: {format_constituent(qp.constituent(d))}")
+        for d, text in zip(divisors_of(report.period), texts):
+            lines.append(f"    gcd = {d}: {text}")
     lines.append("")
     delta = "trivial" if report.reciprocity_index == report.table.trivial_index \
         else f"row {report.reciprocity_index}"
@@ -363,14 +361,11 @@ def render_latex(report: AnalysisReport) -> str:
     lines.append(f"% problem: {report.name}")
     lines.append(f"% group order {group.order}, lattice rank {group.rank}, "
                  f"period {report.period}")
-    eqp = report.equivariant
-    for i in range(report.table.size):
+    divisors = divisors_of(report.period)
+    for i, bodies in enumerate(_constituent_texts(report, latex=True)):
         lines.append(r"\begin{align*}")
         lines.append(rf"m(\chi_{{{i}}};\,q) &= \begin{{cases}}")
-        divisors = divisors_of(report.period)
-        for pos, d in enumerate(divisors):
-            body = format_constituent(eqp.multiplicities[i].constituent(d),
-                                      latex=True)
+        for pos, (d, body) in enumerate(zip(divisors, bodies)):
             last = pos == len(divisors) - 1
             tail = "," if last else (";" + r"\\")
             lines.append(

@@ -21,7 +21,8 @@ class NonUnimodularGenerator(EquicharError):
 
 
 class OrderCapExceeded(EquicharError):
-    """Group closure grew past the configured order cap."""
+    """Group closure grew past the configured order cap, or would: a
+    generator or a product of two has infinite order."""
 
     stage = "group construction"
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -103,7 +104,36 @@ def _validated_generators(generators: Sequence[IntMatrix], rank: int | None) -> 
     for g in gens:
         if abs(g.det()) != 1:
             raise NonUnimodularGenerator(f"generator with determinant {g.det()}")
+    _reject_infinite_orders(gens, ell)
     return gens, ell
+
+
+def _reject_infinite_orders(gens: list[IntMatrix], ell: int) -> None:
+    """Raise OrderCapExceeded when a generator, or a product of two, has
+    infinite order. A finite order of an ell x ell integer matrix divides
+    M = lcm{n : phi(n) <= ell}, the lcm of the prime powers q <= 2 ell with
+    phi(q) <= ell. g^M is taken modulo the prime 2^61 - 1: g^M != I there
+    proves g infinite, and a match leaves the order cap to apply."""
+    exponent = lcm(*(n for n in range(1, 2 * ell + 1)
+                     if sum(gcd(k, n) == 1 for k in range(n)) <= ell))
+    p = (1 << 61) - 1
+
+    def product(a, b):
+        return [[sum(map(mul, row, col)) % p for col in zip(*b)] for row in a]
+
+    # g^2 has infinite order iff g has, so the pairs i <= j cover both
+    rows = [g.to_rows() for g in gens]
+    ident = IntMatrix.identity(ell).to_rows()
+    for (i, a), (j, b) in combinations_with_replacement(enumerate(rows), 2):
+        g, power = product(a, b), ident
+        for bit in bin(exponent)[2:]:  # left-to-right binary powering
+            power = product(power, power)
+            if bit == "1":
+                power = product(power, g)
+        if power != ident:
+            name = (f"generator {i}" if i == j else
+                    f"the product of generators {i} and {j}")
+            raise OrderCapExceeded(f"{name} has infinite order")
 
 
 def _image(g_rows: list[tuple[int, ...]], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -224,8 +254,9 @@ def generate_group(generators: Sequence[IntMatrix],
                    rank: int | None = None) -> FiniteMatrixGroup:
     """Close the generators under multiplication and package the group data.
 
-    Raises OrderCapExceeded as soon as an orbit grown for the invariant form
-    or for Omega, or the closure, would pass max_order, so infinite (or
+    Raises OrderCapExceeded before closure when a generator or a product of
+    two has infinite order, and as soon as an orbit grown for the invariant
+    form or for Omega, or the closure, would pass max_order, so infinite (or
     merely huge) generated groups fail fast instead of looping.
     """
     gens, ell = _validated_generators(generators, rank)

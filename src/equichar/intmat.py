@@ -119,9 +119,6 @@ class IntMatrix:
         """Rank by the Bareiss pass, independent of the Smith form."""
         return self._bareiss()[0]
 
-    def is_unimodular(self) -> bool:
-        return self.is_square() and abs(self.det()) == 1
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:

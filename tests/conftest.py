@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,15 +54,16 @@ def mat(rows) -> IntMatrix:
 
 def plus_one(qp: GcdQuasiPolynomial, divisors=None) -> GcdQuasiPolynomial:
     """qp + 1 on the residue classes of the given divisors of its period,
-    all of them by default."""
-    table = dict(qp.constituents)
+    all of them by default. Adding the denominator to a numerator keeps the
+    table reduced."""
+    table = dict(qp.numerators)
     for d in divisors or table:
-        coeffs = list(table[d] or [Fraction(0)])
-        coeffs[0] += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        table[d] = tuple(coeffs)
-    return GcdQuasiPolynomial(qp.period, table)
+        nums = list(table[d] or [0])
+        nums[0] += qp.denominator
+        while nums and nums[-1] == 0:
+            nums.pop()
+        table[d] = tuple(nums)
+    return GcdQuasiPolynomial(qp.period, qp.denominator, table)
 
 
 # the companion matrices of Phi_3 = 1 + x + x^2 and of Phi_7 = 1 + x + ... + x^6

@@ -2,6 +2,7 @@
 multiplicity constituents, reciprocity pairings, and the verdict suite."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
@@ -13,7 +14,7 @@ from equichar import (FiniteMatrixGroup, IntMatrix, NoMatch,
                       NonRationalCoefficient, NotACharacter, action_period,
                       analysis, analyze, class_divisor_data,
                       dixon_character_table, equivariant_qp, find_row,
-                      fixed_point_qp, generate_group, multiplicity_qp,
+                      fixed_point_qp, generate_group,
                       reciprocity_character, report_to_dict,
                       smith_normal_form, tensor_identify)
 from equichar.analysis import integrality_failure
@@ -196,9 +197,9 @@ class TestFixedPoints:
 
 class TestGoldenMultiplicities:
     def check_table(self, group, table, data, golden, index_of):
+        mults = equivariant_qp(group, table, data).multiplicities
         for key, constituents in golden.items():
-            i = index_of(key)
-            qp = multiplicity_qp(group, table, data, i)
+            qp = mults[index_of(key)]
             for d, coeffs in constituents.items():
                 assert qp.constituent(d) == coeffs, (key, d)
 
@@ -229,7 +230,7 @@ class TestGoldenMultiplicities:
 
     def test_trivial_group(self, pipelines):
         group, table, data = pipelines["trivial-z2"]
-        qp = multiplicity_qp(group, table, data, 0)
+        qp = equivariant_qp(group, table, data).multiplicities[0]
         assert qp.constituent(1) == (Fraction(0), Fraction(0), Fraction(1))
 
 
@@ -284,6 +285,26 @@ class TestEquivariant:
                 monkeypatch.setattr(analysis, "equivariant_qp", shifted)
                 assert not dimension_verdict()[0].passed, (row, d)
 
+    @pytest.mark.parametrize("name", ["s3-a2", "c6-z2"])
+    def test_top_constituent_reads_the_full_period_residue(self, name,
+                                                           monkeypatch):
+        # adding 1 to the trivial row's constituent at gcd = period breaks
+        # the verdict; the other residues are not its business
+        group = make_builtin_group(name)
+        original = analysis.equivariant_qp
+        period = analyze(group, verify=False).period
+        for d in divisors_of(period):
+            def shifted(*args, d=d):
+                eqp = original(*args)
+                mults = list(eqp.multiplicities)
+                row = args[1].trivial_index
+                mults[row] = plus_one(mults[row], [d])
+                return dataclasses.replace(eqp, multiplicities=tuple(mults))
+            monkeypatch.setattr(analysis, "equivariant_qp", shifted)
+            verdict = next(v for v in analyze(group, verify=False).verdicts
+                           if v.name == "top-constituent")
+            assert verdict.passed == (d != period), d
+
     def test_non_rational_coefficient_names_row_key_and_value(self, pipelines):
         # a row that is constant zeta_6 is no character, and its average
         # against the identity class's fixed points is not rational
@@ -293,7 +314,7 @@ class TestEquivariant:
                                   values=(zeta,) * group.class_count)
         table = dataclasses.replace(table, rows=(bad, *table.rows[1:]))
         with pytest.raises(NonRationalCoefficient) as info:
-            multiplicity_qp(group, table, data, 0)
+            equivariant_qp(group, table, data)
         assert str(info.value) == (
             f"row 0: coefficient on ((), 2) is "
             f"{zeta * Fraction(1, group.order)}, not rational")
@@ -398,21 +419,65 @@ class TestIntegrality:
             "row 1: value 1/2 at q=1 is not an integer"
 
     def test_each_distinct_multiplicity_tested_once(self, monkeypatch):
-        # C21's 21 rows fall into 4 Galois orbits, with 4 multiplicities
+        # C21's 21 rows fall into 4 Galois orbits, of 1, 2, 6 and 12 rows,
+        # with one multiplicity object each. Reads of each object's
+        # numerators are counted between consecutive verdicts: a check that
+        # walked the rows would read the 12-row object 12 times as often as
+        # the 1-row object, and one that walks the objects reads all four
+        # equally often
         group = generate_group([mat(C21_GENERATOR)], rank=8)
         eqp = equivariant_qp(group, dixon_character_table(group),
                              class_divisor_data(group))
-        prepared = []
-        original = analysis.integer_constituents
+        reads = Counter()
 
-        def counting(qp, period):
-            prepared.append(qp)
-            return original(qp, period)
+        class CountedTable(dict):
+            def __getitem__(self, d):
+                reads[id(self)] += 1
+                return super().__getitem__(d)
 
-        monkeypatch.setattr(analysis, "integer_constituents", counting)
-        assert integrality_failure(eqp.multiplicities, eqp.period,
-                                   eqp.lattice_rank) is None
-        assert len(prepared) == 4
+            def values(self):
+                reads[id(self)] += 1
+                return super().values()
+
+            def items(self):
+                reads[id(self)] += 1
+                return super().items()
+
+        counted = {}
+        for qp in eqp.multiplicities:
+            if id(qp) not in counted:
+                counted[id(qp)] = dataclasses.replace(
+                    qp, numerators=CountedTable(qp.numerators))
+        spied = dataclasses.replace(eqp, multiplicities=tuple(
+            counted[id(qp)] for qp in eqp.multiplicities))
+        assert sorted(Counter(map(id, spied.multiplicities)).values()) == \
+            [1, 2, 6, 12]
+
+        periods = []
+        original_period = analysis.GcdQuasiPolynomial.minimal_period
+        original_verdict = analysis.Verdict
+        per_verdict = {}
+
+        def counting_period(qp):
+            periods.append(qp)
+            return original_period(qp)
+
+        def snapshot(**fields):
+            per_verdict[fields["name"]] = dict(reads)
+            reads.clear()
+            return original_verdict(**fields)
+
+        monkeypatch.setattr(analysis.GcdQuasiPolynomial, "minimal_period",
+                            counting_period)
+        monkeypatch.setattr(analysis, "equivariant_qp", lambda *args: spied)
+        monkeypatch.setattr(analysis, "Verdict", snapshot)
+        reads.clear()
+        assert analyze(group, verify=False).all_passed
+        assert len(periods) == 4
+        for name in ("leading-term", "dimension-identity", "integrality",
+                     "reciprocity-twist"):
+            assert len(per_verdict[name]) == 4, name
+            assert len(set(per_verdict[name].values())) == 1, name
 
     def test_real_multiplicities_pass(self, pipelines):
         for group, table, data in pipelines.values():
@@ -450,8 +515,8 @@ class TestReciprocity:
         # m(chi^1; q) = -m(chi^4; -q) and m(chi^3; q) = -m(trivial; -q)
         # for the rank-3 action; m(trivial; q) = m(sign; -q) for S3
         group, table, data = pipelines["c6-z3"]
-        m = {j: multiplicity_qp(group, table, data,
-                                row_by_generator_value(table, group, 1, j))
+        mults = equivariant_qp(group, table, data).multiplicities
+        m = {j: mults[row_by_generator_value(table, group, 1, j)]
              for j in range(6)}
         for q in range(-12, 13):
             assert m[1].evaluate(q) == -m[4].evaluate(-q)
@@ -460,8 +525,8 @@ class TestReciprocity:
         group, table, data = pipelines["s3-a2"]
         sign = next(i for i in range(3) if table.degrees[i] == 1
                     and i != table.trivial_index)
-        triv = multiplicity_qp(group, table, data, table.trivial_index)
-        delta = multiplicity_qp(group, table, data, sign)
+        mults = equivariant_qp(group, table, data).multiplicities
+        triv, delta = mults[table.trivial_index], mults[sign]
         for q in range(-12, 13):
             assert triv.evaluate(q) == delta.evaluate(-q)
 
@@ -483,6 +548,40 @@ class TestReciprocity:
         for table, eqp, delta in prepared:
             verdicts = analysis.check_reciprocity(table, eqp, delta)
             assert all(v.passed for v in verdicts)
+
+    @pytest.mark.parametrize("name", ["c6-z2", "c6-z3", "s3-a2"])
+    def test_first_failure_names_row_and_residue(self, name, pipelines):
+        # one row's constituent at one divisor shifted by 1: the verdict
+        # names the first (row, divisor) at which the reflected constituent
+        # differs, found here row by row in Fraction arithmetic. With l even,
+        # a self-paired row keeps the identity under the shift: every row of
+        # c6-z2 (delta trivial) and the degree-2 row of s3-a2
+        group, table, data = pipelines[name]
+        delta, _ = reciprocity_character(group, table, data)
+        eqp = equivariant_qp(group, table, data)
+        twist = analysis._twist_indices(table, delta)
+        ell = eqp.lattice_rank
+        failing = 0
+        for row in range(table.size):
+            for d in divisors_of(eqp.period):
+                mults = list(eqp.multiplicities)
+                mults[row] = plus_one(mults[row], [d])
+                expected = next((
+                    (i, e) for i in range(table.size)
+                    for e in divisors_of(eqp.period)
+                    if mults[twist[i]].constituent(e) != tuple(
+                        (-1) ** (ell + p) * c
+                        for p, c in enumerate(mults[i].constituent(e)))),
+                    None)
+                verdict = analysis.check_reciprocity(
+                    table, dataclasses.replace(eqp, multiplicities=tuple(mults)),
+                    delta)[0]
+                assert verdict.passed == (expected is None)
+                assert verdict.details == (
+                    "" if expected is None
+                    else f"first failure at row, residue {expected}")
+                failing += expected is not None
+        assert (failing == 0) == (name == "c6-z2")
 
     def test_twist_twists_by_delta(self, pipelines):
         # the rows check_reciprocity pairs are those tensor_identify finds
@@ -506,8 +605,7 @@ class TestReciprocity:
 
     def test_even_rank_trivial_delta_gives_symmetry(self, pipelines):
         group, table, data = pipelines["c6-z2"]
-        for i in range(table.size):
-            qp = multiplicity_qp(group, table, data, i)
+        for qp in equivariant_qp(group, table, data).multiplicities:
             for q in range(-12, 13):
                 assert qp.evaluate(q) == qp.evaluate(-q)
 

@@ -1,12 +1,11 @@
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from equichar import (CertificationFailed, EnumerationCapExceeded, brute_multiplicities,
-                      brute_orbit_counts_for_linear, differential_check,
+from equichar import (CertificationFailed, EnumerationCapExceeded,
+                      differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
                       generate_group, make_quasimonomial, ValidationError)
@@ -201,14 +200,20 @@ class TestEnumeration:
             resolve_cap()
 
 
+def counted_multiplicities(group, table, dec):
+    """|G| times each row's inner product with the counted fixed points."""
+    return bruteforce._counted_multiplicities(
+        bruteforce._multiplicity_columns(group, table), dec)
+
+
 class TestBruteMultiplicities:
     def test_single_point_gives_trivial_only(self):
         group = make_builtin_group("dihedral-z2")
         table = dixon_character_table(group)
         dec = enumerate_action(group, 1)
-        mults = brute_multiplicities(group, table, dec)
+        mults = counted_multiplicities(group, table, dec)
         for i, value in enumerate(mults):
-            assert value == (1 if i == table.trivial_index else 0)
+            assert value == (group.order if i == table.trivial_index else 0)
 
     def test_s3_at_q_two(self):
         group = make_builtin_group("s3-a2")
@@ -219,22 +224,23 @@ class TestBruteMultiplicities:
                     for rep, count in zip(group.class_representatives,
                                           dec.fixed_counts)}
         assert by_order == {1: 4, 2: 2, 3: 1}
-        mults = brute_multiplicities(group, table, dec)
+        mults = counted_multiplicities(group, table, dec)
         for i, value in enumerate(mults):
             if table.degrees[i] == 2:
-                assert value == 1
+                assert value == 6
             elif i == table.trivial_index:
-                assert value == 2
+                assert value == 2 * 6
             else:
                 assert value == 0
 
     def test_c6_z2_at_six(self):
         group = make_builtin_group("c6-z2")
         table = dixon_character_table(group)
-        mults = brute_multiplicities(group, table, enumerate_action(group, 6))
-        assert mults[table.trivial_index] == Fraction(36 + 12, 6)
-        assert sum(mults) == 36  # degrees are all 1, so the sum is q^2
-        assert all(v.denominator == 1 and v >= 0 for v in mults)
+        mults = counted_multiplicities(group, table, enumerate_action(group, 6))
+        assert all(type(v) is int for v in mults)
+        assert mults[table.trivial_index] == 36 + 12
+        assert sum(mults) == 36 * 6  # degrees are all 1, so the sum is q^2
+        assert all(v % 6 == 0 and v >= 0 for v in mults)
 
     def test_non_character_counts_raise(self):
         # counts that differ on a class and its inverse class give an
@@ -244,7 +250,12 @@ class TestBruteMultiplicities:
         dec = enumerate_action(group, 6)
         bad = replace(dec, fixed_counts=tuple(range(group.class_count)))
         with pytest.raises(CertificationFailed, match="q=6.*not rational"):
-            brute_multiplicities(group, table, bad)
+            counted_multiplicities(group, table, bad)
+
+
+def linear_orbit_counts(table, dec):
+    return bruteforce._linear_orbit_counts(bruteforce._linear_kernels(table),
+                                           dec)
 
 
 class TestLinearOrbitCounts:
@@ -252,7 +263,7 @@ class TestLinearOrbitCounts:
         group = make_builtin_group("c6-z2")
         table = dixon_character_table(group)
         dec = enumerate_action(group, 6)
-        counts = brute_orbit_counts_for_linear(table, dec)
+        counts = linear_orbit_counts(table, dec)
         assert sorted(counts) == list(table.linear_indices())
         assert counts[table.trivial_index] == dec.orbit_count == 8
 
@@ -261,9 +272,9 @@ class TestLinearOrbitCounts:
         table = dixon_character_table(group)
         sign = next(i for i in range(3) if table.degrees[i] == 1
                     and i != table.trivial_index)
-        assert brute_orbit_counts_for_linear(
+        assert linear_orbit_counts(
             table, enumerate_action(group, 2))[sign] == 0
-        assert brute_orbit_counts_for_linear(
+        assert linear_orbit_counts(
             table, enumerate_action(group, 4))[sign] == 1
 
 

@@ -11,6 +11,7 @@ import pytest
 from equichar import (ParseError, UnknownExample, ValidationError, Verdict,
                       divisors_of, errors)
 from equichar.analysis import report_to_dict
+from equichar.gcdpoly import from_terms
 from equichar.cli import (BUILTINS, _build_parser, _describe_error, _to_json,
                           builtin, format_constituent, main, parse_input,
                           render_json, render_latex, render_text, run_analyze)
@@ -102,13 +103,38 @@ class TestProblemSpecs:
 
 class TestRendering:
     def test_format_constituent(self):
-        from fractions import Fraction as Fr
-        assert format_constituent((Fr(5, 6), Fr(0), Fr(1, 6))) == \
-            "(q^2 + 5)/6"
-        assert format_constituent((Fr(-1), Fr(2))) == "2q - 1"
-        assert format_constituent(()) == "0"
-        assert format_constituent((Fr(1, 2),), latex=True) == \
+        assert format_constituent((5, 0, 1), 6) == "(q^2 + 5)/6"
+        assert format_constituent((-1, 2), 1) == "2q - 1"
+        assert format_constituent((), 1) == "0"
+        assert format_constituent((1,), 2, latex=True) == \
             r"\dfrac{1}{2}\left(1\right)"
+        # numerators and denominator are divided by their gcd
+        assert format_constituent((-2, 4), 6) == "(2q - 1)/3"
+        assert format_constituent((), 6) == "0"
+
+    def test_constituents_with_different_denominators(self):
+        # q^2/2 + gcd(2, q)/4 is stored over 4, but reduces to (q^2 + 1)/2
+        # on the even class; put in as the multiplicity of row 0 of a
+        # period-2 report
+        qp = from_terms(2, [((), 2, Fraction(1, 2)), ((2,), 0, Fraction(1, 4))])
+        assert qp.denominator == 4
+        report = run_analyze(dataclasses.replace(
+            builtin("dihedral-z2"),
+            options=dataclasses.replace(builtin("dihedral-z2").options,
+                                        verify=False)))
+        eqp = report.equivariant
+        report = dataclasses.replace(report, equivariant=dataclasses.replace(
+            eqp, multiplicities=(qp, *eqp.multiplicities[1:])))
+        text = render_text(report).splitlines()
+        row = text.index(next(line for line in text
+                              if line.startswith("  m[0] for")))
+        assert text[row + 1:row + 3] == ["    gcd = 1: (2q^2 + 1)/4",
+                                         "    gcd = 2: (q^2 + 1)/2"]
+        latex = render_latex(report)
+        assert r"\, \dfrac{1}{4}\left(2q^{2} + 1\right) & \gcd\{2,\,q\} = 1;" \
+            in latex
+        assert r"\, \dfrac{1}{2}\left(q^{2} + 1\right) & \gcd\{2,\,q\} = 2," \
+            in latex
 
     def test_text_contains_golden_constituents(self, s3_report):
         text = render_text(s3_report)

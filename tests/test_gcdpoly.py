@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from equichar import (GcdQuasiPolynomial, class_divisor_data, divisors_of,
                       dixon_character_table, equivariant_qp,
                       make_quasimonomial)
-from equichar.gcdpoly import from_terms, horner, integer_constituents
+from equichar.gcdpoly import from_terms, horner
 
 from conftest import BUILTIN_NAMES, make_builtin_group
 
@@ -37,11 +37,11 @@ class TestConstruction:
     def test_divisor_one_entries_dropped(self):
         qp = make_quasimonomial((1, 1, 2), 1, F(1) / 2)
         assert qp.period == 2
-        assert qp.constituents == {1: (F(0), F(1, 2)), 2: (F(0), F(1))}
+        assert (qp.denominator, qp.numerators) == (2, {1: (0, 1), 2: (0, 2)})
 
     def test_zero_coefficient_dropped(self):
         qp = make_quasimonomial((2,), 1, 0)
-        assert qp.constituents == {1: (), 2: ()}
+        assert (qp.denominator, qp.numerators) == (1, {1: (), 2: ()})
         assert qp.evaluate(7) == 0
 
     def test_divisor_must_divide_period(self):
@@ -50,23 +50,31 @@ class TestConstruction:
 
     # the float, string and bool periods come with the keys of the period
     # a truncating reader would make of them
-    @pytest.mark.parametrize("period, constituents, message", [
-        (0, {}, "invalid period"),
-        (2.7, {1: (F(1),), 2: (F(1),)}, "invalid period"),
-        ("2", {1: (F(1),), 2: (F(1),)}, "invalid period"),
-        (True, {1: (F(1),)}, "invalid period"),
-        (4, {1: (F(1),), 4: (F(1),)}, "divisors"),
-        (2, {1: (F(1),)}, "divisors"),
-        (2, {1: (F(1),), 2: (F(1),), 4: (F(1),)}, "divisors"),
-        (2, {1: (F(1),), 3: (F(1),)}, "divisors"),
-        (2, {1: (F(1), F(0)), 2: (F(1),)}, "trailing zeros"),
+    @pytest.mark.parametrize("period, denominator, numerators, message", [
+        (0, 1, {}, "invalid period"),
+        (2.7, 1, {1: (1,), 2: (1,)}, "invalid period"),
+        ("2", 1, {1: (1,), 2: (1,)}, "invalid period"),
+        (True, 1, {1: (1,)}, "invalid period"),
+        (4, 1, {1: (1,), 4: (1,)}, "divisors"),
+        (2, 1, {1: (1,)}, "divisors"),
+        (2, 1, {1: (1,), 2: (1,), 4: (1,)}, "divisors"),
+        (2, 1, {1: (1,), 3: (1,)}, "divisors"),
+        (2, 1, {2: (1,), 1: (1,)}, "divisors"),
+        (2, 1, {1: (1, 0), 2: (1,)}, "trailing zeros"),
+        (1, 0, {1: (1,)}, "invalid denominator"),
+        (1, -2, {1: (1,)}, "invalid denominator"),
+        (1, 2.0, {1: (1,)}, "invalid denominator"),
+        (2, 2, {1: (2, 4), 2: (6,)}, "not reduced"),
+        (1, 3, {1: ()}, "not reduced"),
     ], ids=["period-zero", "float-period", "string-period", "bool-period",
             "missing-divisor", "lone-one", "extra-divisor", "non-divisor",
-            "untrimmed"])
-    def test_constructor_requires_canonical_table(self, period, constituents,
-                                                  message):
+            "unordered", "untrimmed", "zero-denominator",
+            "negative-denominator", "float-denominator", "unreduced",
+            "zero-over-three"])
+    def test_constructor_requires_canonical_table(self, period, denominator,
+                                                  numerators, message):
         with pytest.raises(ValueError, match=message):
-            GcdQuasiPolynomial(period, constituents)
+            GcdQuasiPolynomial(period, denominator, numerators)
 
 
 class TestEvaluationAndConstituents:
@@ -109,6 +117,21 @@ class TestEquality:
         merged = make_quasimonomial((6,), 0, 1)
         assert split == merged
 
+    def test_equal_functions_from_different_terms(self):
+        # (q^2 + q + gcd(2, q))/2 with a coefficient written 2/4, and with
+        # a constant that cancels: one canonical table over 2. Without the
+        # /2 the function differs
+        a = from_terms(2, [((), 2, F(2, 4)), ((), 1, F(1, 2)),
+                           ((2,), 0, F(1, 2))])
+        b = from_terms(2, [((2,), 0, 1), ((), 1, 1), ((), 2, 1),
+                           ((), 0, 0)])
+        c = from_terms(2, [((), 2, F(1, 2)), ((), 1, F(1, 2)),
+                           ((), 0, F(1, 2)), ((2,), 0, F(1, 2)),
+                           ((), 0, F(-1, 2))])
+        assert a == c
+        assert a.denominator == 2 and b.denominator == 1
+        assert a != b
+
     def test_distinguishes_close_functions(self):
         # gcd(2, q) and gcd(4, q) differ only on the class of 4
         a = make_quasimonomial((2,), 0, 1, period=4)
@@ -131,7 +154,7 @@ class TestPeriods:
     def test_degree_counts_only_the_power_of_q(self):
         # gcd factors are bounded, so they do not raise the degree
         qp = make_quasimonomial((2, 3), 2, 1, period=6)
-        assert {len(poly) - 1 for poly in qp.constituents.values()} == {2}
+        assert {len(nums) - 1 for nums in qp.numerators.values()} == {2}
 
 
 def round_trip(qp):
@@ -175,6 +198,16 @@ def test_addition_is_pointwise(a, b):
             from_terms(12, a).evaluate(q) + from_terms(12, b).evaluate(q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(term_lists)
+def test_split_terms_give_the_same_table(terms):
+    # every coefficient split into two halves, in reverse order: the same
+    # function, so the same canonical table
+    halves = [(divs, power, c / 2) for divs, power, c in reversed(terms)
+              for _ in range(2)]
+    assert from_terms(12, halves) == from_terms(12, terms)
+
+
 @settings(max_examples=100, deadline=None)
 @given(quasi_polys)
 def test_constituents_govern_their_residue_classes(qp):
@@ -214,7 +247,13 @@ def test_serialization_round_trip(qp):
 @settings(max_examples=40, deadline=None)
 @given(quasi_polys)
 def test_serialization_round_trip_is_structural(qp):
-    assert GcdQuasiPolynomial(*round_trip(qp)) == qp
+    # the lcm of the serialized denominators is the stored denominator, so
+    # the reduced pairs rebuild the canonical table
+    period, table = round_trip(qp)
+    den = lcm(1, *(c.denominator for poly in table.values() for c in poly))
+    assert GcdQuasiPolynomial(period, den, {
+        d: tuple(int(c * den) for c in poly)
+        for d, poly in table.items()}) == qp
 
 
 def _lagrange_value(points, x):
@@ -233,7 +272,7 @@ def _lagrange_value(points, x):
 def test_each_residue_class_is_a_single_polynomial(qp, r):
     # interpolate through degree + 2 points of one residue class, then the
     # fit must extrapolate to further points of the same class
-    count = max(1, *map(len, qp.constituents.values())) + 1
+    count = max(1, *map(len, qp.numerators.values())) + 1
     xs = [r + k * qp.period for k in range(count)]
     points = [(x, qp.evaluate(x)) for x in xs]
     for extra in (r + count * qp.period, r + (count + 1) * qp.period):
@@ -242,16 +281,17 @@ def test_each_residue_class_is_a_single_polynomial(qp, r):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_integer_constituents_agree_with_evaluate(name):
+    # the stored integer numerators over the denominator are the values
     group = make_builtin_group(name)
     eqp = equivariant_qp(group, dixon_character_table(group),
                          class_divisor_data(group))
     period = eqp.period
     for qp in eqp.multiplicities:
-        table = integer_constituents(qp, period)
-        assert sorted(table) == list(divisors_of(period))
+        assert list(qp.numerators) == list(divisors_of(period))
+        assert qp.denominator > 0
         for q in range(-period, 3 * period + 1):
-            nums, den = table[gcd(period, q)]
-            assert den > 0 and all(type(n) is int for n in nums)
-            value = F(horner(nums, q), den)
+            nums = qp.numerators[gcd(period, q)]
+            assert all(type(n) is int for n in nums)
+            value = F(horner(nums, q), qp.denominator)
             assert value == qp.evaluate(q) == sum(
                 c * F(q) ** k for k, c in enumerate(qp.constituent(q)))

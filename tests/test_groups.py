@@ -1,4 +1,5 @@
 from itertools import combinations, permutations, product
+import json
 from math import gcd, lcm
 import time
 
@@ -7,7 +8,8 @@ import pytest
 from equichar import (DimensionMismatch, NonUnimodularGenerator,
                       OrderCapExceeded, cyclic_subgroup, generate_group,
                       is_subgroup, smith_normal_form)
-from equichar.cli import builtin
+from equichar import groups
+from equichar.cli import builtin, main
 from equichar.intmat import IntMatrix
 
 from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4, mat,
@@ -55,6 +57,42 @@ class TestGeneration:
         with pytest.raises(OrderCapExceeded):
             generate_group([mat([[-1, 0], [0, 1]]), mat([[-1, 1], [0, 1]])],
                            max_order=50)
+
+    @pytest.mark.parametrize("generators, named", [
+        ([[[2, 1], [1, 1]]], "generator 0"),
+        # two reflections whose product is a shear
+        ([[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]],
+         "the product of generators 0 and 1"),
+    ], ids=["hyperbolic", "infinite-dihedral"])
+    def test_infinite_order_rejected_before_closure(self, generators, named,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        # default options; no orbit is grown before the error
+        grown = []
+        original = groups._orbit
+
+        def counting(*args):
+            grown.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(groups, "_orbit", counting)
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps({"rank": 2, "generators": generators}))
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error [group construction]: {named} has infinite order\n"
+        assert grown == []
+
+    @pytest.mark.parametrize("generators", [
+        signed_permutation_generators(5), signed_permutation_generators(6),
+        weyl_group_generators(((2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0),
+                               (-1, 0, 2, -1, 0, 0), (0, -1, -1, 2, -1, 0),
+                               (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2)))],
+        ids=["B5", "B6", "W(E6)"])
+    def test_large_finite_groups_pass_the_order_test(self, generators):
+        # the builtins, B4, F4 and C21 are closed in full elsewhere
+        assert groups._validated_generators(generators, None) == \
+            (generators, len(generators[0].row(0)))
 
     def test_non_unimodular_generator_rejected(self):
         with pytest.raises(NonUnimodularGenerator):

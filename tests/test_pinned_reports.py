@@ -1,15 +1,20 @@
 """Report bytes pinned by sha256 digest. The reports are meant to be
 deterministic, so a change that should not alter them must reproduce these
 digests exactly: text, JSON and LaTeX of one default `analyze` per builtin,
-and JSON of every problem file under `problems/`."""
+JSON of every problem file under `problems/`, and text, JSON and LaTeX of
+`analyze(verify=False)` for C21 on Z^8 (period 21), B4 and the F4 Weyl group
+(period 12), whose rows share multiplicity objects."""
 
 import hashlib
 
 import pytest
 
+from equichar import analyze, generate_group
 from equichar.cli import builtin, parse_input, render, run_analyze
 
-from conftest import BUILTIN_NAMES, PROBLEMS_DIR
+from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4, PROBLEMS_DIR,
+                      mat, signed_permutation_generators,
+                      weyl_group_generators)
 
 BUILTIN_DIGESTS = {
     ("c6-z2", "text"):
@@ -59,6 +64,27 @@ PROBLEM_DIGESTS = {
         "f12e954f88d7cd67dfeca0bf3dfc9c4850b01cf97efbde7da11e06343af6dd09",
 }
 
+LARGE_DIGESTS = {
+    ("c21", "text"):
+        "c42df749759252f22ac1cc367ac9078a9da23e91ecf325a901e9c64bef87b747",
+    ("c21", "json"):
+        "b8b2f970911bb14bd3a37d43513adad164396db5593dc410a31e8fd8e87a4224",
+    ("c21", "latex"):
+        "d92ce58b01e562e40f192b7f3343d2bd0a3ff68a47310ac6d9e96beac916c5b2",
+    ("b4", "text"):
+        "46056b19445489a072ab0eeb33f856b51e128830356da5dd09337b4d0023da4f",
+    ("b4", "json"):
+        "7f67a8cbf0330b2af900f5cb77256ee9e698cdd31d7352126b8449d51159dccd",
+    ("b4", "latex"):
+        "00815022b750513abd39e0595dbe4f8673f73e07b702aa491c8a7520ee7c9c39",
+    ("f4", "text"):
+        "2512885d266cb83cb0046f2f8fa228b23e34593bc24261ccda1fb4bdde0ce874",
+    ("f4", "json"):
+        "8fb091b0bdcf403034e580b765733b9be1b82296ffda0a9945e6e98338f9c862",
+    ("f4", "latex"):
+        "ed44f7ff5cea43d1fd0ffbfaaa51852d1b82e76f5ead4bd1ed1f84b4146050b4",
+}
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -88,3 +114,18 @@ def test_problem_report_bytes(builtin_reports, filename):
     same = [name for name in BUILTIN_NAMES if builtin(name) == spec]
     report = builtin_reports[same[0]] if same else run_analyze(spec)
     assert digest(render(report, "json")) == PROBLEM_DIGESTS[filename]
+
+
+@pytest.fixture(scope="module")
+def large_reports():
+    generators = {"c21": ([mat(C21_GENERATOR)], 8),
+                  "b4": (signed_permutation_generators(4), 4),
+                  "f4": (weyl_group_generators(CARTAN_F4), 4)}
+    return {name: analyze(generate_group(gens, rank=rank), name=name,
+                          verify=False)
+            for name, (gens, rank) in generators.items()}
+
+
+@pytest.mark.parametrize("name, fmt", list(LARGE_DIGESTS))
+def test_large_report_bytes(large_reports, name, fmt):
+    assert digest(render(large_reports[name], fmt)) == LARGE_DIGESTS[name, fmt]
