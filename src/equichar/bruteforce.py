@@ -4,20 +4,21 @@ on the symbolic pipeline.
 Everything here is deliberately direct: for each q, group elements act on
 all q^l points through image arrays, `img[code]` being the code of
 `M·x mod q`. The generators' arrays are built from the matrix entries
-reduced mod q, and orbits come from a BFS over them, which labels every
-code with its orbit. Fixed points are the codes a representative's array
-maps to themselves. The classes of rep^k, k prime to the order of rep,
-share them (rep^k generates rep's cyclic group), so only the leader of
-each such Galois family (`group.families`) gets an array, composed from
-the generators' along the closure's stored BFS tree and certified against
-its matrix; the identity class fixes all q^l points and gets none. The
-generators' and leaders' matrices are built once per differential check.
-Isotropy is counted per class from the fixed points: since stabilizers
-along an orbit O are conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O|
-for every x in O. Multiplicities are the textbook inner products against
-the counted fixed points, as integer dot products with each row's
-coefficients. None of it shares code with the Smith-form route, which is
-the point.
+reduced mod q by C-level slicing and lookups, and orbits come from a BFS
+over them, which labels every code with its orbit. Fixed points are the
+codes a representative's array maps to themselves, kept as a list. The
+classes of rep^k, k prime to the order of rep, share them (rep^k generates
+rep's cyclic group), so only the leader of each such Galois family
+(`group.families`) gets an array, composed from the generators' along the
+closure's stored BFS tree and certified against its matrix; the identity
+class fixes all q^l points and gets none. The generators' and leaders'
+matrices are built once per differential check. Isotropy is counted per
+class from the fixed points: since stabilizers along an orbit O are
+conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O, and
+only orbits that some class's fixed points hit need isotropy of their own.
+Multiplicities are the textbook inner products against the counted fixed
+points, as integer dot products with each row's coefficients. None of it
+shares code with the Smith-form route, which is the point.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd
-from operator import eq, mul
+from operator import add, mul
 
 from .characters import CharacterTable
 from .checks import Verdict
@@ -54,20 +54,36 @@ def resolve_cap(cap: int | None = None) -> int:
 
 def _image_array(mat: IntMatrix, q: int) -> list[int]:
     """img[code] is the code of mat·x mod q for every point code of
-    (Z/q)^rank, coordinate j having weight q^j."""
-    img = None
-    weight = 1
+    (Z/q)^rank, coordinate j having weight q^j. Digit i is built a column
+    at a time by C-level lookups: adding t·m mod q to each digit so far
+    reads ring[s:s + q] at it, ring being range(q) twice, times q^i at the
+    row's last nonzero column, past which the row is periodic. Rows are
+    summed shortest first, and the sum is tiled."""
+    rows = []  # each nonzero row's digit times q^i, over its period
     for i in range(mat.rows):
-        # digit i of the image as a function of the code, one column at a time
-        arr = [0]
-        for m in mat.row(i):
-            m %= q
-            arr = (arr * q if m == 0 else
-                   [(a + t * m) % q for t in range(q) for a in arr])
-        img = arr if img is None else [v + weight * a
-                                       for v, a in zip(img, arr)]
-        weight *= q
-    return img
+        row = [m % q for m in mat.row(i)]
+        last = max((j for j, m in enumerate(row) if m), default=-1)
+        arr, ring = [0], list(range(q)) * 2
+        for j, m in enumerate(row[:last + 1]):
+            if j == last:
+                ring = list(range(0, q ** (i + 1), q ** i)) * 2
+            if not m:
+                arr *= q
+                continue
+            out = []
+            for t in range(q):
+                s = t * m % q
+                out += map(ring[s:s + q].__getitem__, arr)
+            arr = out
+        if last >= 0:
+            rows.append(arr)
+    rows.sort(key=len)
+    img, period = (rows[0], len(rows[0])) if rows else ([0], 1)
+    for arr in rows[1:]:  # materialized only to be tiled
+        if len(arr) > period:
+            img, period = list(img) * (len(arr) // period), len(arr)
+        img = map(add, img, arr)
+    return list(img) * (q ** mat.cols // period)
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,8 @@ class OrbitDecomposition:
     order of their smallest members, so the whole object is deterministic.
     orbit_sizes[o] is the number of points of orbit o, and isotropy[o]
     lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
-    that meet the stabilizer of any point of orbit o."""
+    that meet the stabilizer of any point of orbit o; the free orbits
+    share one ((0, 1),) tuple."""
 
     q: int
     labels: list[int]
@@ -100,16 +117,16 @@ def _action_matrices(group: FiniteMatrixGroup
             {c: group.matrix(reps[c]) for c in group.leaders if c})
 
 
-def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                 matrices: dict[int, IntMatrix], q: int) -> dict[int, bytes]:
-    """The fixed points of the representatives of the classes that key
-    matrices, as byte masks. An
-    element first reached in closure as a·g has the array img_a ∘ img_g, so
-    arrays are composed along the closure's breadth-first tree (Schreier
-    vectors: Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    4.1), each dropped once no pending element below it needs it. A
-    composition of linear maps is linear, so agreeing with the matrix at
-    the unit vectors certifies it."""
+def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
+                  matrices: dict[int, IntMatrix], q: int
+                  ) -> dict[int, list[int]]:
+    """The codes of the fixed points of the representatives of the classes
+    that key matrices, in code order. An element first reached in closure
+    as a·g has the array img_a ∘ img_g, so arrays are composed along the
+    closure's breadth-first tree (Schreier vectors: Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.1), each dropped once no
+    pending element below it needs it. A composition of linear maps is
+    linear, so agreeing with the matrix at the unit vectors certifies it."""
     parent, reps = group.parent, group.class_representatives
     wanted = set()  # the representatives and their ancestors
     for c in matrices:
@@ -118,10 +135,9 @@ def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
             wanted.add(x)
             x = parent[x][0]
     pending = Counter(parent[x][0] for x in wanted)  # children to build
-    total = q ** group.rank
     # the unit vectors' codes; (Z/1)^l is the one point 0
     units = [q ** j for j in range(group.rank)] if q > 1 else []
-    images, masks = {}, {}
+    images, fixed = {}, {}
     for x in sorted(wanted):  # parents first
         a, j = parent[x]  # a generator's own array serves as is
         images[x] = (list(map(images[a].__getitem__, gen_images[j])) if a
@@ -137,10 +153,10 @@ def _fixed_masks(group: FiniteMatrixGroup, gen_images: list[list[int]],
                 raise CertificationFailed(
                     f"class {c} at q={q}: the composed image array of "
                     f"element {x} disagrees with its matrix")
-            masks[c] = bytes(map(eq, img, range(total)))
+            fixed[c] = [y for y, z in enumerate(img) if y == z]
             if not pending[x]:
                 del images[x]
-    return masks
+    return fixed
 
 
 def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
@@ -160,44 +176,47 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
     gen_matrices, leader_matrices = matrices or _action_matrices(group)
     gen_images = [_image_array(m, q) for m in gen_matrices]
     # x^k generates the group x does for k prime to its order, so such
-    # powers fix the same points: each Galois family of classes is masked
-    # once, at its leader; the identity class (0) needs no mask
-    masks = _fixed_masks(group, gen_images, leader_matrices, q)
+    # powers fix the same points: each Galois family of classes is counted
+    # once, at its leader; the identity class (0) fixes every point
+    points = _fixed_points(group, gen_images, leader_matrices, q)
     label = [-1] * total
     sizes = []
-    for start in range(total):
-        if label[start] >= 0:
-            continue
+    start = done = 0
+    while done < total:
+        start = label.index(-1, start)
         index = len(sizes)
         label[start] = index
         frontier = [start]
-        count = 1
-        while frontier:
-            code = frontier.pop()
+        for code in frontier:  # grows while scanned
             for img in gen_images:
                 image = img[code]
                 if label[image] < 0:
                     label[image] = index
                     frontier.append(image)
-                    count += 1
-        sizes.append(count)
+        sizes.append(len(frontier))
+        done += len(frontier)
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
-    # the identity fixes every point, so it is in every stabilizer once
-    isotropy = [[(0, 1)] for _ in sizes]
+    # the identity fixes every point, so it is in every stabilizer once, and
+    # the orbits no other class fixes a point of share one isotropy tuple
+    hit = {}
     fixed = [total]
-    tallies = {c: Counter(compress(label, m)) for c, m in masks.items()}
+    tallies = {c: Counter(map(label.__getitem__, codes))
+               for c, codes in points.items()}
     for c, size in enumerate(group.class_sizes[1:], 1):
         leader = group.families[c][0]
-        fixed.append(masks[leader].count(1))
+        fixed.append(len(points[leader]))
         for index, hits in tallies[leader].items():
             meets, rest = divmod(size * hits, sizes[index])
             if rest:
                 raise CertificationFailed(
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
                     f"of {sizes[index]} do not divide evenly")
-            isotropy[index].append((c, meets))
+            hit.setdefault(index, [(0, 1)]).append((c, meets))
+    isotropy = [((0, 1),)] * len(sizes)
+    for index, stab in hit.items():
+        isotropy[index] = tuple(stab)
     return OrbitDecomposition(q=q, labels=label, orbit_sizes=tuple(sizes),
-                              isotropy=tuple(map(tuple, isotropy)),
+                              isotropy=tuple(isotropy),
                               fixed_counts=tuple(fixed))
 
 

@@ -265,7 +265,8 @@ def _root_of_unity_mod(p: int, e: int) -> int:
 def _echelon_mod(vectors: list[list[int]], p: int) -> list[list[int]]:
     """Reduced row echelon form over F_p; canonical basis of the row span.
     Rows at or below the current one are zero left of the current column,
-    so row operations start at the pivot column."""
+    so row operations touch only the pivot row's nonzero entries from the
+    pivot column on."""
     rows = [[v % p for v in vec] for vec in vectors]
     width = len(rows[0]) if rows else 0
     r = 0
@@ -274,12 +275,16 @@ def _echelon_mod(vectors: list[list[int]], p: int) -> list[list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        tail = [v * inv % p for v in rows[r][c:]]
-        rows[r][c:] = tail
+        prow = rows[r]
+        inv = pow(prow[c], p - 2, p)
+        # the pivot row's support, scaled so that the pivot is 1
+        support = [(j, prow[j] * inv % p) for j in range(c, width) if prow[j]]
+        for j, v in support:
+            prow[j] = v
         for i, row in enumerate(rows):
             if i != r and (f := row[c]):
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+                for j, v in support:
+                    row[j] = (row[j] - f * v) % p
         r += 1
         if r == len(rows):
             break

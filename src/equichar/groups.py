@@ -119,7 +119,8 @@ def _reject_infinite_orders(gens: list[IntMatrix], ell: int) -> None:
     p = (1 << 61) - 1
 
     def product(a, b):
-        return [[sum(map(mul, row, col)) % p for col in zip(*b)] for row in a]
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
 
     # g^2 has infinite order iff g has, so the pairs i <= j cover both
     rows = [g.to_rows() for g in gens]

@@ -66,6 +66,24 @@ def orbits_of(dec):
     return tuple(map(tuple, orbits))
 
 
+def reference_image_array(rows, q):
+    """img[code] for M = rows, from reference_apply one point at a time."""
+    rank = len(rows)
+    return [sum(v * q ** j for j, v in enumerate(
+        reference_apply(rows, decode(code, q, rank), q)))
+        for code in range(q ** rank)]
+
+
+IMAGE_MATRICES = {
+    "identity": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "minus-identity": [[-1, 0], [0, -1]],
+    "permutation": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    # entries, and at q = 2, 3, 6 a whole row, that vanish mod q
+    "vanishing-entries": [[6, 0, 0], [1, 4, 0], [0, 2, 3]],
+    "dense-unimodular": [[4, 2, 1], [0, 1, 0], [3, 3, 1]],
+}
+
+
 def pipeline(name):
     group = make_builtin_group(name)
     table = dixon_character_table(group)
@@ -73,6 +91,20 @@ def pipeline(name):
     eqp = equivariant_qp(group, table, data)
     fixed = tuple(fixed_point_qp(data, c) for c in range(group.class_count))
     return group, table, eqp, fixed
+
+
+class TestImageArray:
+    @pytest.mark.parametrize("name", IMAGE_MATRICES)
+    def test_matches_reference_apply(self, name):
+        rows = IMAGE_MATRICES[name]
+        for q in range(1, 8):
+            assert bruteforce._image_array(mat(rows), q) == \
+                reference_image_array(rows, q)
+
+    def test_rank_one_above_a_byte_alphabet(self):
+        img = bruteforce._image_array(mat([[-1]]), 300)
+        assert img == reference_image_array([[-1]], 300)
+        assert img[1] == 299
 
 
 class TestEnumeration:
@@ -139,6 +171,21 @@ class TestEnumeration:
         group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
         assert group.order == 48
         for q in range(1, 5):
+            dec = enumerate_action(group, q)
+            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
+                reference_action(group, q)
+
+    def test_matches_reference_in_a_dense_basis(self):
+        # c6-z3 conjugated by a unimodular U: the generator U·g·U^-1 has
+        # rows with several nonzero entries, unlike the builtin's
+        u = mat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        u_inv = mat([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+        c6 = make_builtin_group("c6-z3")
+        group = generate_group([u.multiply(c6.matrix(i)).multiply(u_inv)
+                                for i in c6.generator_indices], rank=3)
+        assert [group.matrix(i).to_rows() for i in group.generator_indices] \
+            == [[[0, -1, 1], [1, -1, 0], [0, 0, -1]]]
+        for q in range(1, 7):
             dec = enumerate_action(group, q)
             assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
