@@ -4,10 +4,11 @@ on the symbolic pipeline.
 Everything here is deliberately direct: for each q, group elements act on
 all q^l points through image arrays, `img[code]` being the code of
 `M·x mod q`. The generators' arrays are built from the matrix entries
-reduced mod q by C-level slicing and lookups, and orbits come from a BFS
-over them, which labels every code with its orbit. Fixed points are the
-codes a representative's array maps to themselves, kept as a list. The
-classes of rep^k, k prime to the order of rep, share them (rep^k generates
+reduced mod q by C-level slicing and lookups. Orbits come first, from a BFS
+over them that labels every code with its orbit. Fixed points come next,
+sought only in the orbits shorter than |G|: |O|·|Stab(x)| = |G|, so only
+the identity fixes a point of an orbit of |G| points. The classes of rep^k,
+k prime to the order of rep, share their fixed points (rep^k generates
 rep's cyclic group), so only the leader of each such Galois family
 (`group.families`) gets an array, composed from the generators' along the
 closure's stored BFS tree and certified against its matrix; the identity
@@ -27,8 +28,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import add, mul
+from functools import partial
+from itertools import chain
+from math import gcd, lcm
+from operator import add, is_not, mul
 
 from .characters import CharacterTable
 from .checks import Verdict
@@ -40,6 +43,7 @@ from .intmat import IntMatrix
 
 DEFAULT_MAX_POINTS = 2_000_000
 MAX_POINTS_ENV = "EQUICHAR_MAX_POINTS"
+FREE = ((0, 1),)  # the isotropy of an orbit that only the identity fixes
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -94,8 +98,9 @@ class OrbitDecomposition:
     order of their smallest members, so the whole object is deterministic.
     orbit_sizes[o] is the number of points of orbit o, and isotropy[o]
     lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
-    that meet the stabilizer of any point of orbit o; the free orbits
-    share one ((0, 1),) tuple."""
+    that meet the stabilizer of any point of orbit o. An orbit of |G|
+    points is free: no fixed point is sought in it, and it has the shared
+    isotropy tuple FREE."""
 
     q: int
     labels: list[int]
@@ -118,15 +123,19 @@ def _action_matrices(group: FiniteMatrixGroup
 
 
 def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                  matrices: dict[int, IntMatrix], q: int
-                  ) -> dict[int, list[int]]:
+                  matrices: dict[int, IntMatrix], q: int,
+                  orbits: list[list[int]]) -> dict[int, list[int]]:
     """The codes of the fixed points of the representatives of the classes
-    that key matrices, in code order. An element first reached in closure
-    as a·g has the array img_a ∘ img_g, so arrays are composed along the
-    closure's breadth-first tree (Schreier vectors: Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 4.1), each dropped once no
-    pending element below it needs it. A composition of linear maps is
-    linear, so agreeing with the matrix at the unit vectors certifies it."""
+    that key matrices. orbits holds them all, and its union S is
+    G-invariant, so arrays are composed on positions in S, sorted, with the
+    generators' re-indexed once, unless every code costs less. An element
+    first reached in closure as a·g has the array img_a ∘ img_g, so arrays
+    are composed along the closure's breadth-first tree (Schreier vectors:
+    Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1),
+    each dropped once no pending element below it needs it. A composition
+    of linear maps is linear, so a representative's tree word, walked
+    through the generators' full arrays, certifies it at the unit vectors
+    against its matrix."""
     parent, reps = group.parent, group.class_representatives
     wanted = set()  # the representatives and their ancestors
     for c in matrices:
@@ -137,23 +146,37 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
     pending = Counter(parent[x][0] for x in wanted)  # children to build
     # the unit vectors' codes; (Z/1)^l is the one point 0
     units = [q ** j for j in range(group.rank)] if q > 1 else []
+    total, size = q ** group.rank, sum(map(len, orbits))
+    # re-indexing costs about two passes over S per generator and three to
+    # sort and index S; each array then composed or scanned skips the rest
+    if (2 * len(gen_images) + 3) * size < \
+            (total - size) * (len(wanted) + len(matrices)):
+        support = sorted(chain.from_iterable(orbits))
+        position = dict(zip(support, range(size)))
+        steps = [list(map(position.__getitem__, map(img.__getitem__, support)))
+                 for img in gen_images]
+    else:
+        support, steps = range(total), gen_images
     images, fixed = {}, {}
     for x in sorted(wanted):  # parents first
         a, j = parent[x]  # a generator's own array serves as is
-        images[x] = (list(map(images[a].__getitem__, gen_images[j])) if a
-                     else gen_images[j])
+        images[x] = (list(map(images[a].__getitem__, steps[j])) if a
+                     else steps[j])
         pending[a] -= 1
         if not pending[a]:
             images.pop(a, None)
         if (c := group.class_of[x]) in matrices and reps[c] == x:
-            img, m = images[x], matrices[c]
+            m, ends, y = matrices[c], units, x
+            while y:  # the tree word, last letter first
+                y, j = parent[y]
+                ends = list(map(gen_images[j].__getitem__, ends))
             # column j of the matrix mod q, coded like a point
-            if [img[u] for u in units] != [sum(v % q * u for v, u in zip(
+            if ends != [sum(v % q * u for v, u in zip(
                     m.entries[j::m.cols], units)) for j in range(len(units))]:
                 raise CertificationFailed(
                     f"class {c} at q={q}: the composed image array of "
                     f"element {x} disagrees with its matrix")
-            fixed[c] = [y for y, z in enumerate(img) if y == z]
+            fixed[c] = [support[p] for p, z in enumerate(images[x]) if p == z]
             if not pending[x]:
                 del images[x]
     return fixed
@@ -175,12 +198,11 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
             f"raise it via the cap argument or {MAX_POINTS_ENV}")
     gen_matrices, leader_matrices = matrices or _action_matrices(group)
     gen_images = [_image_array(m, q) for m in gen_matrices]
-    # x^k generates the group x does for k prime to its order, so such
-    # powers fix the same points: each Galois family of classes is counted
-    # once, at its leader; the identity class (0) fixes every point
-    points = _fixed_points(group, gen_images, leader_matrices, q)
+    order = group.order
     label = [-1] * total
-    sizes = []
+    # short: the orbits of fewer than |G| points, which hold every point
+    # an element but the identity fixes (|O|·|Stab(x)| = |G|)
+    sizes, short = [], []
     start = done = 0
     while done < total:
         start = label.index(-1, start)
@@ -193,8 +215,14 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
                 if label[image] < 0:
                     label[image] = index
                     frontier.append(image)
-        sizes.append(len(frontier))
-        done += len(frontier)
+        sizes.append(n := len(frontier))
+        if n < order:
+            short.append(frontier)
+        done += n
+    # x^k generates the group x does for k prime to its order, so such
+    # powers fix the same points: each Galois family of classes is counted
+    # once, at its leader; the identity class (0) fixes every point
+    points = _fixed_points(group, gen_images, leader_matrices, q, short)
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
     # the identity fixes every point, so it is in every stabilizer once, and
     # the orbits no other class fixes a point of share one isotropy tuple
@@ -212,7 +240,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
                     f"of {sizes[index]} do not divide evenly")
             hit.setdefault(index, [(0, 1)]).append((c, meets))
-    isotropy = [((0, 1),)] * len(sizes)
+    isotropy = [FREE] * len(sizes)
     for index, stab in hit.items():
         isotropy[index] = tuple(stab)
     return OrbitDecomposition(q=q, labels=label, orbit_sizes=tuple(sizes),
@@ -220,21 +248,28 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
                               fixed_counts=tuple(fixed))
 
 
-def _multiplicity_columns(group: FiniteMatrixGroup,
-                          table: CharacterTable) -> list[list[tuple]]:
-    """Per row chi, the coefficient columns of |C_c|·conj(chi(c)) on the
-    powers of zeta_e, one entry per class c, without the all-zero ones; the
-    constant column stays first, as it holds chi(1) at the identity class."""
-    return [[col for col in zip(*((v.conjugate() * size).coeffs for size, v
-                                  in zip(group.class_sizes, row.values)))
-             if any(col)] for row in table.rows]
+def _multiplicity_columns(group: FiniteMatrixGroup, table: CharacterTable
+                          ) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Per row chi, the least s > 0 that makes them integers and the
+    coefficient columns of s·|C_c|·conj(chi(c)) on the powers of zeta_e, one
+    entry per class c, without the all-zero ones; the constant column stays
+    first, as it holds s·chi(1) at the identity class."""
+    columns = []
+    for row in table.rows:
+        cols = [col for col in zip(*((v.conjugate() * size).coeffs for size, v
+                                     in zip(group.class_sizes, row.values)))
+                if any(col)]
+        s = lcm(*(v.denominator for col in cols for v in col))
+        columns.append((s, [tuple(int(v * s) for v in col) for col in cols]))
+    return columns
 
 
-def _counted_multiplicities(columns: list[list[tuple]],
+def _counted_multiplicities(columns: list[tuple[int, list[tuple[int, ...]]]],
                             dec: OrbitDecomposition) -> list[int]:
-    """|G| times each row's inner product with the counted fixed points."""
+    """Each row's scale s times |G| times its inner product with the
+    counted fixed points."""
     values = []
-    for i, row in enumerate(columns):
+    for i, (_, row) in enumerate(columns):
         # rational only when all but the constant dot product vanish
         constant, *rest = (sum(map(mul, col, dec.fixed_counts)) for col in row)
         if any(rest):
@@ -257,10 +292,12 @@ def _linear_orbit_counts(kernels: dict[int, set[int]],
     """For each degree-1 row, the number of orbits whose isotropy lies in
     its kernel, a union of classes: an orbit counts when every class its
     stabilizer meets is one where the row takes its identity value. Orbits
-    with the same isotropy are tested once."""
-    tally = Counter(dec.isotropy)
-    return {i: sum(n for stab, n in tally.items()
-                   if kernel.issuperset(c for c, _ in stab))
+    with the same isotropy are tested once; the orbits that share FREE
+    count for every row, without being hashed."""
+    tally = Counter(filter(partial(is_not, FREE), dec.isotropy))
+    free = len(dec.isotropy) - sum(tally.values())
+    return {i: free + sum(n for stab, n in tally.items()
+                          if kernel.issuperset(c for c, _ in stab))
             for i, kernel in kernels.items()}
 
 
@@ -274,6 +311,7 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     over their denominator, each distinct object evaluated once per q."""
     cap = resolve_cap(cap)
     columns = _multiplicity_columns(group, table)
+    scales = [s * group.order for s, _ in columns]
     kernels = _linear_kernels(table)
     objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
     first_bad: dict[str, str] = {}  # the first mismatch of each check
@@ -298,7 +336,7 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
             compare("fixed-points", f"class {c} at q={q}", fixed[c], counted)
         for i, counted in enumerate(_counted_multiplicities(columns, dec)):
             compare("multiplicities", f"row {i} at q={q}", mults[i], counted,
-                    group.order)
+                    scales[i])
         burnside = sum(map(mul, group.class_sizes, dec.fixed_counts))
         if burnside != dec.orbit_count * group.order:
             first_bad.setdefault("burnside", f"q={q}: {dec.orbit_count} orbits "

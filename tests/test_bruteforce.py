@@ -1,6 +1,8 @@
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -8,12 +10,15 @@ from equichar import (CertificationFailed, EnumerationCapExceeded,
                       differential_check,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
-                      generate_group, make_quasimonomial, ValidationError)
-from equichar import Cyclotomic, bruteforce
+                      generate_group, ingest_character_table,
+                      make_quasimonomial, ValidationError)
+from equichar import Cyclotomic, GcdQuasiPolynomial, bruteforce
+from equichar.cli import parse_input
 from equichar.groups import FiniteMatrixGroup
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
-from conftest import BUILTIN_NAMES, make_builtin_group, mat, plus_one
+from conftest import (BUILTIN_NAMES, PROBLEMS_DIR, make_builtin_group, mat,
+                      plus_one)
 
 # B3 on Z^3: the transposition (1 2), the 3-cycle and the sign flip of e_1
 B3_GENERATORS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -161,8 +166,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_reference_on_builtins(self, name):
+        # c6-z3 up to q = 8, where most points lie in free orbits
         group = make_builtin_group(name)
-        for q in range(1, 7):
+        for q in range(1, 9 if name == "c6-z3" else 7):
             dec = enumerate_action(group, q)
             assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
@@ -170,7 +176,7 @@ class TestEnumeration:
     def test_matches_reference_on_b3(self):
         group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
         assert group.order == 48
-        for q in range(1, 5):
+        for q in range(1, 7):
             dec = enumerate_action(group, q)
             assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
@@ -185,10 +191,46 @@ class TestEnumeration:
                                 for i in c6.generator_indices], rank=3)
         assert [group.matrix(i).to_rows() for i in group.generator_indices] \
             == [[[0, -1, 1], [1, -1, 0], [0, 0, -1]]]
-        for q in range(1, 7):
+        for q in range(1, 9):
             dec = enumerate_action(group, q)
             assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
                 reference_action(group, q)
+
+    def test_fixed_points_sought_only_on_orbits_shorter_than_the_group(
+            self, monkeypatch):
+        # c6-z3 at q = 24: 2,101 of its 2,522 orbits are free, and the
+        # fixed-point step gets only the 1,218 codes of the others
+        group = make_builtin_group("c6-z3")
+        seen = []
+        original = bruteforce._fixed_points
+
+        def recording(group, gen_images, matrices, q, orbits):
+            seen.append(orbits)
+            return original(group, gen_images, matrices, q, orbits)
+
+        monkeypatch.setattr(bruteforce, "_fixed_points", recording)
+        dec = enumerate_action(group, 24)
+        [orbits] = seen
+        assert (sum(map(len, orbits)), len(dec.labels)) == (1218, 13824)
+        assert sorted({len(orbit) for orbit in orbits}) == [1, 2, 3]
+        assert (dec.orbit_count, dec.isotropy.count(bruteforce.FREE)) == \
+            (2522, 2101)
+
+    @pytest.mark.parametrize("name, q", [("c6-z3", 12), ("s3-a2", 16)])
+    def test_fixed_points_same_on_short_orbits_as_on_every_code(self, name,
+                                                                q):
+        # the short orbits' codes are re-indexed; every code is not
+        group = make_builtin_group(name)
+        gen_matrices, leaders = bruteforce._action_matrices(group)
+        gen_images = [bruteforce._image_array(m, q) for m in gen_matrices]
+        short = [list(orbit) for orbit in orbits_of(enumerate_action(group, q))
+                 if len(orbit) < group.order]
+        on_short = bruteforce._fixed_points(group, gen_images, leaders, q,
+                                            short)
+        on_all = bruteforce._fixed_points(group, gen_images, leaders, q,
+                                          [list(range(q ** group.rank))])
+        assert {c: sorted(codes) for c, codes in on_short.items()} == on_all
+        assert all(on_all.values())
 
     def test_image_arrays_one_per_generator_and_class(self, monkeypatch):
         group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
@@ -289,6 +331,22 @@ class TestBruteMultiplicities:
         assert sum(mults) == 36 * 6  # degrees are all 1, so the sum is q^2
         assert all(v % 6 == 0 and v >= 0 for v in mults)
 
+    def test_supplied_table_columns_are_integers(self):
+        # the table's entries are integral Fractions; each row is scaled
+        # once, so no q does Fraction arithmetic
+        spec = parse_input(PROBLEMS_DIR / "c6_z2_with_table.json")
+        group = generate_group(spec.generators, rank=spec.rank)
+        table = ingest_character_table(group, spec.character_table)
+        columns = bruteforce._multiplicity_columns(group, table)
+        assert all(type(v) is int for s, cols in columns
+                   for v in (s, *(v for col in cols for v in col)))
+        mults = bruteforce._counted_multiplicities(
+            columns, enumerate_action(group, 6))
+        assert all(type(v) is int for v in mults)
+        assert sorted(v // s for (s, _), v in zip(columns, mults)) == \
+            sorted(counted_multiplicities(group, dixon_character_table(group),
+                                          enumerate_action(group, 6)))
+
     def test_non_character_counts_raise(self):
         # counts that differ on a class and its inverse class give an
         # irrational inner product with a faithful row
@@ -323,6 +381,21 @@ class TestLinearOrbitCounts:
             table, enumerate_action(group, 2))[sign] == 0
         assert linear_orbit_counts(
             table, enumerate_action(group, 4))[sign] == 1
+
+    def test_matches_an_orbit_by_orbit_count(self):
+        # c6-z3 at q = 24, where free orbits are counted without hashing
+        group = make_builtin_group("c6-z3")
+        table = dixon_character_table(group)
+        dec = enumerate_action(group, 24)
+        kernels = bruteforce._linear_kernels(table)
+        expected = {i: sum(kernel.issuperset(c for c, _ in stab)
+                           for stab in dec.isotropy)
+                    for i, kernel in kernels.items()}
+        assert bruteforce._linear_orbit_counts(kernels, dec) == expected
+        # equal copies of the shared free tuple count once, too
+        copies = replace(dec, isotropy=tuple(tuple(list(stab))
+                                             for stab in dec.isotropy))
+        assert bruteforce._linear_orbit_counts(kernels, copies) == expected
 
 
 class TestDifferentialCheck:
@@ -411,6 +484,26 @@ class TestDifferentialCheck:
         assert covered == 10  # 10^2 <= 100 < 11^2
         assert all(v.passed for v in verdicts)
         assert all("1..10" in v.method for v in verdicts)
+
+    def test_fractional_row_scale_enters_the_comparison(self):
+        # chi/2 has half chi's multiplicity; its columns are scaled by 2 to
+        # integers, and the scale must divide the count back out
+        group, table, eqp, fixed = pipeline("c6-z2")
+        i = next(i for i in range(table.size) if i != table.trivial_index)
+        rows, mults = list(table.rows), list(eqp.multiplicities)
+        rows[i] = replace(rows[i], values=tuple(v * Fraction(1, 2)
+                                                for v in rows[i].values))
+        qp = mults[i]
+        g = gcd(2, *(n for nums in qp.numerators.values() for n in nums))
+        mults[i] = GcdQuasiPolynomial(
+            qp.period, qp.denominator * 2 // g,
+            {d: tuple(n // g for n in nums)
+             for d, nums in qp.numerators.items()})
+        halved = replace(table, rows=tuple(rows))
+        assert bruteforce._multiplicity_columns(group, halved)[i][0] == 2
+        verdicts, _ = differential_check(group, halved, tuple(mults), fixed,
+                                         q_max=8)
+        assert {v.name: v for v in verdicts}["oracle-multiplicities"].passed
 
     def test_corrupted_fixed_points_detected(self):
         group, table, eqp, fixed = pipeline("c6-z2")
