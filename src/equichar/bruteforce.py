@@ -4,11 +4,10 @@ on the symbolic pipeline.
 Everything here is deliberately direct: for each q, group elements act on
 all q^l points through image arrays, `img[code]` being the code of
 `M·x mod q`. The generators' arrays are built from the matrix entries
-reduced mod q by C-level slicing and lookups. Orbits come first, from a BFS
-over them that labels every code with its orbit. Fixed points come next,
-sought only in the orbits shorter than |G|: |O|·|Stab(x)| = |G|, so only
-the identity fixes a point of an orbit of |G| points. The classes of rep^k,
-k prime to the order of rep, share their fixed points (rep^k generates
+reduced mod q by C-level slicing and lookups. A BFS over them labels every
+code with its orbit first; fixed points are then sought only in the orbits
+of fewer than |G| points, as |O|·|Stab(x)| = |G|. The classes of rep^k, k
+prime to the order of rep, share their fixed points (rep^k generates
 rep's cyclic group), so only the leader of each such Galois family
 (`group.families`) gets an array, composed from the generators' along the
 closure's stored BFS tree and certified against its matrix; the identity
@@ -29,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from math import gcd, lcm
 from operator import add, is_not, mul
 
@@ -98,9 +96,8 @@ class OrbitDecomposition:
     order of their smallest members, so the whole object is deterministic.
     orbit_sizes[o] is the number of points of orbit o, and isotropy[o]
     lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
-    that meet the stabilizer of any point of orbit o. An orbit of |G|
-    points is free: no fixed point is sought in it, and it has the shared
-    isotropy tuple FREE."""
+    that meet the stabilizer of any point of orbit o; the orbits of |G|
+    points are free, and share the tuple FREE."""
 
     q: int
     labels: list[int]
@@ -123,19 +120,19 @@ def _action_matrices(group: FiniteMatrixGroup
 
 
 def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                  matrices: dict[int, IntMatrix], q: int,
-                  orbits: list[list[int]]) -> dict[int, list[int]]:
+                  matrices: dict[int, IntMatrix], q: int, short: list[int]
+                  ) -> dict[int, list[int]]:
     """The codes of the fixed points of the representatives of the classes
-    that key matrices. orbits holds them all, and its union S is
-    G-invariant, so arrays are composed on positions in S, sorted, with the
-    generators' re-indexed once, unless every code costs less. An element
-    first reached in closure as a·g has the array img_a ∘ img_g, so arrays
-    are composed along the closure's breadth-first tree (Schreier vectors:
-    Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1),
-    each dropped once no pending element below it needs it. A composition
-    of linear maps is linear, so a representative's tree word, walked
-    through the generators' full arrays, certifies it at the unit vectors
-    against its matrix."""
+    that key matrices. They lie in the G-invariant set S of codes that
+    short lists, so arrays act on positions in S, sorted, each generator's
+    re-indexed once unless S is every code. An element first reached in
+    closure as a·g has the array img_a ∘ img_g, so arrays are composed
+    along the closure's breadth-first tree (Schreier vectors: Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 4.1), each dropped
+    once no pending element below it needs it. A representative's tree
+    word, walked through the generators' full arrays, is a linear map and
+    is certified against its matrix at the unit vectors; the array scanned
+    is that word restricted to S."""
     parent, reps = group.parent, group.class_representatives
     wanted = set()  # the representatives and their ancestors
     for c in matrices:
@@ -146,17 +143,14 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
     pending = Counter(parent[x][0] for x in wanted)  # children to build
     # the unit vectors' codes; (Z/1)^l is the one point 0
     units = [q ** j for j in range(group.rank)] if q > 1 else []
-    total, size = q ** group.rank, sum(map(len, orbits))
-    # re-indexing costs about two passes over S per generator and three to
-    # sort and index S; each array then composed or scanned skips the rest
-    if (2 * len(gen_images) + 3) * size < \
-            (total - size) * (len(wanted) + len(matrices)):
-        support = sorted(chain.from_iterable(orbits))
-        position = dict(zip(support, range(size)))
+    support, steps = range(total := q ** group.rank), gen_images
+    if len(short) < total:
+        support = sorted(short)
+        position = [0] * total
+        for p, y in enumerate(support):
+            position[y] = p
         steps = [list(map(position.__getitem__, map(img.__getitem__, support)))
                  for img in gen_images]
-    else:
-        support, steps = range(total), gen_images
     images, fixed = {}, {}
     for x in sorted(wanted):  # parents first
         a, j = parent[x]  # a generator's own array serves as is
@@ -200,9 +194,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
     gen_images = [_image_array(m, q) for m in gen_matrices]
     order = group.order
     label = [-1] * total
-    # short: the orbits of fewer than |G| points, which hold every point
-    # an element but the identity fixes (|O|·|Stab(x)| = |G|)
-    sizes, short = [], []
+    sizes, short = [], []  # short: the codes of orbits of fewer than |G|
     start = done = 0
     while done < total:
         start = label.index(-1, start)
@@ -217,7 +209,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
                     frontier.append(image)
         sizes.append(n := len(frontier))
         if n < order:
-            short.append(frontier)
+            short += frontier
         done += n
     # x^k generates the group x does for k prime to its order, so such
     # powers fix the same points: each Galois family of classes is counted
@@ -249,27 +241,25 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
 
 
 def _multiplicity_columns(group: FiniteMatrixGroup, table: CharacterTable
-                          ) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Per row chi, the least s > 0 that makes them integers and the
-    coefficient columns of s·|C_c|·conj(chi(c)) on the powers of zeta_e, one
-    entry per class c, without the all-zero ones; the constant column stays
-    first, as it holds s·chi(1) at the identity class."""
-    columns = []
-    for row in table.rows:
-        cols = [col for col in zip(*((v.conjugate() * size).coeffs for size, v
-                                     in zip(group.class_sizes, row.values)))
-                if any(col)]
-        s = lcm(*(v.denominator for col in cols for v in col))
-        columns.append((s, [tuple(int(v * s) for v in col) for col in cols]))
-    return columns
+                          ) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """Per row chi, its scale s·|G| and the integer coefficient columns of
+    s·|C_c|·conj(chi(c)) on the powers of zeta_e, s the least that clears
+    denominators, one entry per class c, without the all-zero ones; the
+    constant column stays first, as it holds s·chi(1) at the identity."""
+    rows = [[col for col in zip(*((v.conjugate() * size).coeffs for size, v
+                                  in zip(group.class_sizes, row.values)))
+             if any(col)] for row in table.rows]
+    lcms = [lcm(*(v.denominator for col in row for v in col)) for row in rows]
+    return ([s * group.order for s in lcms],
+            [[tuple(int(v * s) for v in col) for col in row]
+             for s, row in zip(lcms, rows)])
 
 
-def _counted_multiplicities(columns: list[tuple[int, list[tuple[int, ...]]]],
+def _counted_multiplicities(columns: list[list[tuple[int, ...]]],
                             dec: OrbitDecomposition) -> list[int]:
-    """Each row's scale s times |G| times its inner product with the
-    counted fixed points."""
+    """Each row's scale times its inner product with the fixed counts."""
     values = []
-    for i, (_, row) in enumerate(columns):
+    for i, row in enumerate(columns):
         # rational only when all but the constant dot product vanish
         constant, *rest = (sum(map(mul, col, dec.fixed_counts)) for col in row)
         if any(rest):
@@ -292,8 +282,8 @@ def _linear_orbit_counts(kernels: dict[int, set[int]],
     """For each degree-1 row, the number of orbits whose isotropy lies in
     its kernel, a union of classes: an orbit counts when every class its
     stabilizer meets is one where the row takes its identity value. Orbits
-    with the same isotropy are tested once; the orbits that share FREE
-    count for every row, without being hashed."""
+    with the same isotropy are tested once; the free ones, never hashed,
+    count for every row."""
     tally = Counter(filter(partial(is_not, FREE), dec.isotropy))
     free = len(dec.isotropy) - sum(tally.values())
     return {i: free + sum(n for stab, n in tally.items()
@@ -310,8 +300,7 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     actually enumerated. Predictions are compared in integers, as numerators
     over their denominator, each distinct object evaluated once per q."""
     cap = resolve_cap(cap)
-    columns = _multiplicity_columns(group, table)
-    scales = [s * group.order for s, _ in columns]
+    scales, columns = _multiplicity_columns(group, table)
     kernels = _linear_kernels(table)
     objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
     first_bad: dict[str, str] = {}  # the first mismatch of each check

@@ -204,15 +204,17 @@ class TestEnumeration:
         seen = []
         original = bruteforce._fixed_points
 
-        def recording(group, gen_images, matrices, q, orbits):
-            seen.append(orbits)
-            return original(group, gen_images, matrices, q, orbits)
+        def recording(group, gen_images, matrices, q, short):
+            seen.append(short)
+            return original(group, gen_images, matrices, q, short)
 
         monkeypatch.setattr(bruteforce, "_fixed_points", recording)
         dec = enumerate_action(group, 24)
-        [orbits] = seen
-        assert (sum(map(len, orbits)), len(dec.labels)) == (1218, 13824)
-        assert sorted({len(orbit) for orbit in orbits}) == [1, 2, 3]
+        [short] = seen
+        assert (len(set(short)), len(short), len(dec.labels)) == \
+            (1218, 1218, 13824)
+        assert sorted({dec.orbit_sizes[dec.labels[y]] for y in short}) == \
+            [1, 2, 3]
         assert (dec.orbit_count, dec.isotropy.count(bruteforce.FREE)) == \
             (2522, 2101)
 
@@ -223,12 +225,12 @@ class TestEnumeration:
         group = make_builtin_group(name)
         gen_matrices, leaders = bruteforce._action_matrices(group)
         gen_images = [bruteforce._image_array(m, q) for m in gen_matrices]
-        short = [list(orbit) for orbit in orbits_of(enumerate_action(group, q))
-                 if len(orbit) < group.order]
+        short = [y for orbit in orbits_of(enumerate_action(group, q))
+                 if len(orbit) < group.order for y in orbit]
         on_short = bruteforce._fixed_points(group, gen_images, leaders, q,
                                             short)
         on_all = bruteforce._fixed_points(group, gen_images, leaders, q,
-                                          [list(range(q ** group.rank))])
+                                          list(range(q ** group.rank)))
         assert {c: sorted(codes) for c, codes in on_short.items()} == on_all
         assert all(on_all.values())
 
@@ -290,9 +292,11 @@ class TestEnumeration:
 
 
 def counted_multiplicities(group, table, dec):
-    """|G| times each row's inner product with the counted fixed points."""
-    return bruteforce._counted_multiplicities(
-        bruteforce._multiplicity_columns(group, table), dec)
+    """|G| times each row's inner product with the counted fixed points:
+    the oracle's counts, each divided by its row's scale over |G|."""
+    scales, columns = bruteforce._multiplicity_columns(group, table)
+    return [v * group.order // s for s, v in zip(
+        scales, bruteforce._counted_multiplicities(columns, dec))]
 
 
 class TestBruteMultiplicities:
@@ -337,15 +341,16 @@ class TestBruteMultiplicities:
         spec = parse_input(PROBLEMS_DIR / "c6_z2_with_table.json")
         group = generate_group(spec.generators, rank=spec.rank)
         table = ingest_character_table(group, spec.character_table)
-        columns = bruteforce._multiplicity_columns(group, table)
-        assert all(type(v) is int for s, cols in columns
-                   for v in (s, *(v for col in cols for v in col)))
-        mults = bruteforce._counted_multiplicities(
-            columns, enumerate_action(group, 6))
-        assert all(type(v) is int for v in mults)
-        assert sorted(v // s for (s, _), v in zip(columns, mults)) == \
+        scales, columns = bruteforce._multiplicity_columns(group, table)
+        assert all(type(v) is int for v in scales)
+        assert all(type(v) is int for row in columns for col in row
+                   for v in col)
+        dec = enumerate_action(group, 6)
+        assert all(type(v) is int
+                   for v in bruteforce._counted_multiplicities(columns, dec))
+        assert sorted(counted_multiplicities(group, table, dec)) == \
             sorted(counted_multiplicities(group, dixon_character_table(group),
-                                          enumerate_action(group, 6)))
+                                          dec))
 
     def test_non_character_counts_raise(self):
         # counts that differ on a class and its inverse class give an
@@ -500,7 +505,8 @@ class TestDifferentialCheck:
             {d: tuple(n // g for n in nums)
              for d, nums in qp.numerators.items()})
         halved = replace(table, rows=tuple(rows))
-        assert bruteforce._multiplicity_columns(group, halved)[i][0] == 2
+        assert bruteforce._multiplicity_columns(group, halved)[0][i] == \
+            2 * group.order
         verdicts, _ = differential_check(group, halved, tuple(mults), fixed,
                                          q_max=8)
         assert {v.name: v for v in verdicts}["oracle-multiplicities"].passed
