@@ -59,9 +59,8 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
     # R^a - I and R - I have the same column lattice, hence the same rank
     # and elementary divisors.
     ident = IntMatrix.identity(group.rank)
-    reps = group.class_representatives
-    snfs = {c: smith_normal_form(group.matrix(reps[c]).sub(ident))
-            for c in group.leaders}
+    snfs = {c: smith_normal_form(m.sub(ident))
+            for c, m in group.leader_matrices.items()}
     ranks = [snfs[leader].rank for leader, _ in group.families]
     divisors = [snfs[leader].divisors for leader, _ in group.families]
     # the action of the stored matrices is faithful: only the identity fixes
@@ -147,8 +146,7 @@ def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
     per class shows that the parity function is a degree-1 character. It is
     computed once per Galois family: det(rep_c) = det(rep_leader)^a."""
     signs = tuple((-1) ** r for r in data.ranks)
-    reps = group.class_representatives
-    leader_dets = {c: group.matrix(reps[c]).det() for c in group.leaders}
+    leader_dets = {c: m.det() for c, m in group.leader_matrices.items()}
     dets = tuple(leader_dets[leader] ** a for leader, a in group.families)
     if dets != signs:
         raise NotACharacter(

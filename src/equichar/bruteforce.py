@@ -12,10 +12,11 @@ rep's cyclic group), so only the leader of each such Galois family
 (`group.families`) gets an array, composed from the generators' along the
 closure's stored BFS tree and certified against its matrix; the identity
 class fixes all q^l points and gets none. The generators' and leaders'
-matrices are built once per differential check. Isotropy is counted per
-class from the fixed points: since stabilizers along an orbit O are
-conjugate, |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O, and
-only orbits that some class's fixed points hit need isotropy of their own.
+matrices are built once per group (`group.generator_matrices`,
+`group.leader_matrices`). Isotropy is counted per class from the fixed
+points: since stabilizers along an orbit O are conjugate,
+|Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O, and only orbits
+that some class's fixed points hit need isotropy of their own.
 Multiplicities are the textbook inner products against the counted fixed
 points, as integer dot products with each row's coefficients. None of it
 shares code with the Smith-form route, which is the point.
@@ -44,9 +45,7 @@ MAX_POINTS_ENV = "EQUICHAR_MAX_POINTS"
 FREE = ((0, 1),)  # the isotropy of an orbit that only the identity fixes
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
+def resolve_cap() -> int:
     env = os.environ.get(MAX_POINTS_ENV, str(DEFAULT_MAX_POINTS)).strip()
     if not env.isdecimal() or int(env) < 1:
         raise ValidationError(
@@ -110,30 +109,22 @@ class OrbitDecomposition:
         return len(self.orbit_sizes)
 
 
-def _action_matrices(group: FiniteMatrixGroup
-                     ) -> tuple[list[IntMatrix], dict[int, IntMatrix]]:
-    """The generators' matrices, and the representative's matrix of each
-    Galois family's leader class but the identity's, by class."""
-    reps = group.class_representatives
-    return ([group.matrix(i) for i in group.generator_indices],
-            {c: group.matrix(reps[c]) for c in group.leaders if c})
-
-
 def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
-                  matrices: dict[int, IntMatrix], q: int, short: list[int]
-                  ) -> dict[int, list[int]]:
-    """The codes of the fixed points of the representatives of the classes
-    that key matrices. They lie in the G-invariant set S of codes that
-    short lists, so arrays act on positions in S, sorted, each generator's
-    re-indexed once unless S is every code. An element first reached in
-    closure as a·g has the array img_a ∘ img_g, so arrays are composed
-    along the closure's breadth-first tree (Schreier vectors: Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, 4.1), each dropped
-    once no pending element below it needs it. A representative's tree
-    word, walked through the generators' full arrays, is a linear map and
-    is certified against its matrix at the unit vectors; the array scanned
-    is that word restricted to S."""
+                  q: int, short: list[int]) -> dict[int, list[int]]:
+    """The codes of the fixed points of the representatives of the family
+    leaders but the identity's, by class. They lie in the G-invariant set S
+    of codes that short lists, so arrays act on positions in S, sorted, each
+    generator's re-indexed once and certified at every position to be its
+    full array restricted to S. An element first reached in closure as a·g
+    has the array img_a ∘ img_g, so arrays are composed along the closure's
+    breadth-first tree (Schreier vectors: Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 4.1), each dropped once no pending
+    element below it needs it. A representative's tree word, walked through
+    the generators' full arrays, is a linear map and is certified against
+    its matrix at the unit vectors; the array scanned is that word
+    restricted to S."""
     parent, reps = group.parent, group.class_representatives
+    matrices = group.leader_matrices
     wanted = set()  # the representatives and their ancestors
     for c in matrices:
         x = reps[c]
@@ -143,14 +134,16 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
     pending = Counter(parent[x][0] for x in wanted)  # children to build
     # the unit vectors' codes; (Z/1)^l is the one point 0
     units = [q ** j for j in range(group.rank)] if q > 1 else []
-    support, steps = range(total := q ** group.rank), gen_images
-    if len(short) < total:
-        support = sorted(short)
-        position = [0] * total
-        for p, y in enumerate(support):
-            position[y] = p
-        steps = [list(map(position.__getitem__, map(img.__getitem__, support)))
-                 for img in gen_images]
+    support, position, steps = sorted(short), [0] * q ** group.rank, []
+    for p, y in enumerate(support):
+        position[y] = p
+    for j, img in enumerate(gen_images):
+        targets = list(map(img.__getitem__, support))
+        steps.append(list(map(position.__getitem__, targets)))
+        if list(map(support.__getitem__, steps[j])) != targets:
+            raise CertificationFailed(
+                f"generator {j} at q={q}: maps a code of a short orbit "
+                f"outside the short orbits")
     images, fixed = {}, {}
     for x in sorted(wanted):  # parents first
         a, j = parent[x]  # a generator's own array serves as is
@@ -176,22 +169,17 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
     return fixed
 
 
-def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
-                     matrices: tuple[list[IntMatrix], dict[int, IntMatrix]]
-                     | None = None) -> OrbitDecomposition:
-    """The orbit decomposition of (Z/q)^l. matrices, as `_action_matrices`
-    returns them, is built here unless a caller that runs several q passes
-    it."""
+def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
+    """The orbit decomposition of (Z/q)^l."""
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    cap = resolve_cap(cap)
+    cap = resolve_cap()
     total = q ** group.rank
     if total > cap:
         raise EnumerationCapExceeded(
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
-            f"raise it via the cap argument or {MAX_POINTS_ENV}")
-    gen_matrices, leader_matrices = matrices or _action_matrices(group)
-    gen_images = [_image_array(m, q) for m in gen_matrices]
+            f"raise it via {MAX_POINTS_ENV}")
+    gen_images = [_image_array(m, q) for m in group.generator_matrices]
     order = group.order
     label = [-1] * total
     sizes, short = [], []  # short: the codes of orbits of fewer than |G|
@@ -214,7 +202,7 @@ def enumerate_action(group: FiniteMatrixGroup, q: int, cap: int | None = None,
     # x^k generates the group x does for k prime to its order, so such
     # powers fix the same points: each Galois family of classes is counted
     # once, at its leader; the identity class (0) fixes every point
-    points = _fixed_points(group, gen_images, leader_matrices, q, short)
+    points = _fixed_points(group, gen_images, q, short)
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
     # the identity fixes every point, so it is in every stabilizer once, and
     # the orbits no other class fixes a point of share one isotropy tuple
@@ -294,12 +282,12 @@ def _linear_orbit_counts(kernels: dict[int, set[int]],
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
                        multiplicities: tuple[GcdQuasiPolynomial, ...],
                        fixed_qps: tuple[GcdQuasiPolynomial, ...], *,
-                       q_max: int, cap: int | None = None) -> tuple[list[Verdict], int]:
+                       q_max: int) -> tuple[list[Verdict], int]:
     """Compare every symbolic prediction against enumeration for q up to
     q_max (clamped by the point cap). Returns the verdicts and the largest q
     actually enumerated. Predictions are compared in integers, as numerators
     over their denominator, each distinct object evaluated once per q."""
-    cap = resolve_cap(cap)
+    cap = resolve_cap()
     scales, columns = _multiplicity_columns(group, table)
     kernels = _linear_kernels(table)
     objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
@@ -311,12 +299,11 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
             first_bad.setdefault(key, f"{where}: predicted {Fraction(num, den)}"
                                  f", {verb} {Fraction(counted, scale)}")
 
-    matrices = _action_matrices(group)
     covered = 0
     for q in range(1, q_max + 1):
         if q ** group.rank > cap:
             break
-        dec = enumerate_action(group, q, cap, matrices)
+        dec = enumerate_action(group, q)
         value = {id(qp): (horner(qp.numerators[gcd(qp.period, q)], q),
                           qp.denominator) for qp in objects}
         fixed, mults = ([value[id(qp)] for qp in qps]

@@ -6,7 +6,8 @@ reduced for a positive definite form that every element preserves, so they
 are short for it and their orbits stay small whatever basis the generators
 are written in. An element is stored as the permutation of Omega it
 induces, p(AB) = p(A) o p(B), and its matrix is rebuilt on demand from the
-images of the b_j. Closure is breadth-first from an explicit generator list:
+images of the b_j; the generators' and the family leaders' matrices are
+kept once built. Closure is breadth-first from an explicit generator list:
 element 0 is the identity and the element order is the BFS discovery order,
 so it is reproducible for a fixed generator list. Conjugacy classes are
 orbits under conjugation by the generators (Holt, Eick and O'Brien, Handbook
@@ -73,6 +74,16 @@ class FiniteMatrixGroup:
         """The classes that lead their Galois family, in class order."""
         return tuple(c for c, (leader, _) in enumerate(self.families)
                      if leader == c)
+
+    @cached_property
+    def generator_matrices(self) -> tuple[IntMatrix, ...]:
+        return tuple(map(self.matrix, self.generator_indices))
+
+    @cached_property
+    def leader_matrices(self) -> dict[int, IntMatrix]:
+        """The representative's matrix of each family leader, by class."""
+        reps = self.class_representatives
+        return {c: self.matrix(reps[c]) for c in self.leaders}
 
     def mul(self, i: int, j: int) -> int:
         a = self.perms[i]

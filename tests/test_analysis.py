@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from equichar import (FiniteMatrixGroup, IntMatrix, NoMatch,
+from equichar import (IntMatrix, NoMatch,
                       NonRationalCoefficient, NotACharacter, action_period,
                       analysis, analyze, class_divisor_data,
                       dixon_character_table, equivariant_qp, find_row,
@@ -152,26 +152,25 @@ class TestGaloisFamilies:
     def test_one_smith_form_and_determinant_per_family(self, monkeypatch):
         group = generate_group([mat(C21_GENERATOR)], rank=8)
         table = dixon_character_table(group)
-        snf_calls, matrix_calls = [], []
+        snf_calls, det_calls = [], []
         original_snf = analysis.smith_normal_form
-        original_matrix = FiniteMatrixGroup.matrix
+        original_det = IntMatrix.det
 
         def counting_snf(a):
             snf_calls.append(a)
             return original_snf(a)
 
-        def counting_matrix(self, i):
-            matrix_calls.append(i)
-            return original_matrix(self, i)
+        def counting_det(self):
+            det_calls.append(self)
+            return original_det(self)
 
         monkeypatch.setattr(analysis, "smith_normal_form", counting_snf)
-        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting_matrix)
+        monkeypatch.setattr(IntMatrix, "det", counting_det)
         data = class_divisor_data(group)
         assert len(snf_calls) == len(group.leaders) == 4
-        matrix_calls.clear()
+        det_calls.clear()
         reciprocity_character(group, table, data)
-        reps = group.class_representatives
-        assert matrix_calls == [reps[c] for c in group.leaders]
+        assert det_calls == list(group.leader_matrices.values())
 
 
 class TestFixedPoints:

@@ -11,14 +11,15 @@ from equichar import (CertificationFailed, EnumerationCapExceeded,
                       dixon_character_table, enumerate_action, fixed_point_qp,
                       class_divisor_data, equivariant_qp,
                       generate_group, ingest_character_table,
-                      make_quasimonomial, ValidationError)
+                      make_quasimonomial, reciprocity_character,
+                      ValidationError)
 from equichar import Cyclotomic, GcdQuasiPolynomial, bruteforce
 from equichar.cli import parse_input
 from equichar.groups import FiniteMatrixGroup
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
-from conftest import (BUILTIN_NAMES, PROBLEMS_DIR, make_builtin_group, mat,
-                      plus_one)
+from conftest import (BUILTIN_NAMES, C21_GENERATOR, PROBLEMS_DIR,
+                      make_builtin_group, mat, plus_one)
 
 # B3 on Z^3: the transposition (1 2), the 3-cycle and the sign flip of e_1
 B3_GENERATORS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -204,9 +205,9 @@ class TestEnumeration:
         seen = []
         original = bruteforce._fixed_points
 
-        def recording(group, gen_images, matrices, q, short):
+        def recording(group, gen_images, q, short):
             seen.append(short)
-            return original(group, gen_images, matrices, q, short)
+            return original(group, gen_images, q, short)
 
         monkeypatch.setattr(bruteforce, "_fixed_points", recording)
         dec = enumerate_action(group, 24)
@@ -221,18 +222,31 @@ class TestEnumeration:
     @pytest.mark.parametrize("name, q", [("c6-z3", 12), ("s3-a2", 16)])
     def test_fixed_points_same_on_short_orbits_as_on_every_code(self, name,
                                                                 q):
-        # the short orbits' codes are re-indexed; every code is not
+        # every code is the whole space, re-indexed to itself
         group = make_builtin_group(name)
-        gen_matrices, leaders = bruteforce._action_matrices(group)
-        gen_images = [bruteforce._image_array(m, q) for m in gen_matrices]
+        gen_images = [bruteforce._image_array(m, q)
+                      for m in group.generator_matrices]
         short = [y for orbit in orbits_of(enumerate_action(group, q))
                  if len(orbit) < group.order for y in orbit]
-        on_short = bruteforce._fixed_points(group, gen_images, leaders, q,
-                                            short)
-        on_all = bruteforce._fixed_points(group, gen_images, leaders, q,
+        on_short = bruteforce._fixed_points(group, gen_images, q, short)
+        on_all = bruteforce._fixed_points(group, gen_images, q,
                                           list(range(q ** group.rank)))
         assert {c: sorted(codes) for c, codes in on_short.items()} == on_all
         assert all(on_all.values())
+
+    def test_short_orbit_code_left_out_raises(self):
+        # without one code of an orbit of 3, S is not G-invariant, and a
+        # generator's re-indexed array no longer restricts its full one
+        group = make_builtin_group("c6-z3")
+        gen_images = [bruteforce._image_array(m, 4)
+                      for m in group.generator_matrices]
+        orbits = orbits_of(enumerate_action(group, 4))
+        short = [y for orbit in orbits if len(orbit) < group.order
+                 for y in orbit]
+        dropped = next(orbit[1] for orbit in orbits if len(orbit) == 3)
+        short.remove(dropped)
+        with pytest.raises(CertificationFailed, match="generator 0 at q=4"):
+            bruteforce._fixed_points(group, gen_images, 4, short)
 
     def test_image_arrays_one_per_generator_and_class(self, monkeypatch):
         group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
@@ -270,10 +284,11 @@ class TestEnumeration:
         with pytest.raises(CertificationFailed, match=f"class {c} at q=2"):
             enumerate_action(bad, 2)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setenv(MAX_POINTS_ENV, "50")
         group = make_builtin_group("c6-z2")
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_action(group, 100, cap=50)
+            enumerate_action(group, 100)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(MAX_POINTS_ENV, "10")
@@ -444,12 +459,11 @@ class TestDifferentialCheck:
             for q in (1, 2, 4):
                 enumerate_action(group, q)
 
-    def test_matrices_only_for_generators_and_family_leaders(self,
-                                                             monkeypatch):
-        # C6 on Z^3: the generator's digit array, then one certificate for
-        # each Galois family other than the identity's: {g, g^5}, {g^2, g^4}
-        # and {g^3}
-        group = make_builtin_group("c6-z3")
+    def test_matrices_built_once_per_group(self, monkeypatch):
+        # one matrix per generator and one per Galois family leader, the
+        # identity's included, across the Smith forms, the determinants and
+        # the oracle to any q_max: C6 on Z^3 has the families {1}, {g, g^5},
+        # {g^2, g^4} and {g^3}, C21 four as well
         calls = []
         original = FiniteMatrixGroup.matrix
 
@@ -458,34 +472,29 @@ class TestDifferentialCheck:
             return original(self, i)
 
         monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
-        for q in (1, 3, 6):
+        for group in (make_builtin_group("c6-z3"),
+                      generate_group([mat(C21_GENERATOR)], rank=8)):
             calls.clear()
-            enumerate_action(group, q)
-            assert len(calls) == 1 + 3
+            table = dixon_character_table(group)
+            data = class_divisor_data(group)
+            reciprocity_character(group, table, data)
+            eqp = equivariant_qp(group, table, data)
+            fixed = tuple(fixed_point_qp(data, c)
+                          for c in range(group.class_count))
+            for q_max in (2, 3):
+                verdicts, covered = differential_check(
+                    group, table, eqp.multiplicities, fixed, q_max=q_max)
+                assert covered == q_max and all(v.passed for v in verdicts)
+            reps = group.class_representatives
+            assert sorted(calls) == sorted([*group.generator_indices,
+                                            *(reps[c] for c in group.leaders)])
+            assert len(calls) == 1 + 4
 
-    def test_matrices_built_once_per_check(self, monkeypatch):
-        # c6-z3: the generator and the three non-identity family leaders,
-        # whatever the number of q
-        group, table, eqp, fixed = pipeline("c6-z3")
-        calls = []
-        original = FiniteMatrixGroup.matrix
-
-        def counting(self, i):
-            calls.append(i)
-            return original(self, i)
-
-        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
-        for q_max in (2, 6):
-            calls.clear()
-            verdicts, covered = differential_check(
-                group, table, eqp.multiplicities, fixed, q_max=q_max)
-            assert covered == q_max and all(v.passed for v in verdicts)
-            assert len(calls) == 1 + 3
-
-    def test_cap_clamps_range(self):
+    def test_cap_clamps_range(self, monkeypatch):
+        monkeypatch.setenv(MAX_POINTS_ENV, "100")
         group, table, eqp, fixed = pipeline("c6-z2")
         verdicts, covered = differential_check(
-            group, table, eqp.multiplicities, fixed, q_max=24, cap=100)
+            group, table, eqp.multiplicities, fixed, q_max=24)
         assert covered == 10  # 10^2 <= 100 < 11^2
         assert all(v.passed for v in verdicts)
         assert all("1..10" in v.method for v in verdicts)
