@@ -459,6 +459,47 @@ class TestDifferentialCheck:
             for q in (1, 2, 4):
                 enumerate_action(group, q)
 
+    def test_matrices_only_for_generators_and_family_leaders(self,
+                                                             monkeypatch):
+        # C6 on Z^3, a fresh group: the generator's digit array, then one
+        # certificate for each Galois family: {1}, {g, g^5}, {g^2, g^4} and
+        # {g^3}; the first q builds them and later ones reuse them
+        group = make_builtin_group("c6-z3")
+        calls = []
+        original = FiniteMatrixGroup.matrix
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
+        reps = group.class_representatives
+        expected = sorted([*group.generator_indices,
+                           *(reps[c] for c in group.leaders)])
+        for q in (1, 3, 6):
+            enumerate_action(group, q)
+            assert sorted(calls) == expected
+        assert len(calls) == 1 + 4
+
+    def test_matrices_built_once_per_check(self, monkeypatch):
+        # c6-z3: the pipeline has built the family leaders' matrices on the
+        # group; the first check adds the generator's, and none is built
+        # again, whatever the number of q
+        group, table, eqp, fixed = pipeline("c6-z3")
+        calls = []
+        original = FiniteMatrixGroup.matrix
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(FiniteMatrixGroup, "matrix", counting)
+        for q_max in (2, 6):
+            verdicts, covered = differential_check(
+                group, table, eqp.multiplicities, fixed, q_max=q_max)
+            assert covered == q_max and all(v.passed for v in verdicts)
+            assert calls == list(group.generator_indices)
+
     def test_matrices_built_once_per_group(self, monkeypatch):
         # one matrix per generator and one per Galois family leader, the
         # identity's included, across the Smith forms, the determinants and
