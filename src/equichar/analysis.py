@@ -26,10 +26,11 @@ from math import gcd, lcm, prod
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          ingest_character_table, find_row,
-                         rational_class_function)
+                         rational_class_function, table_to_dict,
+                         twist_indices)
 from .checks import Verdict
 from .cyclo import Cyclotomic
-from .errors import (CertificationFailed, NoMatch, NonRationalCoefficient,
+from .errors import (CertificationFailed, NonRationalCoefficient,
                      NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
                       make_quasimonomial, rows_by_object)
@@ -115,8 +116,6 @@ class EquivariantQuasiPolynomial:
     """The full character-valued quasi-polynomial: one multiplicity
     quasi-polynomial per irreducible row of the table."""
 
-    lattice_rank: int
-    period: int
     multiplicities: tuple[GcdQuasiPolynomial, ...]
 
 
@@ -132,9 +131,7 @@ def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
         if (qp := shared.get(terms)) is None:
             qp = shared[terms] = from_terms(period, terms)
         mults.append(qp)
-    return EquivariantQuasiPolynomial(lattice_rank=data.lattice_rank,
-                                      period=period,
-                                      multiplicities=tuple(mults))
+    return EquivariantQuasiPolynomial(multiplicities=tuple(mults))
 
 
 def reciprocity_character(group: FiniteMatrixGroup, table: CharacterTable,
@@ -167,39 +164,16 @@ def _reflected(qp: GcdQuasiPolynomial, ell: int) -> GcdQuasiPolynomial:
         for d, nums in qp.numerators.items()})
 
 
-def _twist_indices(table: CharacterTable, delta: ClassFunction) -> list[int]:
-    """For each row i, the index of the row chi_i (x) delta. delta takes
-    only the values +-1, so the twist negates the values on the classes
-    where delta = -1, and the twisted row is looked up by its values."""
-    m = delta.group.exponent
-    one, minus = Cyclotomic.rational(m, 1), Cyclotomic.rational(m, -1)
-    if any(v != one and v != minus for v in delta.values):
-        raise NotACharacter("the twisting character takes a value other "
-                            "than 1 and -1")
-    flips = [c for c, v in enumerate(delta.values) if v == minus]
-    index = {row.values: i for i, row in enumerate(table.rows)}
-    twist = []
-    for i, row in enumerate(table.rows):
-        values = list(row.values)
-        for c in flips:
-            values[c] = -values[c]
-        j = index.get(tuple(values))
-        if j is None:
-            raise NoMatch(f"row {i} twisted by the given character is not in "
-                          f"the table")
-        twist.append(j)
-    return twist
-
-
 def check_reciprocity(table: CharacterTable, eqp: EquivariantQuasiPolynomial,
                       delta: ClassFunction) -> list[Verdict]:
     """Constituent-level verification of the twist identity
     m(chi_i (x) delta; q) = (-1)^l m(chi_i; -q) and of its aggregate form
-    F(q) = (-1)^l delta (x) F(-q)."""
-    period = eqp.period
+    F(q) = (-1)^l delta (x) F(-q). l is the rank of the table's group and
+    every multiplicity has the action's period."""
     mults = eqp.multiplicities
-    twist = _twist_indices(table, delta)
-    reflected = {id(qp): _reflected(qp, eqp.lattice_rank)
+    period = mults[0].period
+    twist = twist_indices(table, delta)
+    reflected = {id(qp): _reflected(qp, table.group.rank)
                  for qp, _ in rows_by_object(mults)}
     # the twist is an involution, so this pass also covers the aggregate
     # identity read from the other side. Canonical tables of one period are
@@ -390,8 +364,8 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
 
     # each distinct multiplicity counts with the summed degrees of its rows,
     # over the lcm of the denominators; every one has degree at most l, so
-    # the weighted sum is q^l iff at every divisor its trimmed constituent is
-    # that of q^l
+    # the weighted sum is q^l iff at every divisor its l + 1 coefficients are
+    # those of q^l
     den = lcm(*(qp.denominator for qp, _ in shared))
     weighted = [(qp, sum(table.degrees[i] for i in rows) * (den // qp.denominator))
                 for qp, rows in shared]
@@ -401,8 +375,6 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
         for qp, weight in weighted:
             for p, c in enumerate(qp.numerators[d]):
                 total[p] += weight * c
-        while total and total[-1] == 0:
-            total.pop()
         if total != [0] * ell + [den]:
             dim_ok = False
             break
@@ -451,8 +423,6 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
 def report_to_dict(report: AnalysisReport) -> dict:
     """Deterministic JSON-ready view of a report; key order is fixed and all
     numbers are exact (rationals appear as [numerator, denominator])."""
-    from .characters import table_to_dict
-
     group = report.group
     data = report.data
     table = report.table

@@ -17,6 +17,7 @@ table implies the second, before being returned; each distinct value enters
 that check once, through its preimage where that is sparser than its
 reduced coefficients, after the preimage is confirmed to reduce to it. The
 same validation, without preimages, is applied to user-supplied tables.
+The twist of every row by one degree-1 character is looked up here as well.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != self.group.class_count:
             raise GroupMismatch("one value per conjugacy class is required")
-
-    def degree(self) -> Cyclotomic:
-        return self.values[0]
-
-    def tensor(self, other: "ClassFunction") -> "ClassFunction":
-        if self.group is not other.group:
-            raise GroupMismatch("tensor of class functions on different groups")
-        return ClassFunction(self.group,
-                             tuple(a * b for a, b in zip(self.values, other.values)))
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
@@ -118,10 +110,6 @@ def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
         if d.denominator != 1 or d <= 0:
             raise ValidationFailed("degree", f"row {i} has degree {d}")
         degrees.append(int(d))
-    if sum(d * d for d in degrees) != group.order:
-        raise ValidationFailed("degree sum",
-                               f"sum of squared degrees is {sum(d*d for d in degrees)},"
-                               f" group order is {group.order}")
     # Each distinct value gets one sparse term list on the powers of zeta_e:
     # its reduced coefficients, or its preimage in Z[x]/(x^e - 1) where that
     # has fewer terms. Reduction modulo the cyclotomic polynomial is a ring
@@ -155,8 +143,9 @@ def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
     # First orthogonality for the square table X reads X D X* = |G| I with
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
-    # that is second orthogonality, which therefore needs no check of its own.
-    # Each entry is summed exactly on the powers of zeta_e and reduced once.
+    # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
+    # neither needs a check of its own. Each entry is summed exactly on the
+    # powers of zeta_e and reduced once.
     weighted = [[[(s, a * size) for s, a in pairs]
                  for (pairs, _), size in zip(line, group.class_sizes)]
                 for line in entry_terms]
@@ -201,36 +190,53 @@ def find_row(table: CharacterTable, values: tuple[Cyclotomic, ...]) -> int | Non
     return None
 
 
+def twist_indices(table: CharacterTable, linear: ClassFunction) -> list[int]:
+    """For each row i, the index of the row chi_i (x) linear, for a degree-1
+    character `linear`. Where `linear` is 1 a value is kept and where it is
+    -1 negated, so a rational twist makes no cyclotomic product."""
+    if linear.group is not table.group:
+        raise GroupMismatch("tensor of class functions on different groups")
+    one = Cyclotomic.rational(table.group.exponent, 1)
+    if linear.values[0] != one:
+        raise NotLinearCharacter(
+            f"twisting character has degree {linear.values[0]}")
+    # None marks a value -1, negated rather than multiplied
+    factors = [(c, None if v == -one else v)
+               for c, v in enumerate(linear.values) if v != one]
+    index = {row.values: i for i, row in enumerate(table.rows)}
+    twist = []
+    for i, row in enumerate(table.rows):
+        values = list(row.values)
+        for c, v in factors:
+            values[c] = -values[c] if v is None else values[c] * v
+        if (j := index.get(tuple(values))) is None:
+            raise NoMatch(f"row {i} twisted by the given character is not in "
+                          f"the table")
+        twist.append(j)
+    return twist
+
+
 def tensor_identify(table: CharacterTable, i: int, linear: ClassFunction) -> int:
     """Index of the row equal to row i twisted by a degree-1 character."""
-    try:
-        d = linear.values[0].as_fraction()
-    except ValueError:
-        raise NotLinearCharacter("twisting character has non-rational degree")
-    if d != 1:
-        raise NotLinearCharacter(f"twisting character has degree {d}")
-    product = table.rows[i].tensor(linear)
-    j = find_row(table, product.values)
-    if j is None:
-        raise NoMatch(f"row {i} twisted by the given character is not in the table")
-    return j
+    return twist_indices(table, linear)[i]
 
 
 # ---------------------------------------------------------------------------
 # modular computation of the irreducible table
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    factors = set()
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            factors.add(f)
+            n //= f
+        f += 1
+    if n > 1:
+        factors.add(n)
+    return factors
 
 def _working_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p^2 > 4*order, so that F_p
@@ -238,7 +244,7 @@ def _working_prime(exponent: int, order: int) -> int:
     k = 1
     while k < 10_000_000:
         p = k * exponent + 1
-        if p * p > 4 * order and _is_prime(p):
+        if p * p > 4 * order and _prime_factors(p) == {p}:
             return p
         k += 1
     raise PrimeSearchFailed(
@@ -247,16 +253,7 @@ def _working_prime(exponent: int, order: int) -> int:
 def _root_of_unity_mod(p: int, e: int) -> int:
     if e == 1:
         return 1
-    prime_factors = set()
-    n = e
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            prime_factors.add(f)
-            n //= f
-        f += 1
-    if n > 1:
-        prime_factors.add(n)
+    prime_factors = _prime_factors(e)
     for z in range(2, p):
         if pow(z, e, p) == 1 and all(pow(z, e // q, p) != 1 for q in prime_factors):
             return z
@@ -521,9 +518,11 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
     except KeyError as exc:
         raise ValidationFailed("format", f"missing field: {exc}")
     if not (type(conductor) is int and isinstance(classes, list)
+            and all(type(c) is int for c in classes)
             and isinstance(raw_rows, list)):
         raise ValidationFailed("format", "conductor must be an integer, "
-                                         "classes and rows lists")
+                                         "classes a list of integers and "
+                                         "rows a list")
     if conductor != group.exponent:
         raise ValidationFailed("conductor",
                                f"table conductor {conductor}, group exponent "

@@ -16,8 +16,9 @@ from equichar import (IntMatrix, NoMatch,
                       dixon_character_table, equivariant_qp, find_row,
                       fixed_point_qp, generate_group,
                       reciprocity_character, report_to_dict,
-                      smith_normal_form, tensor_identify)
+                      smith_normal_form)
 from equichar.analysis import integrality_failure
+from equichar.characters import twist_indices
 from equichar.cyclo import Cyclotomic
 from equichar.gcdpoly import divisors_of, from_terms
 
@@ -246,7 +247,7 @@ class TestEquivariant:
         for name, (group, table, data) in pipelines.items():
             eqp = equivariant_qp(group, table, data)
             for i, qp in enumerate(eqp.multiplicities):
-                poly = qp.constituent(eqp.period)
+                poly = qp.constituent(action_period(data))
                 assert len(poly) - 1 == group.rank
                 assert poly[-1] == Fraction(table.degrees[i], group.order)
 
@@ -481,8 +482,8 @@ class TestIntegrality:
     def test_real_multiplicities_pass(self, pipelines):
         for group, table, data in pipelines.values():
             eqp = equivariant_qp(group, table, data)
-            assert integrality_failure(eqp.multiplicities, eqp.period,
-                                       eqp.lattice_rank) is None
+            assert integrality_failure(eqp.multiplicities, action_period(data),
+                                       group.rank) is None
 
 
 class TestReciprocity:
@@ -509,6 +510,15 @@ class TestReciprocity:
         with pytest.raises(NotACharacter):
             reciprocity_character(group, table,
                                   dataclasses.replace(data, ranks=ranks))
+
+    def test_parity_row_missing_from_table(self, pipelines):
+        group, table, data = pipelines["s3-a2"]
+        _, sign = reciprocity_character(group, table, data)
+        rows = list(table.rows)
+        rows[sign] = rows[table.trivial_index]
+        with pytest.raises(NotACharacter, match="matches no table row"):
+            reciprocity_character(
+                group, dataclasses.replace(table, rows=tuple(rows)), data)
 
     def test_twist_pairings_between_rows(self, pipelines):
         # m(chi^1; q) = -m(chi^4; -q) and m(chi^3; q) = -m(trivial; -q)
@@ -558,16 +568,17 @@ class TestReciprocity:
         group, table, data = pipelines[name]
         delta, _ = reciprocity_character(group, table, data)
         eqp = equivariant_qp(group, table, data)
-        twist = analysis._twist_indices(table, delta)
-        ell = eqp.lattice_rank
+        twist = twist_indices(table, delta)
+        ell = group.rank
+        divisors = divisors_of(action_period(data))
         failing = 0
         for row in range(table.size):
-            for d in divisors_of(eqp.period):
+            for d in divisors:
                 mults = list(eqp.multiplicities)
                 mults[row] = plus_one(mults[row], [d])
                 expected = next((
                     (i, e) for i in range(table.size)
-                    for e in divisors_of(eqp.period)
+                    for e in divisors
                     if mults[twist[i]].constituent(e) != tuple(
                         (-1) ** (ell + p) * c
                         for p, c in enumerate(mults[i].constituent(e)))),
@@ -583,11 +594,14 @@ class TestReciprocity:
         assert (failing == 0) == (name == "c6-z2")
 
     def test_twist_twists_by_delta(self, pipelines):
-        # the rows check_reciprocity pairs are those tensor_identify finds
+        # the rows check_reciprocity pairs are those of the products
+        # chi_i * delta, formed value by value
         for group, table, data in pipelines.values():
             delta, _ = reciprocity_character(group, table, data)
-            assert analysis._twist_indices(table, delta) == \
-                [tensor_identify(table, i, delta) for i in range(table.size)]
+            assert twist_indices(table, delta) == [
+                find_row(table, tuple(a * b for a, b in zip(row.values,
+                                                            delta.values)))
+                for row in table.rows]
 
     def test_twist_with_missing_row_names_it(self, pipelines):
         group, table, data = pipelines["s3-a2"]
@@ -599,8 +613,7 @@ class TestReciprocity:
         first = min(sign, table.trivial_index)
         with pytest.raises(NoMatch, match=f"row {first} twisted by the given "
                                           f"character is not in the table"):
-            analysis._twist_indices(dataclasses.replace(table, rows=rows),
-                                    delta)
+            twist_indices(dataclasses.replace(table, rows=rows), delta)
 
     def test_even_rank_trivial_delta_gives_symmetry(self, pipelines):
         group, table, data = pipelines["c6-z2"]

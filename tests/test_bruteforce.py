@@ -566,7 +566,8 @@ class TestDifferentialCheck:
         bad = list(fixed)
         victim = next(c for c in range(group.class_count)
                       if fixed[c].minimal_period() > 1)
-        bad[victim] = make_quasimonomial((2,), 0, 1, period=eqp.period)
+        bad[victim] = make_quasimonomial((2,), 0, 1,
+                                         period=fixed[victim].period)
         verdicts, _ = differential_check(
             group, table, eqp.multiplicities, tuple(bad), q_max=8)
         by_name = {v.name: v for v in verdicts}
@@ -575,6 +576,23 @@ class TestDifferentialCheck:
         # the untouched predictions still pass
         assert by_name["oracle-multiplicities"].passed
         assert by_name["oracle-orbit-count"].passed
+
+    def test_burnside_sees_one_fixed_count_off(self, monkeypatch):
+        group, table, eqp, fixed = pipeline("s3-a2")
+        original = bruteforce.enumerate_action
+
+        def miscounted(group, q):
+            dec = original(group, q)
+            counts = list(dec.fixed_counts)
+            counts[1] += 1
+            return replace(dec, fixed_counts=tuple(counts))
+
+        monkeypatch.setattr(bruteforce, "enumerate_action", miscounted)
+        verdicts, _ = differential_check(group, table, eqp.multiplicities,
+                                         fixed, q_max=4)
+        burnside = {v.name: v for v in verdicts}["oracle-burnside"]
+        assert not burnside.passed
+        assert burnside.details.startswith("q=1: ")
 
     def test_corrupted_fixed_points_off_a_family_leader_detected(self):
         # g^5 fixes what g fixes, and only g's class is masked; a fault in

@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from equichar import (FiniteMatrixGroup, NoMatch, NotASubgroup,
+from equichar import (FiniteMatrixGroup, GroupMismatch, NoMatch, NotASubgroup,
                       NotLinearCharacter, ValidationFailed, cyclic_subgroup,
                       dixon_character_table, find_row, generate_group,
                       induce_trivial, ingest_character_table, inner_product,
                       rational_class_function, table_to_dict,
                       tensor_identify)
 from equichar import characters
-from equichar.characters import _echelon_mod, build_table
+from equichar.characters import _echelon_mod, build_table, twist_indices
 from equichar.cli import parse_input
 from equichar.cyclo import Cyclotomic
 
@@ -320,6 +320,62 @@ class TestCoefficientTypes:
                     for c in value.coeffs} == {int}
 
 
+def is_orthonormal(rows):
+    return all(inner_product(a, b).as_fraction() == (i == j)
+               for i, a in enumerate(rows) for j, b in enumerate(rows))
+
+
+class TestTableChecks:
+    """Each check of the row validation, reached by a table that passes
+    every check before it."""
+
+    @staticmethod
+    def rejection(group, rows):
+        with pytest.raises(ValidationFailed) as info:
+            build_table(group, rows, source="user")
+        return info.value
+
+    def test_non_rational_degree_fails_degree(self, c6_group, tables):
+        rows = list(tables["c6-z2"].rows)
+        zeta = Cyclotomic.root_of_unity(c6_group.exponent)
+        rows[1] = replace(rows[1], values=(zeta, *rows[1].values[1:]))
+        failure = self.rejection(c6_group, rows)
+        assert failure.relation == "degree"
+        assert "row 1 has a non-rational degree" in str(failure)
+
+    def test_negated_row_fails_degree(self, s3_group, tables):
+        rows = list(tables["s3-a2"].rows)
+        rows[1] = replace(rows[1], values=tuple(-v for v in rows[1].values))
+        assert is_orthonormal(rows)
+        failure = self.rejection(s3_group, rows)
+        assert failure.relation == "degree"
+        assert f"row 1 has degree {-tables['s3-a2'].degrees[1]}" in str(failure)
+
+    def test_column_times_zeta_fails_trivial_row(self, c6_group, tables):
+        # a unit factor on one column keeps orthogonality and the degrees,
+        # and leaves no all-ones row
+        zeta = Cyclotomic.root_of_unity(c6_group.exponent)
+        rows = [replace(row, values=(*row.values[:2], row.values[2] * zeta,
+                                     *row.values[3:]))
+                for row in tables["c6-z2"].rows]
+        assert is_orthonormal(rows)
+        assert self.rejection(c6_group, rows).relation == "trivial row"
+
+    def test_copied_degree_two_row_fails_first_orthogonality(self, s3_group,
+                                                             tables):
+        # the squared degrees sum to 9, not |G| = 6, and first
+        # orthogonality is what rejects it
+        table = tables["s3-a2"]
+        two = table.degrees.index(2)
+        sign = next(i for i in table.linear_indices()
+                    if i != table.trivial_index)
+        rows = list(table.rows)
+        rows[sign] = rows[two]
+        assert sum(row.values[0].as_fraction() ** 2 for row in rows) == 9
+        assert self.rejection(s3_group, rows).relation == \
+            "first orthogonality"
+
+
 class TestIngestValidation:
     def test_reference_table_accepted(self, c6_group):
         table = ingest_character_table(c6_group,
@@ -485,6 +541,25 @@ class TestTensorIdentify:
         fake = rational_class_function(s3_group, (1, 1, -1))
         with pytest.raises(NoMatch):
             tensor_identify(table, table.trivial_index, fake)
+
+    def test_twist_by_a_faithful_character(self, tables):
+        # a faithful character of C6 is -1 on the involution, which
+        # negates, and irrational on the elements of order 3 and 6, which
+        # multiply
+        table = tables["c6-z2"]
+        linear = next(row for row in table.rows
+                      if sum(v == row.values[0] for v in row.values) == 1)
+        twist = twist_indices(table, linear)
+        assert twist == [
+            find_row(table, tuple(a * b for a, b in zip(row.values,
+                                                        linear.values)))
+            for row in table.rows]
+        assert sorted(twist) == list(range(table.size))
+        assert all(j != i for i, j in enumerate(twist))
+
+    def test_twist_by_a_character_of_another_group(self, tables):
+        with pytest.raises(GroupMismatch):
+            twist_indices(tables["s3-a2"], tables["c6-z2"].rows[0])
 
     def test_find_row(self, tables):
         table = tables["s3-a2"]

@@ -368,8 +368,11 @@ class TestMain:
     @pytest.mark.parametrize("field, value", [
         ("conductor", 6.9), ("conductor", "6"), ("conductor", True),
         ("classes", "abc"),
+        # equal to the representatives [0, 3, 2, 4, 1, 5] as Python values
+        ("classes", [False, 3, 2, 4, True, 5]),
+        ("classes", [0.0, 3.0, 2.0, 4.0, 1.0, 5.0]),
     ], ids=["float-conductor", "string-conductor", "boolean-conductor",
-            "string-classes"])
+            "string-classes", "boolean-classes", "float-classes"])
     def test_malformed_table_field_is_format_error(self, tmp_path, field,
                                                    value):
         payload = json.loads(
@@ -385,6 +388,15 @@ class TestMain:
         assert lines[0].startswith("error [character table validation]: "
                                    "character table validation failed: "
                                    "format")
+
+    @pytest.mark.parametrize("option", ["--qmax", "--max-order"])
+    def test_zero_option_is_input_error(self, capsys, option):
+        rc = main(["analyze", "--builtin", "c6-z2", option, "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (f"error [problem input]: {option} must be a "
+                                f"positive integer\n")
 
     @pytest.mark.parametrize("content", [
         json.dumps({"rank": 2, "options": {"q_max": True}}).encode(),

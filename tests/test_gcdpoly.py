@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar import (GcdQuasiPolynomial, class_divisor_data, divisors_of,
-                      dixon_character_table, equivariant_qp,
+from equichar import (GcdQuasiPolynomial, action_period, class_divisor_data,
+                      divisors_of, dixon_character_table, equivariant_qp,
                       make_quasimonomial)
 from equichar.gcdpoly import from_terms, horner
 
@@ -283,9 +283,9 @@ def test_each_residue_class_is_a_single_polynomial(qp, r):
 def test_integer_constituents_agree_with_evaluate(name):
     # the stored integer numerators over the denominator are the values
     group = make_builtin_group(name)
-    eqp = equivariant_qp(group, dixon_character_table(group),
-                         class_divisor_data(group))
-    period = eqp.period
+    data = class_divisor_data(group)
+    eqp = equivariant_qp(group, dixon_character_table(group), data)
+    period = action_period(data)
     for qp in eqp.multiplicities:
         assert list(qp.numerators) == list(divisors_of(period))
         assert qp.denominator > 0

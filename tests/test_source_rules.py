@@ -1,9 +1,12 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "equichar"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "equichar"
 
 
 def test_no_assert_statements():
@@ -13,3 +16,18 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's tracer replaces these attributes by name, through
+    # vars(), so a renamed function or a moved import breaks traced runs
+    # alone. The table is compiled from its source, which stays untouched.
+    path = ROOT / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), vars(spans))
+    for module, attr, _ in spans.SPANS:
+        owner = importlib.import_module(f"equichar.{module}")
+        assert attr in vars(owner), (module, attr)
+    for module, cls, attr, _ in spans.COUNTS:
+        owner = getattr(importlib.import_module(f"equichar.{module}"), cls)
+        assert attr in vars(owner), (module, cls, attr)
