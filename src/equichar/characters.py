@@ -11,18 +11,18 @@ representative. Only the leader of each Galois family of classes is lifted:
 a class whose representative is conjugate to rep_leader^a takes the
 leader's eigenvalue multiplicities on zeta_o^(r*a) in place of zeta_o^r.
 Such an eigenvalue multiset is a sparse preimage of the value in
-Z[x]/(x^e - 1), and each distinct one is reduced to a value once. The
-finished table is checked against first orthogonality, which for a square
-table implies the second, before being returned; each distinct value enters
-that check once, through its preimage where that is sparser than its
-reduced coefficients, after the preimage is confirmed to reduce to it. The
-same validation, without preimages, is applied to user-supplied tables.
-The twist of every row by one degree-1 character is looked up here as well.
+Z[x]/(x^e - 1). A user-supplied table gives one as well: the coefficients
+of each entry on the powers of zeta_e, reduced or not. Both sources enter
+through `build_table`, which reduces each distinct preimage once to a value
+and checks the table against first orthogonality, which for a square table
+implies the second; each distinct entry enters that check once, through its
+preimage where that is sparser than its reduced coefficients. The twist of
+every row by one degree-1 character is looked up here as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -95,12 +95,42 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
 
-def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
-                   preimages=None) -> tuple[tuple[int, ...], int]:
+def build_table(group: FiniteMatrixGroup, preimages, source: str
+                ) -> CharacterTable:
+    """Validate a table and build its rows. `preimages` holds, row by row
+    and class by class, each entry as a sparse preimage in Z[x]/(x^e - 1):
+    a hashable sequence of (power, coefficient) pairs, 0 <= power < e."""
     k = group.class_count
-    if len(rows) != k:
+    if len(preimages) != k:
         raise ValidationFailed("squareness",
-                               f"{len(rows)} rows for {k} conjugacy classes")
+                               f"{len(preimages)} rows for {k} conjugacy classes")
+    # Each distinct preimage is reduced once to its value, and keeps one
+    # sparse term list on the powers of zeta_e: the preimage or the reduced
+    # coefficients, whichever has fewer terms. Reduction modulo the
+    # cyclotomic polynomial is a ring map from Z[x]/(x^e - 1) that sends
+    # x^-1 to the complex conjugate of zeta_e, so sums over either form
+    # reduce to the same value.
+    e = group.exponent
+    sparse: dict = {}
+    rows, entry_terms = [], []
+    for pres in preimages:
+        values, line = [], []
+        for pre in pres:
+            if (entry := sparse.get(pre)) is None:
+                vec = [0] * e
+                for s, a in pre:
+                    vec[s] += a
+                coeffs = _reduce(e, vec)
+                pairs = tuple((s, a) for s, a in enumerate(coeffs) if a)
+                if len(pre) < len(pairs):
+                    pairs = pre
+                # the value, then its terms and those of its complex conjugate
+                entry = sparse[pre] = (Cyclotomic(e, coeffs), (
+                    pairs, [(-s % e, a) for s, a in pairs]))
+            values.append(entry[0])
+            line.append(entry[1])
+        rows.append(ClassFunction(group, tuple(values)))
+        entry_terms.append(line)
     degrees = []
     for i, row in enumerate(rows):
         try:
@@ -110,47 +140,19 @@ def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
         if d.denominator != 1 or d <= 0:
             raise ValidationFailed("degree", f"row {i} has degree {d}")
         degrees.append(int(d))
-    # Each distinct value gets one sparse term list on the powers of zeta_e:
-    # its reduced coefficients, or its preimage in Z[x]/(x^e - 1) where that
-    # has fewer terms. Reduction modulo the cyclotomic polynomial is a ring
-    # map from Z[x]/(x^e - 1) that sends x^-1 to the complex conjugate of
-    # zeta_e, so sums over either form reduce to the same value, once each
-    # preimage is confirmed to reduce to the value stored with it.
-    e = group.exponent
-    sparse: dict = {}
-    entry_terms = []
-    for i, row in enumerate(rows):
-        line = []
-        for c, v in enumerate(row.values):
-            key = v.coeffs if preimages is None else (preimages[i][c], v.coeffs)
-            if (terms := sparse.get(key)) is None:
-                pairs = tuple((s, a) for s, a in enumerate(v.coeffs) if a)
-                if preimages is not None:
-                    pre = preimages[i][c]
-                    vec = [0] * e
-                    for s, a in pre:
-                        vec[s] += a
-                    if _reduce(e, vec) != v.coeffs:
-                        raise ValidationFailed(
-                            "lift", f"row {i}, class {c}: stored value is not "
-                                    f"the reduction of its eigenvalue multiset")
-                    if len(pre) < len(pairs):
-                        pairs = pre
-                # the terms and those of the complex conjugate
-                terms = sparse[key] = (pairs, [(-s % e, a) for s, a in pairs])
-            line.append(terms)
-        entry_terms.append(line)
     # First orthogonality for the square table X reads X D X* = |G| I with
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
     # neither needs a check of its own. Each entry is summed exactly on the
-    # powers of zeta_e and reduced once.
+    # powers of zeta_e and reduced once. A rational r is stored as
+    # (r, 0, ..., 0).
     weighted = [[[(s, a * size) for s, a in pairs]
                  for (pairs, _), size in zip(line, group.class_sizes)]
                 for line in entry_terms]
     conjugated = [[conj for _, conj in line] for line in entry_terms]
-    targets = ((0,) * e, Cyclotomic.rational(e, group.order).coeffs)
+    zeros = (0,) * (e - 1)
+    targets = ((0, *zeros), (group.order, *zeros))
     for i in range(k):
         for j in range(i, k):
             vec = [0] * e
@@ -160,26 +162,12 @@ def _validate_rows(group: FiniteMatrixGroup, rows: tuple[ClassFunction, ...],
                         vec[(s + t) % e] += a * b
             if _reduce(e, vec) != targets[i == j]:
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
-    one = Cyclotomic.rational(e, 1)
-    trivial = None
-    for i, row in enumerate(rows):
-        if all(v == one for v in row.values):
-            trivial = i
-            break
+    one = (1, *zeros)
+    trivial = next((i for i, row in enumerate(rows)
+                    if all(v.coeffs == one for v in row.values)), None)
     if trivial is None:
         raise ValidationFailed("trivial row", "no all-ones row present")
-    return tuple(degrees), trivial
-
-
-def build_table(group: FiniteMatrixGroup, rows, source: str,
-                preimages=None) -> CharacterTable:
-    """Validate rows and wrap them as a table. `preimages`, if given, holds
-    for each stored value a sparse preimage in Z[x]/(x^e - 1) as (power,
-    coefficient) pairs, row by row; it is confirmed against the value and
-    used where it is sparser."""
-    rows = tuple(rows)
-    degrees, trivial = _validate_rows(group, rows, preimages)
-    return CharacterTable(group=group, rows=rows, degrees=degrees,
+    return CharacterTable(group=group, rows=tuple(rows), degrees=tuple(degrees),
                           trivial_index=trivial, source=source)
 
 
@@ -460,9 +448,8 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
 
     # chi(rep_leader^a) has the eigenvalues zeta_o^(r*a) of chi(rep_leader),
     # with the same multiplicities: only family leaders are lifted. The
-    # eigenvalue multiset sum mults[r] x^(r*a*e/o) is a sparse preimage of
-    # the value in Z[x]/(x^e - 1), and each distinct one is reduced once.
-    built: dict[tuple, Cyclotomic] = {}
+    # eigenvalue multiset sum mults[r] x^(r*a*e/o mod e) is a sparse preimage
+    # of the value in Z[x]/(x^e - 1), which `build_table` reduces.
     lifts = []
     for t in range(k):
         lifted = {}
@@ -480,24 +467,17 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 raise ValidationFailed("class algebra",
                                        "eigenvalue multiplicities do not sum "
                                        "to the degree")
-            lifted[j] = (o, [(r, m) for r, m in enumerate(mults) if m])
-        values, pres = [], []
-        for leader, a in group.families:
-            o, nonzero = lifted[leader]
-            pre = tuple(sorted((r * a % o * (e // o), m) for r, m in nonzero))
-            if (value := built.get(pre)) is None:
-                coeffs = [0] * e
-                for s, m in pre:
-                    coeffs[s] = m
-                value = built[pre] = Cyclotomic.from_powers(e, coeffs)
-            pres.append(pre)
-            values.append(value)
-        lifts.append((ClassFunction(group, tuple(values)), pres))
+            lifted[j] = [(r * (e // o), m) for r, m in enumerate(mults) if m]
+        lifts.append([tuple(sorted((s * a % e, m) for s, m in lifted[leader]))
+                      for leader, a in group.families])
 
-    lifts.sort(key=lambda lift: (lift[0].values[0].as_fraction(),
-                                 tuple(v.coeffs for v in lift[0].values)))
-    return build_table(group, [row for row, _ in lifts], source="dixon",
-                       preimages=[pres for _, pres in lifts])
+    # rows by degree, then by reduced coefficients
+    table = build_table(group, lifts, source="dixon")
+    order = sorted(range(k), key=lambda i: (
+        table.degrees[i], tuple(v.coeffs for v in table.rows[i].values)))
+    return replace(table, rows=tuple(table.rows[i] for i in order),
+                   degrees=tuple(table.degrees[i] for i in order),
+                   trivial_index=order.index(table.trivial_index))
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +512,14 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
                                f"expected representatives "
                                f"{list(group.class_representatives)}, got {classes}")
     k = group.class_count
-    rows = []
+    preimages = []
     for i, raw_row in enumerate(raw_rows):
         if not isinstance(raw_row, list):
             raise ValidationFailed("format", f"row {i} is not a list")
         if len(raw_row) != k:
             raise ValidationFailed("squareness",
                                    f"row {i} has {len(raw_row)} values for {k} classes")
-        values = []
+        pres = []
         for raw_value in raw_row:
             if not (isinstance(raw_value, list) and all(
                     isinstance(pair, list) and len(pair) == 2
@@ -548,14 +528,15 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
                 raise ValidationFailed(
                     "format", f"row {i}: value {raw_value!r} is not a list of "
                               f"[num, den] integer pairs with den != 0")
-            coeffs = [Fraction(num, den) for num, den in raw_value]
-            if len(coeffs) > conductor:
+            if len(raw_value) > conductor:
                 raise ValidationFailed("format",
-                                       f"value with {len(coeffs)} coefficients "
+                                       f"value with {len(raw_value)} coefficients "
                                        f"for conductor {conductor}")
-            values.append(Cyclotomic.from_powers(conductor, coeffs))
-        rows.append(ClassFunction(group, tuple(values)))
-    return build_table(group, rows, source="user")
+            # the coefficients on zeta^0, zeta^1, ...: a preimage as it stands
+            pres.append(tuple((s, Fraction(num, den))
+                              for s, (num, den) in enumerate(raw_value) if num))
+        preimages.append(pres)
+    return build_table(group, preimages, source="user")
 
 
 def _cell(coeffs) -> list[list[int]]:

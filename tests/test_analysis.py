@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from equichar import (IntMatrix, NoMatch,
+from equichar import (CertificationFailed, IntMatrix, NoMatch,
                       NonRationalCoefficient, NotACharacter, action_period,
                       analysis, analyze, class_divisor_data,
                       dixon_character_table, equivariant_qp, find_row,
@@ -126,6 +126,18 @@ class TestClassDivisorData:
                     "trivial-z2": 1, "dihedral-z2": 2}
         for name, (_, _, data) in pipelines.items():
             assert action_period(data) == expected[name]
+
+    def test_non_faithful_action_fails_certification(self, monkeypatch):
+        # one non-identity class leader acting as the identity matrix
+        group = make_builtin_group("c6-z2")
+        matrices = dict(group.leader_matrices)
+        c = next(c for c in matrices if c != 0)
+        matrices[c] = IntMatrix.identity(group.rank)
+        monkeypatch.setitem(group.__dict__, "leader_matrices", matrices)
+        with pytest.raises(CertificationFailed,
+                           match="action not faithful") as info:
+            class_divisor_data(group)
+        assert info.value.stage == "certification"
 
 
 def family_test_groups(pipelines):

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 from fractions import Fraction
 import hashlib
@@ -12,9 +13,9 @@ from equichar import (FiniteMatrixGroup, GroupMismatch, NoMatch, NotASubgroup,
                       induce_trivial, ingest_character_table, inner_product,
                       rational_class_function, table_to_dict,
                       tensor_identify)
-from equichar import characters
+from equichar import characters, cyclo
 from equichar.characters import _echelon_mod, build_table, twist_indices
-from equichar.cli import parse_input
+from equichar.cli import parse_input, render, run_analyze
 from equichar.cyclo import Cyclotomic
 
 from conftest import (BUILTIN_NAMES, CARTAN_F4, PROBLEMS_DIR,
@@ -209,59 +210,33 @@ class TestGaloisFamilies:
 class TestDistinctValues:
     def test_c21_builds_each_distinct_value_once(self, c21_group,
                                                  monkeypatch):
-        built = []
-        from_powers = Cyclotomic.from_powers.__func__
-
-        def recording(cls, m, coeffs):
-            value = from_powers(cls, m, coeffs)
-            built.append(value)
-            return value
-
-        monkeypatch.setattr(Cyclotomic, "from_powers", classmethod(recording))
-        table = dixon_character_table(c21_group)
-        distinct = {v for row in table.rows for v in row.values}
-        assert len(distinct) == 21
-        assert len(built) <= len(distinct)
-
-    @staticmethod
-    def captured_build(group, monkeypatch):
-        # the rows and preimages Dixon hands to build_table
-        captured = {}
+        # every reduction in `cyclo` and `characters`, with its input; the
+        # first-orthogonality pair sums make k (k + 1) / 2 of them
+        inputs = []
+        for module in (cyclo, characters):
+            def recording(m, vec, reduce=module._reduce):
+                inputs.append(tuple(vec))
+                return reduce(m, vec)
+            monkeypatch.setattr(module, "_reduce", recording)
+        handed = []
         original = characters.build_table
 
-        def capture(group, rows, source, preimages=None):
-            captured.update(rows=list(rows), preimages=preimages)
-            return original(group, rows, source, preimages)
+        def capture(group, preimages, source):
+            handed.extend(preimages)
+            return original(group, preimages, source)
 
         monkeypatch.setattr(characters, "build_table", capture)
-        dixon_character_table(group)
-        monkeypatch.setattr(characters, "build_table", original)
-        return captured["rows"], [list(p) for p in captured["preimages"]]
-
-    def test_preimage_disagreeing_with_stored_value_fails(self, c21_group,
-                                                           monkeypatch):
-        rows, preimages = self.captured_build(c21_group, monkeypatch)
-        assert build_table(c21_group, rows, "dixon", preimages).rows == \
-            tuple(rows)
-        # move one eigenvalue of a value at class 1 to the next power
-        (s, mult), = preimages[1][1]
-        preimages[1][1] = (((s + 1) % 21, mult),)
-        with pytest.raises(ValidationFailed) as info:
-            build_table(c21_group, rows, "dixon", preimages)
-        assert info.value.relation == "lift"
-
-    def test_stored_value_disagreeing_with_preimage_fails(self, s3_group,
-                                                          monkeypatch):
-        rows, preimages = self.captured_build(s3_group, monkeypatch)
-        # add 1 to the last value of the 2-dimensional row
-        row = max(rows, key=lambda r: r.values[0].as_fraction())
-        last = row.values[-1].as_fraction()
-        changed = replace(row, values=(
-            *row.values[:-1], Cyclotomic.rational(s3_group.exponent, last + 1)))
-        rows[rows.index(row)] = changed
-        with pytest.raises(ValidationFailed) as info:
-            build_table(s3_group, rows, "dixon", preimages)
-        assert info.value.relation == "lift"
+        table = dixon_character_table(c21_group)
+        distinct = {pre for row in handed for pre in row}
+        assert len(distinct) == len({v for row in table.rows
+                                     for v in row.values}) == 21
+        k, e = c21_group.class_count, c21_group.exponent
+        assert len(inputs) == len(distinct) + k * (k + 1) // 2
+        for pre in distinct:
+            vec = [0] * e
+            for s, a in pre:
+                vec[s] += a
+            assert inputs.count(tuple(vec)) == 1, pre
 
 
 def plain_rref(vectors, p):
@@ -331,8 +306,11 @@ class TestTableChecks:
 
     @staticmethod
     def rejection(group, rows):
+        # each value as the preimage of its reduced coefficients
+        preimages = [[tuple((s, a) for s, a in enumerate(v.coeffs) if a)
+                      for v in row.values] for row in rows]
         with pytest.raises(ValidationFailed) as info:
-            build_table(group, rows, source="user")
+            build_table(group, preimages, source="user")
         return info.value
 
     def test_non_rational_degree_fails_degree(self, c6_group, tables):
@@ -440,6 +418,24 @@ class TestIngestValidation:
                             for value in row.values for c in value.coeffs}
         assert list(map(row_key, table.rows)) == \
             list(map(row_key, reference.rows))
+
+    def test_unreduced_cells_accepted(self):
+        # 1 + zeta^2 + zeta^4 = 0 at conductor 6: added to every cell, it
+        # leaves each value as it was and no cell reduced
+        spec = parse_input(PROBLEMS_DIR / "c6_z2_with_table.json")
+        group = generate_group(spec.generators, rank=spec.rank)
+        raw = spec.character_table
+        unreduced = copy.deepcopy(raw)
+        for row in unreduced["rows"]:
+            for value in row:
+                for s in (0, 2, 4):
+                    value[s][0] += value[s][1]
+        assert unreduced != raw
+        assert ingest_character_table(group, unreduced) == \
+            ingest_character_table(group, raw)
+        changed = replace(spec, character_table=unreduced)
+        assert render(run_analyze(changed), "json") == \
+            render(run_analyze(spec), "json")
 
     def test_wrong_row_count_fails_squareness(self, c6_group):
         raw = load_reference_table("c6_table.json")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar import DimensionMismatch, IntMatrix, smith_normal_form
+from equichar import (CertificationFailed, DimensionMismatch, IntMatrix,
+                      intmat, smith_normal_form)
 
 from conftest import mat
 
@@ -154,6 +155,67 @@ class TestSmithNormalForm:
             transformed = u.multiply(a).multiply(v)
             assert smith_normal_form(a).divisors == \
                 smith_normal_form(transformed).divisors
+
+
+
+class TestCertificates:
+    """Each certificate of the Smith form and of the Bareiss pass, reached
+    by one mutation of the computation it checks."""
+
+    @staticmethod
+    def failure(compute) -> str:
+        with pytest.raises(CertificationFailed) as info:
+            compute()
+        assert info.value.stage == "certification"
+        return str(info.value)
+
+    @staticmethod
+    def start_transforms_at_2i(monkeypatch):
+        monkeypatch.setattr(IntMatrix, "identity", classmethod(
+            lambda cls, n: cls(n, n, tuple(2 * (i == j) for i in range(n)
+                                           for j in range(n)))))
+
+    def test_wrong_transform_fails_diagonal(self, monkeypatch):
+        # L A R becomes 4 D
+        a = mat([[-1, -1], [1, -2]])
+        self.start_transforms_at_2i(monkeypatch)
+        assert "do not reproduce the diagonal" in \
+            self.failure(lambda: smith_normal_form(a))
+
+    def test_non_unimodular_transform_fails_unimodularity(self, monkeypatch):
+        # on the zero matrix 4 L A R is still the zero diagonal
+        a = mat([[0, 0], [0, 0]])
+        self.start_transforms_at_2i(monkeypatch)
+        assert "not unimodular" in self.failure(lambda: smith_normal_form(a))
+
+    def test_divisors_out_of_order_fail_chain(self, monkeypatch):
+        # at the second stage the pivot search returns the finished corner,
+        # so the swaps move the divisor 3 ahead of the divisor 1
+        search = intmat._pick_pivot
+
+        def outside(m, t, n):
+            where = search(m, t, n)
+            return (0, 0) if t == 1 and where is not None else where
+
+        a = mat([[-1, -1], [1, -2]])
+        monkeypatch.setattr(intmat, "_pick_pivot", outside)
+        assert "3, 1) are not a chain" in \
+            self.failure(lambda: smith_normal_form(a))
+
+    def test_wrong_elimination_entry_fails_bareiss(self, monkeypatch):
+        # the first quotient of the first stage is stored one too large, so
+        # the second stage's division by the pivot 2 leaves -3/2
+        quotients = []
+
+        def faulty(num, den):
+            q, rem = divmod(num, den)
+            quotients.append(q)
+            return (q + 1 if len(quotients) == 1 else q), rem
+
+        a = mat([[2, 1, 1], [1, 3, 2], [1, 0, 0]])
+        assert a.det() == -1
+        monkeypatch.setattr(intmat, "divmod", faulty, raising=False)
+        assert "Bareiss division not exact" in self.failure(a.det)
 
 
 @st.composite
