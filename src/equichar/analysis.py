@@ -44,7 +44,6 @@ class ClassDivisorData:
     for the class representative. Divisor chains keep leading 1 entries;
     display code is free to suppress them."""
 
-    lattice_rank: int
     ranks: tuple[int, ...]
     divisors: tuple[tuple[int, ...], ...]
 
@@ -68,8 +67,7 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
     # the whole lattice
     if ranks[0] != 0 or not all(r > 0 for r in ranks[1:]):
         raise CertificationFailed(f"ranks {ranks} of R - I: action not faithful")
-    return ClassDivisorData(lattice_rank=group.rank, ranks=tuple(ranks),
-                            divisors=tuple(divisors))
+    return ClassDivisorData(ranks=tuple(ranks), divisors=tuple(divisors))
 
 
 def action_period(data: ClassDivisorData) -> int:
@@ -78,11 +76,11 @@ def action_period(data: ClassDivisorData) -> int:
     return lcm(1, *(chain[-1] for chain in data.divisors if chain))
 
 
-def fixed_point_qp(data: ClassDivisorData,
+def fixed_point_qp(group: FiniteMatrixGroup, data: ClassDivisorData,
                    class_index: int) -> GcdQuasiPolynomial:
     """Fixed-point count of the class representative on (Z/q)^l as a single
     gcd-form quasi-monomial."""
-    power = data.lattice_rank - data.ranks[class_index]
+    power = group.rank - data.ranks[class_index]
     return make_quasimonomial(data.divisors[class_index], power, 1,
                               period=action_period(data))
 
@@ -96,7 +94,7 @@ def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
     accum: dict[tuple[tuple[int, ...], int], list] = {}
     for c, (size, value) in enumerate(zip(group.class_sizes,
                                           table.rows[i].values)):
-        key = (data.reduced_divisors(c), data.lattice_rank - data.ranks[c])
+        key = (data.reduced_divisors(c), group.rank - data.ranks[c])
         prev = accum.get(key)
         accum[key] = ([a * size for a in value.coeffs] if prev is None else
                       [b + a * size for b, a in zip(prev, value.coeffs)])
@@ -299,7 +297,7 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
     effective_q_max = q_max if q_max is not None else max(24, 4 * period)
 
     # classes of one Galois family share their fixed-point quasi-polynomial
-    by_leader = {c: fixed_point_qp(data, c) for c in group.leaders}
+    by_leader = {c: fixed_point_qp(group, data, c) for c in group.leaders}
     fixed = tuple(by_leader[leader] for leader, _ in group.families)
     eqp = equivariant_qp(group, table, data)
     delta, delta_index = reciprocity_character(group, table, data)
@@ -324,7 +322,7 @@ def analyze(group: FiniteMatrixGroup, *, raw_table: dict | None = None,
 
     # every multiplicity has the period of eqp, so its numerators are keyed
     # by the divisors of `period`
-    ell = data.lattice_rank
+    ell = group.rank
     leading_ok = all(
         len(nums) == ell + 1
         and nums[-1] * group.order == degree * qp.denominator

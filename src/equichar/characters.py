@@ -145,14 +145,13 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
     # neither needs a check of its own. Each entry is summed exactly on the
-    # powers of zeta_e and reduced once. A rational r is stored as
-    # (r, 0, ..., 0).
+    # powers of zeta_e and reduced once.
     weighted = [[[(s, a * size) for s, a in pairs]
                  for (pairs, _), size in zip(line, group.class_sizes)]
                 for line in entry_terms]
     conjugated = [[conj for _, conj in line] for line in entry_terms]
-    zeros = (0,) * (e - 1)
-    targets = ((0, *zeros), (group.order, *zeros))
+    targets = (Cyclotomic.rational(e, 0).coeffs,
+               Cyclotomic.rational(e, group.order).coeffs)
     for i in range(k):
         for j in range(i, k):
             vec = [0] * e
@@ -162,9 +161,9 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
                         vec[(s + t) % e] += a * b
             if _reduce(e, vec) != targets[i == j]:
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
-    one = (1, *zeros)
+    one = Cyclotomic.rational(e, 1)
     trivial = next((i for i, row in enumerate(rows)
-                    if all(v.coeffs == one for v in row.values)), None)
+                    if all(v == one for v in row.values)), None)
     if trivial is None:
         raise ValidationFailed("trivial row", "no all-ones row present")
     return CharacterTable(group=group, rows=tuple(rows), degrees=tuple(degrees),
@@ -395,8 +394,6 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 shifted = [[(action[i][j] - (lam if i == j else 0)) % p
                             for j in range(d)] for i in range(d)]
                 coord_basis = _kernel_mod(shifted, p)
-                if not coord_basis:
-                    continue
                 vecs = [[sum(map(mul, coords, col)) % p for col in columns]
                         for coords in coord_basis]
                 refined.append(_echelon_mod(vecs, p))
@@ -423,8 +420,7 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     degrees_mod = []
     for w in omegas:
         s = sum(w[i] * w[inv_class[i]] * inv_sizes[i] for i in range(k)) % p
-        if s == 0:
-            raise ValidationFailed("class algebra", "degenerate degree sum")
+        # s = 0 gives d2 = 0, which no c in 1..sqrt|G| < p lifts
         d2 = (group.order * pow(s, p - 2, p)) % p
         d = next((c for c in range(1, isqrt(group.order) + 1)
                   if (c * c) % p == d2), None)

@@ -388,8 +388,6 @@ def render(report: AnalysisReport, output_format: str) -> str:
 
 
 def _describe_error(exc: EquicharError) -> str:
-    if exc.stage is None:
-        return f"error: {exc}"
     return f"error [{exc.stage}]: {exc}"
 
 

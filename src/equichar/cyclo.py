@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import CertificationFailed
 
@@ -106,21 +106,13 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, m: int, value: Rationalish) -> "Cyclotomic":
-        vec = [0] * m
-        vec[0] = value
-        return cls(m, _reduce(m, vec))
+        # phi(m) >= 1, so a constant is already reduced
+        return cls(m, (value,) + (0,) * (m - 1))
 
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "Cyclotomic":
         vec = [0] * m
         vec[k % m] = 1
-        return cls(m, _reduce(m, vec))
-
-    @classmethod
-    def from_powers(cls, m: int, coeffs: Iterable[Rationalish]) -> "Cyclotomic":
-        vec = [0] * m
-        for i, c in enumerate(coeffs):
-            vec[i % m] += c
         return cls(m, _reduce(m, vec))
 
     # --- ring operations ----------------------------------------------
@@ -151,9 +143,6 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -193,12 +182,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        """Galois test: fixed by every substitution zeta -> zeta^a."""
-        m = self.conductor
-        return all(self.galois(a) == self
-                   for a in range(1, m) if gcd(a, m) == 1) if m > 1 else True
 
     def as_fraction(self) -> Rationalish:
         """The rational value: an `int` unless a `Fraction` entered it."""

@@ -188,14 +188,14 @@ class TestGaloisFamilies:
 
 class TestFixedPoints:
     def test_identity_class(self, pipelines):
-        _, _, data = pipelines["c6-z2"]
-        qp = fixed_point_qp(data, 0)
+        group, _, data = pipelines["c6-z2"]
+        qp = fixed_point_qp(group, data, 0)
         assert qp.evaluate(5) == 25
 
     def test_sigma_cubed_on_z3(self, pipelines):
         group, _, data = pipelines["c6-z3"]
         c = group.class_of[3]
-        qp = fixed_point_qp(data, c)
+        qp = fixed_point_qp(group, data, c)
         # gcd(2, q) * q^2
         assert qp.evaluate(2) == 8
         assert qp.evaluate(3) == 9
@@ -203,7 +203,7 @@ class TestFixedPoints:
     def test_order_three_class_on_z2(self, pipelines):
         group, _, data = pipelines["c6-z2"]
         c = group.class_of[2]
-        qp = fixed_point_qp(data, c)
+        qp = fixed_point_qp(group, data, c)
         assert [qp.evaluate(q) for q in (1, 2, 3, 6)] == [1, 1, 3, 3]
 
 

@@ -95,7 +95,8 @@ def pipeline(name):
     table = dixon_character_table(group)
     data = class_divisor_data(group)
     eqp = equivariant_qp(group, table, data)
-    fixed = tuple(fixed_point_qp(data, c) for c in range(group.class_count))
+    fixed = tuple(fixed_point_qp(group, data, c)
+                  for c in range(group.class_count))
     return group, table, eqp, fixed
 
 
@@ -520,7 +521,7 @@ class TestDifferentialCheck:
             data = class_divisor_data(group)
             reciprocity_character(group, table, data)
             eqp = equivariant_qp(group, table, data)
-            fixed = tuple(fixed_point_qp(data, c)
+            fixed = tuple(fixed_point_qp(group, data, c)
                           for c in range(group.class_count))
             for q_max in (2, 3):
                 verdicts, covered = differential_check(

@@ -456,6 +456,25 @@ class TestIngestValidation:
         with pytest.raises(ValidationFailed):
             ingest_character_table(c6_group, raw)
 
+    @pytest.mark.parametrize("change, relation, detail", [
+        (lambda raw: [], "format", "must be a JSON object"),
+        (lambda raw: {**raw, "conductor": "x"}, "format",
+         "conductor must be an integer"),
+        (lambda raw: {**raw, "rows": [5, *raw["rows"][1:]]}, "format",
+         "row 0 is not a list"),
+        (lambda raw: {**raw, "rows": [raw["rows"][0][:1], *raw["rows"][1:]]},
+         "squareness", "row 0 has 1 values"),
+        (lambda raw: {**raw, "rows": [[[[1, 1]] * 5, *raw["rows"][0][1:]],
+                                      *raw["rows"][1:]]},
+         "format", "value with 5 coefficients for conductor 4"),
+    ], ids=["list-table", "string-conductor", "integer-row", "short-row",
+            "long-value"])
+    def test_malformed_table_rejected(self, d4_group, change, relation, detail):
+        raw = change(load_reference_table("d4_table.json"))
+        with pytest.raises(ValidationFailed, match=detail) as info:
+            ingest_character_table(d4_group, raw)
+        assert info.value.relation == relation
+
     def test_export_reimports_identically(self, tables):
         for table in tables.values():
             raw = table_to_dict(table)

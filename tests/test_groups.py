@@ -106,6 +106,21 @@ class TestGeneration:
         with pytest.raises(DimensionMismatch):
             generate_group([])
 
+    @pytest.mark.parametrize("generators, rank, message", [
+        ([], 0, "invalid rank 0"),
+        ([[[0, 1], [-1, 0]]], 3, "declared rank 3 does not match"),
+    ], ids=["no-generators-rank-0", "declared-rank-3"])
+    def test_bad_declared_rank_rejected(self, generators, rank, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            generate_group([mat(g) for g in generators], rank=rank)
+
+    def test_closure_past_the_cap_rejected(self):
+        # the orbits of dihedral-z2 fit under the cap; its closure of 8
+        # elements does not
+        generators = builtin("dihedral-z2").generators
+        with pytest.raises(OrderCapExceeded, match="closure exceeded"):
+            generate_group(generators, max_order=5)
+
     def test_dihedral_order_eight(self, d4_group):
         assert d4_group.order == 8
         assert d4_group.class_count == 5

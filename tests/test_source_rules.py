@@ -31,3 +31,20 @@ def test_benchmark_trace_targets_exist():
     for module, cls, attr, _ in spans.COUNTS:
         owner = getattr(importlib.import_module(f"equichar.{module}"), cls)
         assert attr in vars(owner), (module, cls, attr)
+
+
+def test_every_error_class_names_a_stage_and_is_raised():
+    # the CLI prints every error with its stage, and an error class with
+    # no raise site is dead code
+    raised = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(getattr(func, "id", getattr(func, "attr", None)))
+    errors = importlib.import_module("equichar.errors")
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.EquicharError)
+               and cls is not errors.EquicharError]
+    assert [cls.__name__ for cls in classes if cls.stage is None] == []
+    assert [cls.__name__ for cls in classes if cls.__name__ not in raised] == []
