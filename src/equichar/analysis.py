@@ -41,14 +41,11 @@ from .intmat import IntMatrix, smith_normal_form
 @dataclass(frozen=True)
 class ClassDivisorData:
     """Per conjugacy class: rank and elementary divisor chain of (R - I)
-    for the class representative. Divisor chains keep leading 1 entries;
-    display code is free to suppress them."""
+    for the class representative. A chain leaves out its leading 1s, as
+    gcd(1, q) = 1; the rank counts them."""
 
     ranks: tuple[int, ...]
     divisors: tuple[tuple[int, ...], ...]
-
-    def reduced_divisors(self, c: int) -> tuple[int, ...]:
-        return tuple(e for e in self.divisors[c] if e != 1)
 
 
 def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
@@ -62,7 +59,8 @@ def class_divisor_data(group: FiniteMatrixGroup) -> ClassDivisorData:
     snfs = {c: smith_normal_form(m.sub(ident))
             for c, m in group.leader_matrices.items()}
     ranks = [snfs[leader].rank for leader, _ in group.families]
-    divisors = [snfs[leader].divisors for leader, _ in group.families]
+    divisors = [tuple(e for e in snfs[leader].divisors if e > 1)
+                for leader, _ in group.families]
     # the action of the stored matrices is faithful: only the identity fixes
     # the whole lattice
     if ranks[0] != 0 or not all(r > 0 for r in ranks[1:]):
@@ -94,18 +92,19 @@ def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
     accum: dict[tuple[tuple[int, ...], int], list] = {}
     for c, (size, value) in enumerate(zip(group.class_sizes,
                                           table.rows[i].values)):
-        key = (data.reduced_divisors(c), group.rank - data.ranks[c])
+        key = (data.divisors[c], group.rank - data.ranks[c])
         prev = accum.get(key)
         accum[key] = ([a * size for a in value.coeffs] if prev is None else
                       [b + a * size for b, a in zip(prev, value.coeffs)])
     terms = []
     for key, vec in accum.items():
-        if any(vec[1:]):
-            value = Cyclotomic(group.exponent, tuple(vec))
+        value = Cyclotomic(group.exponent, tuple(vec))
+        try:
+            terms.append((*key, Fraction(value.as_fraction(), group.order)))
+        except ValueError:
             raise NonRationalCoefficient(
                 f"row {i}: coefficient on {key} is "
-                f"{value * Fraction(1, group.order)}, not rational")
-        terms.append((*key, Fraction(vec[0], group.order)))
+                f"{value * Fraction(1, group.order)}, not rational") from None
     return tuple(terms)
 
 
@@ -447,7 +446,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "class": c,
                 "size": group.class_sizes[c],
                 "rank": data.ranks[c],
-                "divisors": list(data.reduced_divisors(c)),
+                "divisors": list(data.divisors[c]),
                 "fixed_points": layout[id(report.fixed_point_qps[c])],
             }
             for c in range(group.class_count)

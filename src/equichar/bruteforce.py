@@ -13,13 +13,14 @@ rep's cyclic group), so only the leader of each such Galois family
 closure's stored BFS tree and certified against its matrix; the identity
 class fixes all q^l points and gets none. The generators' and leaders'
 matrices are built once per group (`group.generator_matrices`,
-`group.leader_matrices`). Isotropy is counted per class from the fixed
-points: since stabilizers along an orbit O are conjugate,
-|Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in O, and only orbits
-that some class's fixed points hit need isotropy of their own.
-Multiplicities are the textbook inner products against the counted fixed
-points, as integer dot products with each row's coefficients. None of it
-shares code with the Smith-form route, which is the point.
+`group.leader_matrices`). Both counts then go per family too. A family's
+classes meet the stabilizers of the orbits its leader's fixed points hit,
+and no others, since stabilizers along an orbit are conjugate: a degree-1
+row counts the orbits that no family it moves hits. A multiplicity is the
+inner product of the fixed counts with each family's weight, the class
+size times the row's conjugate summed over the family, a Galois trace and
+so rational. None of it shares code with the Smith-form route, which is
+the point.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
-from operator import add, is_not, mul
+from operator import add, mul
 
 from .characters import CharacterTable
 from .checks import Verdict
@@ -42,7 +42,6 @@ from .intmat import IntMatrix
 
 DEFAULT_MAX_POINTS = 2_000_000
 MAX_POINTS_ENV = "EQUICHAR_MAX_POINTS"
-FREE = ((0, 1),)  # the isotropy of an orbit that only the identity fixes
 
 
 def resolve_cap() -> int:
@@ -93,16 +92,15 @@ class OrbitDecomposition:
     integers in mixed radix q, coordinate j having weight q^j. labels[code]
     is the index of the orbit of that point; orbits are numbered in the
     order of their smallest members, so the whole object is deterministic.
-    orbit_sizes[o] is the number of points of orbit o, and isotropy[o]
-    lists, in class order, the (class, |Stab ∩ C|) pairs of the classes
-    that meet the stabilizer of any point of orbit o; the orbits of |G|
-    points are free, and share the tuple FREE."""
+    orbit_sizes[o] is the number of points of orbit o, and fixed_counts[c]
+    the number of points class c fixes. hit_orbits maps each family leader
+    but the identity's to the orbits its representative fixes a point of,
+    the orbits whose stabilizers its family's classes meet."""
 
-    q: int
     labels: list[int]
     orbit_sizes: tuple[int, ...]
-    isotropy: tuple[tuple[tuple[int, int], ...], ...]
     fixed_counts: tuple[int, ...]
+    hit_orbits: dict[int, frozenset[int]]
 
     @property
     def orbit_count(self) -> int:
@@ -203,80 +201,67 @@ def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
     # powers fix the same points: each Galois family of classes is counted
     # once, at its leader; the identity class (0) fixes every point
     points = _fixed_points(group, gen_images, q, short)
-    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
-    # the identity fixes every point, so it is in every stabilizer once, and
-    # the orbits no other class fixes a point of share one isotropy tuple
-    hit = {}
-    fixed = [total]
     tallies = {c: Counter(map(label.__getitem__, codes))
                for c, codes in points.items()}
+    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
     for c, size in enumerate(group.class_sizes[1:], 1):
-        leader = group.families[c][0]
-        fixed.append(len(points[leader]))
-        for index, hits in tallies[leader].items():
-            meets, rest = divmod(size * hits, sizes[index])
-            if rest:
+        for index, hits in tallies[group.families[c][0]].items():
+            if size * hits % sizes[index]:
                 raise CertificationFailed(
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
                     f"of {sizes[index]} do not divide evenly")
-            hit.setdefault(index, [(0, 1)]).append((c, meets))
-    isotropy = [FREE] * len(sizes)
-    for index, stab in hit.items():
-        isotropy[index] = tuple(stab)
-    return OrbitDecomposition(q=q, labels=label, orbit_sizes=tuple(sizes),
-                              isotropy=tuple(isotropy),
-                              fixed_counts=tuple(fixed))
+    fixed = (total, *(len(points[leader]) for leader, _ in group.families[1:]))
+    return OrbitDecomposition(labels=label, orbit_sizes=tuple(sizes),
+                              fixed_counts=fixed,
+                              hit_orbits={c: frozenset(tally) for c, tally
+                                          in tallies.items()})
 
 
-def _multiplicity_columns(group: FiniteMatrixGroup, table: CharacterTable
-                          ) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-    """Per row chi, its scale s·|G| and the integer coefficient columns of
-    s·|C_c|·conj(chi(c)) on the powers of zeta_e, s the least that clears
-    denominators, one entry per class c, without the all-zero ones; the
-    constant column stays first, as it holds s·chi(1) at the identity."""
-    rows = [[col for col in zip(*((v.conjugate() * size).coeffs for size, v
-                                  in zip(group.class_sizes, row.values)))
-             if any(col)] for row in table.rows]
-    lcms = [lcm(*(v.denominator for col in row for v in col)) for row in rows]
-    return ([s * group.order for s in lcms],
-            [[tuple(int(v * s) for v in col) for col in row]
-             for s, row in zip(lcms, rows)])
+def _family_weights(group: FiniteMatrixGroup, table: CharacterTable
+                    ) -> tuple[list[int], list[list[int]]]:
+    """Per row chi, its scale s·|G| and its integer weights s·Σ|C_c|·chi(c)
+    over the classes c of each Galois family, in the order of
+    `group.leaders`, s the least that clears denominators. A weight is a
+    Galois trace, so rational, and then equal to the sum over conj chi(c)
+    that the inner product takes."""
+    scales, weights = [], []
+    for i, row in enumerate(table.rows):
+        sums = dict.fromkeys(group.leaders, 0)
+        for c, (leader, _) in enumerate(group.families):
+            sums[leader] += row.values[c] * group.class_sizes[c]
+        for leader, total in sums.items():
+            try:
+                sums[leader] = total.as_fraction()
+            except ValueError:
+                raise CertificationFailed(
+                    f"row {i}: the sum over the Galois family of class "
+                    f"{leader} is not rational") from None
+        s = lcm(*(v.denominator for v in sums.values()))
+        scales.append(s * group.order)
+        weights.append([int(v * s) for v in sums.values()])
+    return scales, weights
 
 
-def _counted_multiplicities(columns: list[list[tuple[int, ...]]],
-                            dec: OrbitDecomposition) -> list[int]:
-    """Each row's scale times its inner product with the fixed counts."""
-    values = []
-    for i, row in enumerate(columns):
-        # rational only when all but the constant dot product vanish
-        constant, *rest = (sum(map(mul, col, dec.fixed_counts)) for col in row)
-        if any(rest):
-            raise CertificationFailed(
-                f"row {i} at q={dec.q}: the inner product with the counted "
-                f"fixed points is not rational")
-        values.append(constant)
-    return values
-
-
-def _linear_kernels(table: CharacterTable) -> dict[int, set[int]]:
-    """Each degree-1 row's kernel: the classes of its identity value."""
-    return {i: {c for c, v in enumerate(values) if v == values[0]}
+def _moved_families(group: FiniteMatrixGroup, table: CharacterTable
+                    ) -> dict[int, frozenset[int]]:
+    """Each degree-1 row's moved families: the leaders of the classes where
+    it differs from its identity value."""
+    return {i: frozenset(group.families[c][0] for c, v in enumerate(values)
+                         if v != values[0])
             for i in table.linear_indices()
             for values in [table.rows[i].values]}
 
 
-def _linear_orbit_counts(kernels: dict[int, set[int]],
+def _linear_orbit_counts(moved: dict[int, frozenset[int]],
                          dec: OrbitDecomposition) -> dict[int, int]:
     """For each degree-1 row, the number of orbits whose isotropy lies in
-    its kernel, a union of classes: an orbit counts when every class its
-    stabilizer meets is one where the row takes its identity value. Orbits
-    with the same isotropy are tested once; the free ones, never hashed,
-    count for every row."""
-    tally = Counter(filter(partial(is_not, FREE), dec.isotropy))
-    free = len(dec.isotropy) - sum(tally.values())
-    return {i: free + sum(n for stab, n in tally.items()
-                          if kernel.issuperset(c for c, _ in stab))
-            for i, kernel in kernels.items()}
+    its kernel: those that no family it moves hits. Each distinct set of
+    moved families is united once."""
+    hit = {leaders: frozenset().union(*map(dec.hit_orbits.__getitem__,
+                                           leaders))
+           for leaders in set(moved.values())}
+    return {i: dec.orbit_count - len(hit[leaders])
+            for i, leaders in moved.items()}
 
 
 def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
@@ -288,8 +273,8 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     actually enumerated. Predictions are compared in integers, as numerators
     over their denominator, each distinct object evaluated once per q."""
     cap = resolve_cap()
-    scales, columns = _multiplicity_columns(group, table)
-    kernels = _linear_kernels(table)
+    scales, weights = _family_weights(group, table)
+    moved = _moved_families(group, table)
     objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
     first_bad: dict[str, str] = {}  # the first mismatch of each check
 
@@ -310,16 +295,17 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
                         for qps in (fixed_qps, multiplicities))
         for c, counted in enumerate(dec.fixed_counts):
             compare("fixed-points", f"class {c} at q={q}", fixed[c], counted)
-        for i, counted in enumerate(_counted_multiplicities(columns, dec)):
-            compare("multiplicities", f"row {i} at q={q}", mults[i], counted,
-                    scales[i])
+        at_leaders = [dec.fixed_counts[c] for c in group.leaders]
+        for i, row in enumerate(weights):
+            compare("multiplicities", f"row {i} at q={q}", mults[i],
+                    sum(map(mul, row, at_leaders)), scales[i])
         burnside = sum(map(mul, group.class_sizes, dec.fixed_counts))
         if burnside != dec.orbit_count * group.order:
             first_bad.setdefault("burnside", f"q={q}: {dec.orbit_count} orbits "
                                  f"but class-weighted fixed sum is {burnside}")
         compare("orbit-count", f"q={q}", mults[table.trivial_index],
                 dec.orbit_count, verb="enumerated")
-        for i, counted in _linear_orbit_counts(kernels, dec).items():
+        for i, counted in _linear_orbit_counts(moved, dec).items():
             compare("linear-orbit-counts", f"row {i} at q={q}", mults[i],
                     counted)
         covered = q

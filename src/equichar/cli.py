@@ -272,7 +272,7 @@ def render_text(report: AnalysisReport) -> str:
     lines.append("classes (representative element, size, rank, divisors, "
                  "fixed points):")
     for c in range(group.class_count):
-        divs = data.reduced_divisors(c)
+        divs = data.divisors[c]
         div_text = "*".join(f"gcd({e},q)" for e in divs) or "1"
         power = group.rank - data.ranks[c]
         if power:

@@ -1,8 +1,8 @@
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -33,24 +33,33 @@ def reference_apply(rows, point, q):
 
 
 def reference_action(group, q):
-    """Orbits, isotropy and fixed counts of the action on (Z/q)^l, point by
-    point over every group element. A point's code has coordinate j at
-    weight q^j, and points are listed in code order. Each orbit's isotropy
-    is its representative's stabilizer, tested element by element and then
-    reduced to (class, number of stabilizer elements in it) pairs."""
+    """Orbits, met orbits and fixed counts of the action on (Z/q)^l, point
+    by point over every group element. A point's code has coordinate j at
+    weight q^j, and points are listed in code order. Each class but the
+    identity's maps to the orbits whose representative's stabilizer, tested
+    element by element, meets it."""
     points = [p[::-1] for p in product(range(q), repeat=group.rank)]
     code_of = {p: code for code, p in enumerate(points)}
     rows = [group.matrix(i).to_rows() for i in range(group.order)]
     orbits = sorted({tuple(sorted({code_of[reference_apply(r, p, q)]
                                    for r in rows}))
                      for p in points})
-    isotropy = [tuple(sorted(Counter(
-        group.class_of[idx] for idx, r in enumerate(rows)
-        if reference_apply(r, points[orbit[0]], q) == points[orbit[0]]
-    ).items())) for orbit in orbits]
+    met = {c: set() for c in range(1, group.class_count)}
+    for o, orbit in enumerate(orbits):
+        x = points[orbit[0]]
+        for idx, r in enumerate(rows):
+            if idx and reference_apply(r, x, q) == x:
+                met[group.class_of[idx]].add(o)
     fixed = [sum(reference_apply(rows[rep], p, q) == p for p in points)
              for rep in group.class_representatives]
-    return tuple(orbits), tuple(isotropy), tuple(fixed)
+    return tuple(orbits), met, tuple(fixed)
+
+
+def met_orbits(group, dec):
+    """The orbits each class but the identity's meets the stabilizers of,
+    read from its family leader's hit orbits."""
+    return {c: dec.hit_orbits[group.families[c][0]]
+            for c in range(1, group.class_count)}
 
 
 def decode(code, q, rank):
@@ -146,11 +155,15 @@ class TestEnumeration:
                 sorted(orbit[0] for orbit in orbits)
 
     def test_orbit_stabilizer_identity(self):
+        # |O|·|Stab(x)| = |G|: orbit sizes divide |G|, and an orbit is
+        # free exactly when no family but the identity's hits it
         group = make_builtin_group("s3-a2")
         for q in (2, 3, 4, 7):
             dec = enumerate_action(group, q)
-            for size, stab in zip(dec.orbit_sizes, dec.isotropy):
-                assert size * sum(n for _, n in stab) == group.order
+            hit = frozenset().union(*dec.hit_orbits.values())
+            for o, size in enumerate(dec.orbit_sizes):
+                assert group.order % size == 0
+                assert (size == group.order) == (o not in hit)
 
     def test_fixed_counts_constant_on_classes(self):
         group = make_builtin_group("s3-a2")
@@ -172,16 +185,16 @@ class TestEnumeration:
         group = make_builtin_group(name)
         for q in range(1, 9 if name == "c6-z3" else 7):
             dec = enumerate_action(group, q)
-            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
-                reference_action(group, q)
+            assert (orbits_of(dec), met_orbits(group, dec),
+                    dec.fixed_counts) == reference_action(group, q)
 
     def test_matches_reference_on_b3(self):
         group = generate_group([mat(rows) for rows in B3_GENERATORS], rank=3)
         assert group.order == 48
         for q in range(1, 7):
             dec = enumerate_action(group, q)
-            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
-                reference_action(group, q)
+            assert (orbits_of(dec), met_orbits(group, dec),
+                    dec.fixed_counts) == reference_action(group, q)
 
     def test_matches_reference_in_a_dense_basis(self):
         # c6-z3 conjugated by a unimodular U: the generator U·g·U^-1 has
@@ -195,8 +208,8 @@ class TestEnumeration:
             == [[[0, -1, 1], [1, -1, 0], [0, 0, -1]]]
         for q in range(1, 9):
             dec = enumerate_action(group, q)
-            assert (orbits_of(dec), dec.isotropy, dec.fixed_counts) == \
-                reference_action(group, q)
+            assert (orbits_of(dec), met_orbits(group, dec),
+                    dec.fixed_counts) == reference_action(group, q)
 
     def test_fixed_points_sought_only_on_orbits_shorter_than_the_group(
             self, monkeypatch):
@@ -217,8 +230,12 @@ class TestEnumeration:
             (1218, 1218, 13824)
         assert sorted({dec.orbit_sizes[dec.labels[y]] for y in short}) == \
             [1, 2, 3]
-        assert (dec.orbit_count, dec.isotropy.count(bruteforce.FREE)) == \
-            (2522, 2101)
+        hit = frozenset().union(*dec.hit_orbits.values())
+        assert (dec.orbit_count, dec.orbit_count - len(hit)) == (2522, 2101)
+
+    def test_q_must_be_positive(self):
+        with pytest.raises(ValueError, match="q must be positive"):
+            enumerate_action(make_builtin_group("c6-z2"), 0)
 
     @pytest.mark.parametrize("name, q", [("c6-z3", 12), ("s3-a2", 16)])
     def test_fixed_points_same_on_short_orbits_as_on_every_code(self, name,
@@ -310,9 +327,10 @@ class TestEnumeration:
 def counted_multiplicities(group, table, dec):
     """|G| times each row's inner product with the counted fixed points:
     the oracle's counts, each divided by its row's scale over |G|."""
-    scales, columns = bruteforce._multiplicity_columns(group, table)
-    return [v * group.order // s for s, v in zip(
-        scales, bruteforce._counted_multiplicities(columns, dec))]
+    scales, weights = bruteforce._family_weights(group, table)
+    at_leaders = [dec.fixed_counts[c] for c in group.leaders]
+    return [sum(map(mul, row, at_leaders)) * group.order // s
+            for s, row in zip(scales, weights)]
 
 
 class TestBruteMultiplicities:
@@ -351,37 +369,46 @@ class TestBruteMultiplicities:
         assert sum(mults) == 36 * 6  # degrees are all 1, so the sum is q^2
         assert all(v % 6 == 0 and v >= 0 for v in mults)
 
-    def test_supplied_table_columns_are_integers(self):
+    def test_supplied_table_weights_are_integers(self):
         # the table's entries are integral Fractions; each row is scaled
         # once, so no q does Fraction arithmetic
         spec = parse_input(PROBLEMS_DIR / "c6_z2_with_table.json")
         group = generate_group(spec.generators, rank=spec.rank)
         table = ingest_character_table(group, spec.character_table)
-        scales, columns = bruteforce._multiplicity_columns(group, table)
+        scales, weights = bruteforce._family_weights(group, table)
         assert all(type(v) is int for v in scales)
-        assert all(type(v) is int for row in columns for col in row
-                   for v in col)
+        assert all(type(v) is int for row in weights for v in row)
         dec = enumerate_action(group, 6)
-        assert all(type(v) is int
-                   for v in bruteforce._counted_multiplicities(columns, dec))
         assert sorted(counted_multiplicities(group, table, dec)) == \
             sorted(counted_multiplicities(group, dixon_character_table(group),
                                           dec))
 
-    def test_non_character_counts_raise(self):
-        # counts that differ on a class and its inverse class give an
-        # irrational inner product with a faithful row
-        group = make_builtin_group("c6-z2")
-        table = dixon_character_table(group)
-        dec = enumerate_action(group, 6)
-        bad = replace(dec, fixed_counts=tuple(range(group.class_count)))
-        with pytest.raises(CertificationFailed, match="q=6.*not rational"):
-            counted_multiplicities(group, table, bad)
+    def test_irrational_family_sum_raises(self):
+        # a faithful row with chi(g^5) set to chi(g): the family {g, g^5}
+        # then sums to 2·chi(g), which is not rational
+        group, table, eqp, fixed = pipeline("c6-z2")
+        g = group.generator_indices[0]
+        x = g
+        for _ in range(4):
+            x = group.mul(x, g)
+        leader, five = group.class_of[g], group.class_of[x]
+        assert group.families[five][0] == leader != five
+        i = next(i for i, row in enumerate(table.rows)
+                 if any(row.values[leader].coeffs[1:]))
+        rows = list(table.rows)
+        values = list(rows[i].values)
+        values[five] = values[leader]
+        rows[i] = replace(rows[i], values=tuple(values))
+        with pytest.raises(CertificationFailed,
+                           match=f"row {i}: the sum over the Galois family "
+                                 f"of class {leader} is not rational"):
+            differential_check(group, replace(table, rows=tuple(rows)),
+                               eqp.multiplicities, fixed, q_max=2)
 
 
-def linear_orbit_counts(table, dec):
-    return bruteforce._linear_orbit_counts(bruteforce._linear_kernels(table),
-                                           dec)
+def linear_orbit_counts(group, table, dec):
+    return bruteforce._linear_orbit_counts(
+        bruteforce._moved_families(group, table), dec)
 
 
 class TestLinearOrbitCounts:
@@ -389,7 +416,7 @@ class TestLinearOrbitCounts:
         group = make_builtin_group("c6-z2")
         table = dixon_character_table(group)
         dec = enumerate_action(group, 6)
-        counts = linear_orbit_counts(table, dec)
+        counts = linear_orbit_counts(group, table, dec)
         assert sorted(counts) == list(table.linear_indices())
         assert counts[table.trivial_index] == dec.orbit_count == 8
 
@@ -399,24 +426,25 @@ class TestLinearOrbitCounts:
         sign = next(i for i in range(3) if table.degrees[i] == 1
                     and i != table.trivial_index)
         assert linear_orbit_counts(
-            table, enumerate_action(group, 2))[sign] == 0
+            group, table, enumerate_action(group, 2))[sign] == 0
         assert linear_orbit_counts(
-            table, enumerate_action(group, 4))[sign] == 1
+            group, table, enumerate_action(group, 4))[sign] == 1
 
     def test_matches_an_orbit_by_orbit_count(self):
-        # c6-z3 at q = 24, where free orbits are counted without hashing
-        group = make_builtin_group("c6-z3")
-        table = dixon_character_table(group)
-        dec = enumerate_action(group, 24)
-        kernels = bruteforce._linear_kernels(table)
-        expected = {i: sum(kernel.issuperset(c for c, _ in stab)
-                           for stab in dec.isotropy)
-                    for i, kernel in kernels.items()}
-        assert bruteforce._linear_orbit_counts(kernels, dec) == expected
-        # equal copies of the shared free tuple count once, too
-        copies = replace(dec, isotropy=tuple(tuple(list(stab))
-                                             for stab in dec.isotropy))
-        assert bruteforce._linear_orbit_counts(kernels, copies) == expected
+        # each orbit counts when every class its representative's
+        # stabilizer meets, element by element, lies in the row's kernel
+        for name, q in (("c6-z3", 12), ("s3-a2", 9)):
+            group = make_builtin_group(name)
+            table = dixon_character_table(group)
+            _, met, _ = reference_action(group, q)
+            dec = enumerate_action(group, q)
+            expected = {}
+            for i in table.linear_indices():
+                values = table.rows[i].values
+                moved = [c for c, v in enumerate(values) if v != values[0]]
+                expected[i] = sum(not any(o in met[c] for c in moved)
+                                  for o in range(dec.orbit_count))
+            assert linear_orbit_counts(group, table, dec) == expected
 
 
 class TestDifferentialCheck:
@@ -542,7 +570,7 @@ class TestDifferentialCheck:
         assert all("1..10" in v.method for v in verdicts)
 
     def test_fractional_row_scale_enters_the_comparison(self):
-        # chi/2 has half chi's multiplicity; its columns are scaled by 2 to
+        # chi/2 has half chi's multiplicity; its weights are scaled by 2 to
         # integers, and the scale must divide the count back out
         group, table, eqp, fixed = pipeline("c6-z2")
         i = next(i for i in range(table.size) if i != table.trivial_index)
@@ -556,7 +584,7 @@ class TestDifferentialCheck:
             {d: tuple(n // g for n in nums)
              for d, nums in qp.numerators.items()})
         halved = replace(table, rows=tuple(rows))
-        assert bruteforce._multiplicity_columns(group, halved)[0][i] == \
+        assert bruteforce._family_weights(group, halved)[0][i] == \
             2 * group.order
         verdicts, _ = differential_check(group, halved, tuple(mults), fixed,
                                          q_max=8)

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from equichar import (FiniteMatrixGroup, GroupMismatch, NoMatch, NotASubgroup,
-                      NotLinearCharacter, ValidationFailed, cyclic_subgroup,
-                      dixon_character_table, find_row, generate_group,
+                      NotLinearCharacter, PrimeSearchFailed, ValidationFailed,
+                      cyclic_subgroup, dixon_character_table, find_row,
+                      generate_group,
                       induce_trivial, ingest_character_table, inner_product,
                       rational_class_function, table_to_dict,
                       tensor_identify)
@@ -46,6 +47,14 @@ class TestClassFunctions:
         reg = regular(s3_group)
         assert as_int(inner_product(one, one)) == 1
         assert as_int(inner_product(reg, one)) == 1
+
+    def test_one_value_per_class_required(self, s3_group):
+        with pytest.raises(GroupMismatch, match="one value per"):
+            rational_class_function(s3_group, [1] * (s3_group.class_count + 1))
+
+    def test_inner_product_across_groups_rejected(self, s3_group, c6_group):
+        with pytest.raises(GroupMismatch, match="different groups"):
+            inner_product(all_ones(s3_group), all_ones(c6_group))
 
     def test_orthogonality_of_distinct_rows(self, c6_group):
         table = dixon_character_table(c6_group)
@@ -257,6 +266,13 @@ def plain_rref(vectors, p):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
         r += 1
     return rows[:r]
+
+
+class TestRootOfUnityMod:
+    def test_order_not_dividing_p_minus_one_raises(self):
+        # F_7^* is cyclic of order 6, so it has no element of order 5
+        with pytest.raises(PrimeSearchFailed, match="order 5 in F_7"):
+            characters._root_of_unity_mod(7, 5)
 
 
 class TestEchelon:

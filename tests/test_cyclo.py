@@ -1,3 +1,4 @@
+import operator
 import os
 import subprocess
 import sys
@@ -24,6 +25,11 @@ class TestCyclotomicPolynomials:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_conductor_rejected(self, m):
+        with pytest.raises(ValueError, match="invalid conductor"):
+            cyclotomic_polynomial(m)
 
     def test_degrees_are_euler_phi(self):
         for m in range(1, 30):
@@ -52,6 +58,19 @@ class TestArithmetic:
     def test_conductor_mismatch_rejected(self):
         with pytest.raises(ValueError):
             zeta(6) + zeta(4)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul], ids=["add", "sub", "mul"])
+    def test_non_numbers_rejected(self, op):
+        with pytest.raises(TypeError):
+            op(zeta(6), "x")
+
+    def test_coefficient_count_must_equal_the_conductor(self):
+        with pytest.raises(ValueError, match="length must equal"):
+            Cyclotomic(6, (1, 0, 0))
+
+    def test_zero_prints_as_zero(self):
+        assert str(Cyclotomic.rational(6, 0)) == "0"
 
     def test_canonical_form_is_reduced(self):
         # zeta_6^2 - zeta_6 + 1 = 0, so high powers collapse to the

@@ -60,6 +60,10 @@ class TestArithmetic:
         with pytest.raises(DimensionMismatch):
             mat([[1, 2]]).multiply(mat([[1, 2]]))
 
+    def test_sub_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="subtraction"):
+            mat([[1, 2]]).sub(mat([[1], [2]]))
+
     def test_entries_count_validated(self):
         with pytest.raises(DimensionMismatch):
             IntMatrix(rows=2, cols=2, entries=(1, 2, 3))

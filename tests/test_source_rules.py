@@ -48,3 +48,14 @@ def test_every_error_class_names_a_stage_and_is_raised():
                and cls is not errors.EquicharError]
     assert [cls.__name__ for cls in classes if cls.stage is None] == []
     assert [cls.__name__ for cls in classes if cls.__name__ not in raised] == []
+
+
+def test_readme_library_example_runs():
+    # README's first python block is the documented library API; run it
+    # as written so that a renamed function or attribute shows here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert (report.period, report.all_passed) == (6, True)
