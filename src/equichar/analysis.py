@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm, prod
 
 from . import bruteforce
@@ -29,7 +30,7 @@ from .characters import (CharacterTable, ClassFunction, dixon_character_table,
                          rational_class_function, table_to_dict,
                          twist_indices)
 from .checks import Verdict
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _reduce
 from .errors import (CertificationFailed, NonRationalCoefficient,
                      NotACharacter)
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
@@ -93,12 +94,11 @@ def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
     for c, (size, value) in enumerate(zip(group.class_sizes,
                                           table.rows[i].values)):
         key = (data.divisors[c], group.rank - data.ranks[c])
-        prev = accum.get(key)
-        accum[key] = ([a * size for a in value.coeffs] if prev is None else
-                      [b + a * size for b, a in zip(prev, value.coeffs)])
+        accum[key] = [b + a * size for b, a in zip_longest(
+            accum.get(key, ()), value.coeffs, fillvalue=0)]
     terms = []
     for key, vec in accum.items():
-        value = Cyclotomic(group.exponent, tuple(vec))
+        value = Cyclotomic(group.exponent, _reduce(group.exponent, vec))
         try:
             terms.append((*key, Fraction(value.as_fraction(), group.order)))
         except ValueError:

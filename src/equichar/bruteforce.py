@@ -203,10 +203,11 @@ def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
     points = _fixed_points(group, gen_images, q, short)
     tallies = {c: Counter(map(label.__getitem__, codes))
                for c, codes in points.items()}
-    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O
-    for c, size in enumerate(group.class_sizes[1:], 1):
-        for index, hits in tallies[group.families[c][0]].items():
-            if size * hits % sizes[index]:
+    # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
+    # x -> x^a maps a family's classes onto each other: one size, one tally
+    for c in group.leaders[1:]:
+        for index, hits in tallies[c].items():
+            if group.class_sizes[c] * hits % sizes[index]:
                 raise CertificationFailed(
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
                     f"of {sizes[index]} do not divide evenly")

@@ -5,18 +5,18 @@ Dixon and Schneider: the class matrices, holding the class-sum structure
 constants, commute, and their simultaneous eigenvectors over a suitable
 prime field are the central characters. A class matrix is built only when
 the eigenspace split reaches its class. Degrees and character values are
-then recovered modulo p and lifted to exact cyclotomic integers through the
-root-of-unity multiplicity counting formula, at the order of each class's
-representative. Only the leader of each Galois family of classes is lifted:
-a class whose representative is conjugate to rep_leader^a takes the
-leader's eigenvalue multiplicities on zeta_o^(r*a) in place of zeta_o^r.
-Such an eigenvalue multiset is a sparse preimage of the value in
-Z[x]/(x^e - 1). A user-supplied table gives one as well: the coefficients
-of each entry on the powers of zeta_e, reduced or not. Both sources enter
-through `build_table`, which reduces each distinct preimage once to a value
-and checks the table against first orthogonality, which for a square table
-implies the second; each distinct entry enters that check once, through its
-preimage where that is sparser than its reduced coefficients. The twist of
+then recovered modulo p and lifted through the root-of-unity multiplicity
+counting formula, at the order of each class's representative. Only the
+leader of each Galois family of classes is lifted: a class whose
+representative is conjugate to rep_leader^a takes the leader's eigenvalue
+multiplicities on zeta_o^(r*a) in place of zeta_o^r. Such a multiset is a
+sparse preimage of the value in Z[x]/(x^e - 1); at a class alone in its
+family it is Galois-stable and gives an integer. A user-supplied table gives
+preimages as well: the coefficients of each entry on the powers of zeta_e.
+Both sources enter through `build_table`, which reduces each distinct
+preimage once and checks first orthogonality, which for a square table
+implies the second: in integers on the classes where every value is
+rational, and elsewhere through each entry's sparser form. The twist of
 every row by one degree-1 character is looked up here as well.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .cyclo import Cyclotomic, _reduce
@@ -117,7 +117,7 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
         values, line = [], []
         for pre in pres:
             if (entry := sparse.get(pre)) is None:
-                vec = [0] * e
+                vec = [0] * (1 + max((s for s, _ in pre), default=0))
                 for s, a in pre:
                     vec[s] += a
                 coeffs = _reduce(e, vec)
@@ -144,22 +144,32 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
-    # neither needs a check of its own. Each entry is summed exactly on the
-    # powers of zeta_e and reduced once.
-    weighted = [[[(s, a * size) for s, a in pairs]
-                 for (pairs, _), size in zip(line, group.class_sizes)]
+    # neither needs a check of its own. The classes where every row is
+    # rational enter each entry as an integer dot product; the others are
+    # summed exactly on the powers of zeta_e, and the sum is reduced once.
+    sizes = group.class_sizes
+    rational = [c for c in range(k)
+                if all(len(row.values[c].coeffs) <= 1 for row in rows)]
+    other = [c for c in range(k) if c not in rational]
+    scalars = [[row.values[c].as_fraction() for c in rational] for row in rows]
+    weighted_scalars = [[a * sizes[c] for a, c in zip(line, rational)]
+                        for line in scalars]
+    weighted = [[[(s, a * sizes[c]) for s, a in line[c][0]] for c in other]
                 for line in entry_terms]
-    conjugated = [[conj for _, conj in line] for line in entry_terms]
-    targets = (Cyclotomic.rational(e, 0).coeffs,
-               Cyclotomic.rational(e, group.order).coeffs)
+    conjugated = [[line[c][1] for c in other] for line in entry_terms]
     for i in range(k):
         for j in range(i, k):
-            vec = [0] * e
-            for left, right in zip(weighted[i], conjugated[j]):
-                for s, a in left:
-                    for t, b in right:
-                        vec[(s + t) % e] += a * b
-            if _reduce(e, vec) != targets[i == j]:
+            # the entry of X D X* - |G| I, zero (an int or ()) when it holds
+            residue = (sum(map(mul, weighted_scalars[i], scalars[j]))
+                       - (group.order if i == j else 0))
+            if other:
+                vec = [residue] + [0] * (e - 1)
+                for left, right in zip(weighted[i], conjugated[j]):
+                    for s, a in left:
+                        for t, b in right:
+                            vec[(s + t) % e] += a * b
+                residue = _reduce(e, vec)
+            if residue:
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
     one = Cyclotomic.rational(e, 1)
     trivial = next((i for i, row in enumerate(rows)
@@ -224,6 +234,10 @@ def _prime_factors(n: int) -> set[int]:
     if n > 1:
         factors.add(n)
     return factors
+
+def _mobius(n: int) -> int:
+    primes = _prime_factors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
 
 def _working_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p^2 > 4*order, so that F_p
@@ -343,12 +357,14 @@ def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
 def _class_matrix(group: FiniteMatrixGroup, c: int) -> list[list[int]]:
     """a[j][l] = number of x in C_c with x^-1 z_l in C_j, for a fixed
     representative z_l of class l: the class-sum structure constants of one
-    class, at a cost of |C_c| * k products (Schneider 1990)."""
+    class, at a cost of |C_c| * k products (Schneider 1990). x^-1 z_l is the
+    inverse of z_l^-1 x, so z_l^-1 is the left factor of all |C_c| of them."""
     k = group.class_count
+    inverse, class_of = group.inverse, group.class_of
     a = [[0] * k for _ in range(k)]
     for l, z in enumerate(group.class_representatives):
-        for x in group.class_partition[c]:
-            a[group.class_of[group.mul(group.inverse[x], z)]][l] += 1
+        for y in group.products(inverse[z], group.class_partition[c]):
+            a[class_of[inverse[y]]][l] += 1
     return a
 
 
@@ -360,10 +376,12 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     reps = group.class_representatives
 
     # split F_p^k into the simultaneous eigenspaces of the class matrices,
-    # building each class matrix only when the split reaches its class
+    # building each class matrix only when the split reaches its class, the
+    # family leaders' first: the central character values at rep_leader^a
+    # are Galois images of those at rep_leader, and separate no more rows
     subspaces: list[list[list[int]]] = [_echelon_mod(
         [[1 if i == j else 0 for j in range(k)] for i in range(k)], p)]
-    for ci in range(1, k):
+    for ci in sorted(range(1, k), key=lambda c: group.families[c][0] != c):
         if all(len(v) == 1 for v in subspaces):
             break
         bmat = _class_matrix(group, ci)
@@ -445,7 +463,15 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     # chi(rep_leader^a) has the eigenvalues zeta_o^(r*a) of chi(rep_leader),
     # with the same multiplicities: only family leaders are lifted. The
     # eigenvalue multiset sum mults[r] x^(r*a*e/o mod e) is a sparse preimage
-    # of the value in Z[x]/(x^e - 1), which `build_table` reduces.
+    # of the value in Z[x]/(x^e - 1), which `build_table` reduces. A class
+    # alone in its family is rational: mults[r] must depend only on gcd(r, o)
+    # (checked), and as the zeta_o^r with gcd(r, o) = g sum to mu(o/g), the
+    # value is the integer sum over g | o of mults[g] mu(o/g).
+    alone = set(group.leaders).difference(
+        leader for c, (leader, _) in enumerate(group.families) if leader != c)
+    ramanujan = {o: ([gcd(r, o) % o for r in range(o)], [
+        (g % o, _mobius(o // g)) for g in range(1, o + 1) if o % g == 0])
+        for o in dft}
     lifts = []
     for t in range(k):
         lifted = {}
@@ -463,14 +489,23 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 raise ValidationFailed("class algebra",
                                        "eigenvalue multiplicities do not sum "
                                        "to the degree")
-            lifted[j] = [(r * (e // o), m) for r, m in enumerate(mults) if m]
+            if j not in alone:
+                lifted[j] = [(r * (e // o), m) for r, m in enumerate(mults) if m]
+                continue
+            orbit, terms = ramanujan[o]
+            if mults != [mults[g] for g in orbit]:
+                raise ValidationFailed("lift", f"row {t}: the eigenvalues at "
+                                       f"rational class {j} are not Galois-stable")
+            lifted[j] = [(0, sum(mults[g] * mu for g, mu in terms))]
         lifts.append([tuple(sorted((s * a % e, m) for s, m in lifted[leader]))
                       for leader, a in group.families])
 
-    # rows by degree, then by reduced coefficients
+    # rows by degree, then by reduced coefficients, compared as if padded
+    # with zeros to the conductor
     table = build_table(group, lifts, source="dixon")
-    order = sorted(range(k), key=lambda i: (
-        table.degrees[i], tuple(v.coeffs for v in table.rows[i].values)))
+    width = max(len(v.coeffs) for row in table.rows for v in row.values)
+    order = sorted(range(k), key=lambda i: (table.degrees[i], tuple(
+        v.coeffs + (0,) * (width - len(v.coeffs)) for v in table.rows[i].values)))
     return replace(table, rows=tuple(table.rows[i] for i in order),
                    degrees=tuple(table.degrees[i] for i in order),
                    trivial_index=order.index(table.trivial_index))
@@ -535,24 +570,17 @@ def ingest_character_table(group: FiniteMatrixGroup, raw: dict) -> CharacterTabl
     return build_table(group, preimages, source="user")
 
 
-def _cell(coeffs) -> list[list[int]]:
-    # [num, den] pairs up to the last nonzero coefficient
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    return [[c.numerator, c.denominator] for c in coeffs[:end]]
-
-
 def table_to_dict(table: CharacterTable) -> dict:
     """Serialize a table back into the exchange format. Each value lists
-    its coefficients only up to the last nonzero one; the missing powers
-    are zero, as `ingest_character_table` reads them. Equal values share
-    one cell list."""
+    its stored coefficients, which stop at the last nonzero one; the missing
+    powers are zero, as `ingest_character_table` reads them. Equal values
+    share one cell list."""
     cells: dict = {}
 
     def cell(coeffs):
         if (found := cells.get(coeffs)) is None:
-            found = cells[coeffs] = _cell(coeffs)
+            found = cells[coeffs] = [[c.numerator, c.denominator]
+                                     for c in coeffs]
         return found
 
     return {

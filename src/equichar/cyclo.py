@@ -1,12 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-A value is a rational coefficient vector on the powers zeta^0 .. zeta^(m-1).
-Those powers are linearly dependent, so vectors are kept in the canonical
-reduced form obtained by taking the remainder modulo the m-th cyclotomic
-polynomial: only the first phi(m) coefficients can be nonzero, and equal
-values always have identical stored coefficients. Equality is therefore
-plain tuple comparison. The remainder is taken in one pass, from a table
-cached per conductor of zeta^s reduced for phi(m) <= s < m.
+A value is a rational coefficient vector on the powers of zeta_m. Those
+powers are linearly dependent, so vectors are kept in the canonical reduced
+form, the remainder modulo the m-th cyclotomic polynomial, and stored up to
+the last nonzero coefficient: at most phi(m) of them, one for a nonzero
+rational, none for zero. Equal values have identical stored coefficients, so
+equality is plain tuple comparison. The remainder is taken in one pass, from
+a table cached per conductor of zeta^s reduced for phi(m) <= s < m.
 
 A coefficient keeps the exact rational type the arithmetic produced: an
 `int` until a `Fraction` enters (a user-table entry, or the 1/|G| of an
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 from typing import Union
 
@@ -82,14 +83,18 @@ def _reduction_table(m: int) -> tuple[int, tuple[tuple[tuple[int, int], ...],
 
 
 def _reduce(m: int, vec: list[Rationalish]) -> tuple[Rationalish, ...]:
-    """The remainder of sum vec[s] zeta^s modulo the cyclotomic polynomial,
-    in one pass over the powers at or above its degree."""
+    """The stored coefficients of sum vec[s] zeta^s, len(vec) <= m: its
+    remainder modulo the cyclotomic polynomial, trimmed."""
     deg, table = _reduction_table(m)
     for c, pairs in zip(vec[deg:], table):
         if c:
             for t, r in pairs:
                 vec[t] += c * r
-    vec[deg:] = [0] * (m - deg)
+    del vec[deg:]
+    if not any(vec):
+        return ()
+    while not vec[-1]:
+        vec.pop()
     return tuple(vec)
 
 
@@ -99,15 +104,16 @@ class Cyclotomic:
     coeffs: tuple[Rationalish, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.conductor:
-            raise ValueError("coefficient vector length must equal the conductor")
+        if len(self.coeffs) > self.conductor or self.coeffs[-1:] == (0,):
+            raise ValueError("coefficients must end nonzero, at most the "
+                             "conductor of them")
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, m: int, value: Rationalish) -> "Cyclotomic":
         # phi(m) >= 1, so a constant is already reduced
-        return cls(m, (value,) + (0,) * (m - 1))
+        return cls(m, (value,) if value else ())
 
     @classmethod
     def root_of_unity(cls, m: int, k: int = 1) -> "Cyclotomic":
@@ -130,8 +136,9 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.conductor,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyclotomic(self.conductor, _reduce(self.conductor, [
+            a + b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                          fillvalue=0)]))
 
     __radd__ = __add__
 
@@ -146,8 +153,8 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.conductor,
-                              tuple(a * other for a in self.coeffs))
+            return Cyclotomic(self.conductor, tuple(
+                a * other for a in self.coeffs) if other else ())
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -181,13 +188,13 @@ class Cyclotomic:
         return self.galois(self.conductor - 1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs
 
     def as_fraction(self) -> Rationalish:
         """The rational value: an `int` unless a `Fraction` entered it."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if len(self.coeffs) > 1:
             raise ValueError(f"value is not rational: {self}")
-        return self.coeffs[0]
+        return self.coeffs[0] if self.coeffs else 0
 
     def __str__(self):
         if self.is_zero():

@@ -4,19 +4,20 @@ A group acts faithfully on Omega, the union of the orbits of a lattice basis
 b_1..b_l under v -> M v, because Omega spans the lattice. The b_j are LLL
 reduced for a positive definite form that every element preserves, so they
 are short for it and their orbits stay small whatever basis the generators
-are written in. An element is stored as the permutation of Omega it
-induces, p(AB) = p(A) o p(B), and its matrix is rebuilt on demand from the
-images of the b_j; the generators' and the family leaders' matrices are
-kept once built. Closure is breadth-first from an explicit generator list:
-element 0 is the identity and the element order is the BFS discovery order,
-so it is reproducible for a fixed generator list. Conjugacy classes are
-orbits under conjugation by the generators (Holt, Eick and O'Brien, Handbook
-of Computational Group Theory, ch. 4), sorted by (order of the
-representative, representative index), which places the identity class
-first. The classes of rep^a, a prime to the order of rep, form a Galois
-family: they generate conjugate cyclic groups, so they share fixed points,
-Smith forms and Galois-conjugate character values, and each class records
-the family's smallest class (its leader) and such an a.
+are written in. An element is stored as the permutation of Omega it induces,
+p(AB) = p(A) o p(B), as `bytes` while |Omega| <= 256, so that a product is
+one `translate` (b.translate(a + pad) is a o b), and as a tuple above. Its
+matrix is rebuilt on demand from the images of the b_j; the generators' and
+the family leaders' matrices are kept once built. Closure is breadth-first
+from an explicit generator list: element 0 is the identity and the element
+order is the BFS discovery order, so it is reproducible for a fixed
+generator list. Conjugacy classes are orbits under conjugation by the
+generators (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+ch. 4), sorted by (order of the representative, representative index), which
+places the identity class first. The classes of rep^a, a prime to the order
+of rep, form a Galois family: they generate conjugate cyclic groups, so they
+share fixed points, Smith forms and Galois-conjugate character values, and
+each class records the family's smallest class (its leader) and such an a.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ from .errors import (DimensionMismatch, NonUnimodularGenerator,
 from .intmat import IntMatrix
 
 DEFAULT_MAX_ORDER = 100_000
+BYTES_LIMIT = 256  # the most points a permutation held as bytes can move
+
+
+class _Perm(tuple):
+    """A permutation of more than BYTES_LIMIT points: a tuple with the two
+    methods of bytes that products and inverses use."""
+
+    def translate(self, table) -> "_Perm":
+        return _Perm([table[i] for i in self])
+
+    @staticmethod
+    def maketrans(x, y) -> list[int]:  # the table mapping x[i] to y[i]
+        return [t for _, t in sorted(zip(x, y))]
 
 
 @dataclass(frozen=True)
@@ -40,7 +54,7 @@ class FiniteMatrixGroup:
     rank: int
     points: tuple[tuple[int, ...], ...]  # Omega, starting with b_1..b_l
     basis_inverse: IntMatrix  # inverse of the matrix with columns b_1..b_l
-    perms: tuple[tuple[int, ...], ...]  # perms[i][n]: position of M_i w_n
+    perms: tuple[bytes | _Perm, ...]  # perms[i][n]: position of M_i w_n
     generator_indices: tuple[int, ...]
     inverse: tuple[int, ...]
     class_partition: tuple[tuple[int, ...], ...]
@@ -51,7 +65,9 @@ class FiniteMatrixGroup:
     power_classes: tuple[tuple[int, ...], ...]  # [c][u]: class of rep_c^u
     # [c]: (leader, a), rep_c conjugate to rep_leader^a, a prime to the order
     families: tuple[tuple[int, int], ...]
-    index_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    index_of: dict[bytes | _Perm, int] = field(compare=False, repr=False)
+    # appended to a, the table through which b.translate gives a o b
+    pad: bytes | tuple = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -86,8 +102,12 @@ class FiniteMatrixGroup:
         return {c: self.matrix(reps[c]) for c in self.leaders}
 
     def mul(self, i: int, j: int) -> int:
-        a = self.perms[i]
-        return self.index_of[tuple([a[x] for x in self.perms[j]])]
+        return self.products(i, (j,))[0]
+
+    def products(self, i: int, js: Iterable[int]) -> list[int]:
+        """The index of x_i x_j for each j, padding x_i once."""
+        table, perms = self.perms[i] + self.pad, self.perms
+        return [self.index_of[perms[j].translate(table)] for j in js]
 
     def matrix(self, i: int) -> IntMatrix:
         """The matrix M of element i: M B = W, where column j of B is b_j
@@ -278,14 +298,17 @@ def generate_group(generators: Sequence[IntMatrix],
     for b in basis:
         _orbit(rows, tuple(b), index, max_order)
     points = tuple(index)
-    gen_perms = [tuple([index[_image(g_rows, v)] for v in points])
+    perm = bytes if len(points) <= BYTES_LIMIT else _Perm
+    pad = bytes(range(len(points), 256)) if perm is bytes else ()
+    gen_perms = [perm([index[_image(g_rows, v)] for v in points])
                  for g_rows in rows]
-    ident = tuple(range(len(points)))
+    ident = perm(range(len(points)))
     perms, index_of, parent = [ident], {ident: 0}, [(0, 0)]
     right: list[list[int]] = [[] for _ in gen_perms]  # right[g][x] = x g
     for x, a in enumerate(perms):  # breadth-first: perms grows while scanned
+        a += pad
         for j, (b, table) in enumerate(zip(gen_perms, right)):
-            prod = tuple([a[i] for i in b])
+            prod = b.translate(a)
             if prod not in index_of:
                 if len(perms) == max_order:
                     raise OrderCapExceeded(
@@ -294,8 +317,7 @@ def generate_group(generators: Sequence[IntMatrix],
                 perms.append(prod)
                 parent.append((x, j))
             table.append(index_of[prod])
-    # the inverse lists the positions of Omega sorted by their images
-    inverse = [index_of[tuple(sorted(ident, key=x.__getitem__))]
+    inverse = [index_of[ident.translate(perm.maketrans(x, ident))]
                for x in perms]
 
     # conjugacy classes as orbits of y -> g^-1 y g = ((y g)^-1 g)^-1 over the
@@ -318,11 +340,12 @@ def generate_group(generators: Sequence[IntMatrix],
     # the order is a class function: one powering loop per class
     orders, powers = [0] * len(perms), {}
     for members in orbits:
-        power = rep = perms[members[0]]
+        power = perms[members[0]]
+        table = power + pad
         powers[members[0]] = seq = [0]
         while power != ident:
             seq.append(index_of[power])
-            power = tuple([power[i] for i in rep])
+            power = power.translate(table)
         for y in members:
             orders[y] = len(seq)
     partition = tuple(sorted(orbits, key=lambda c: (orders[c[0]], c[0])))
@@ -356,6 +379,7 @@ def generate_group(generators: Sequence[IntMatrix],
         power_classes=tuple(map(tuple, power_classes)),
         families=tuple(families),
         index_of=index_of,
+        pad=pad,
     )
 
 

@@ -29,7 +29,9 @@ def as_int(value: Cyclotomic) -> Fraction:
 
 
 def row_key(row):
-    return tuple(tuple(v.coeffs) for v in row.values)
+    # stored coefficients stop at the last nonzero one: compare them padded
+    return tuple(v.coeffs + (0,) * (v.conductor - len(v.coeffs))
+                 for v in row.values)
 
 
 def all_ones(group):
@@ -156,14 +158,15 @@ class TestDixonLargerGroups:
     def test_class_matrices_built_on_demand(self, b5_group, monkeypatch):
         # the full structure-constant cube costs |G| * k products
         calls = 0
-        product = FiniteMatrixGroup.mul
+        products = FiniteMatrixGroup.products
 
-        def counting_mul(group, i, j):
+        def counting_products(group, i, js):
             nonlocal calls
-            calls += 1
-            return product(group, i, j)
+            found = products(group, i, js)
+            calls += len(found)
+            return found
 
-        monkeypatch.setattr(FiniteMatrixGroup, "mul", counting_mul)
+        monkeypatch.setattr(FiniteMatrixGroup, "products", counting_products)
         dixon_character_table(b5_group)
         assert 0 < calls < b5_group.order * b5_group.class_count / 10
 
@@ -175,15 +178,48 @@ def per_class(group):
                                          for c in range(group.class_count)))
 
 
+def is_rational(group):
+    return group.leaders == tuple(range(group.class_count))
+
+
 class TestGaloisFamilies:
-    def test_lift_matches_per_class_lift(self, groups, b5_group, f4_group,
-                                         c21_group):
-        for group in (*groups.values(), b5_group, f4_group, c21_group):
+    def test_lift_matches_per_class_lift(self, groups, b5_group, f4_group):
+        rational = [g for g in groups.values() if is_rational(g)]
+        assert len(rational) == 3  # s3-a2, dihedral-z2 and trivial-z2
+        for group in (*rational, b5_group, f4_group):
             reference = per_class(group)
-            assert reference.leaders == tuple(range(group.class_count))
+            assert is_rational(reference) and is_rational(group)
             assert [row.values for row in
                     dixon_character_table(group).rows] == \
                 [row.values for row in dixon_character_table(reference).rows]
+
+    def test_integer_lift_of_an_unstable_multiset_fails(self, groups,
+                                                         c21_group):
+        # taken for rational, a class of order 3 or 6 gets the integer
+        # lift, whose eigenvalue multiset a nontrivial row does not make
+        # Galois-stable
+        for group in (groups["c6-z2"], c21_group):
+            assert not is_rational(group)
+            with pytest.raises(ValidationFailed, match="not Galois-stable"
+                               ) as exc:
+                dixon_character_table(per_class(group))
+            assert exc.value.relation == "lift"
+
+    def test_rational_values_skip_reduction(self, b5_group, monkeypatch):
+        # every class of B5 is rational: each preimage is one integer, which
+        # `_reduce` only trims, and first orthogonality sums integers alone
+        lengths = []
+        reduce = characters._reduce
+
+        def recording(m, vec):
+            lengths.append(len(vec))
+            return reduce(m, vec)
+
+        monkeypatch.setattr(characters, "_reduce", recording)
+        table = dixon_character_table(b5_group)
+        assert set(lengths) == {1}
+        assert all(len(v.coeffs) <= 1 for row in table.rows
+                   for v in row.values)
 
     def test_c21_rows_are_powers_of_zeta(self, c21_group):
         # chi_s(g^k) = zeta_21^(s k): one row per s in 0..20
@@ -239,10 +275,10 @@ class TestDistinctValues:
         distinct = {pre for row in handed for pre in row}
         assert len(distinct) == len({v for row in table.rows
                                      for v in row.values}) == 21
-        k, e = c21_group.class_count, c21_group.exponent
+        k = c21_group.class_count
         assert len(inputs) == len(distinct) + k * (k + 1) // 2
         for pre in distinct:
-            vec = [0] * e
+            vec = [0] * (1 + max(s for s, _ in pre))
             for s, a in pre:
                 vec[s] += a
             assert inputs.count(tuple(vec)) == 1, pre

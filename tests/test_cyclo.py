@@ -65,9 +65,23 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             op(zeta(6), "x")
 
-    def test_coefficient_count_must_equal_the_conductor(self):
-        with pytest.raises(ValueError, match="length must equal"):
-            Cyclotomic(6, (1, 0, 0))
+    def test_coefficient_count_must_not_exceed_the_conductor(self):
+        with pytest.raises(ValueError, match="at most the conductor"):
+            Cyclotomic(3, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("coeffs", [(1, 0), (0,), (1, Fraction(0))])
+    def test_trailing_zero_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="must end nonzero"):
+            Cyclotomic(6, coeffs)
+
+    def test_storage_stops_at_the_last_nonzero_coefficient(self):
+        assert Cyclotomic.rational(6, 0).coeffs == ()
+        assert Cyclotomic.rational(6, -2).coeffs == (-2,)
+        assert (zeta(6) - zeta(6)).coeffs == ()
+        assert (zeta(6) * 0).coeffs == ()
+        # zeta_6 + zeta_6^5 = 1
+        assert (zeta(6) + zeta(6, 5)).coeffs == (1,)
+        assert (zeta(6, 2) + zeta(6) - zeta(6, 2)) == zeta(6)
 
     def test_zero_prints_as_zero(self):
         assert str(Cyclotomic.rational(6, 0)) == "0"
@@ -150,7 +164,8 @@ def test_galois_is_ring_map(a, s):
 
 def polynomial_remainder(m, coeffs):
     """The remainder of sum coeffs[s] x^s on division by the m-th
-    cyclotomic polynomial, by schoolbook long division, padded to m."""
+    cyclotomic polynomial, by schoolbook long division, up to its last
+    nonzero coefficient."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rem = list(coeffs)
@@ -159,7 +174,10 @@ def polynomial_remainder(m, coeffs):
         if c:
             for t, p in enumerate(phi):
                 rem[top - deg + t] -= c * p
-    return tuple(rem[:deg]) + (0,) * (m - deg)
+    rem = rem[:deg]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,7 +187,9 @@ def test_reduction_matches_polynomial_remainder(m, data):
     sparse = data.draw(st.dictionaries(
         st.integers(min_value=0, max_value=m - 1),
         st.integers(-9, 9) | small_rationals, max_size=12))
-    coeffs = [sparse.get(s, 0) for s in range(m)]
+    # a vector may stop anywhere after its last nonzero entry
+    length = data.draw(st.integers(max(sparse, default=-1) + 1, m))
+    coeffs = [sparse.get(s, 0) for s in range(length)]
     assert _reduce(m, list(coeffs)) == polynomial_remainder(m, coeffs)
 
 

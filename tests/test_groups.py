@@ -1,6 +1,8 @@
+from dataclasses import replace
 from itertools import combinations, permutations, product
 import json
 from math import gcd, lcm
+import random
 import time
 
 import pytest
@@ -431,3 +433,41 @@ def test_families_match_plain_powers_and_conjugacy(name):
         assert any(power.multiply(g) == g.multiply(reps[c]) for g in matrices)
     assert group.leaders == tuple(sorted({leader for leader, _
                                           in group.families}))
+
+
+@pytest.mark.parametrize("name", ["b4", "s6"])
+def test_tuple_fallback_matches_bytes(name, monkeypatch):
+    # above BYTES_LIMIT points an element is a tuple; lowering the limit
+    # below |Omega| runs that path on a group small enough to close
+    rank, gens = DIFFERENTIAL_GROUPS[name]
+    fast = generate_group(gens, rank=rank)
+    monkeypatch.setattr(groups, "BYTES_LIMIT", len(fast.points) - 1)
+    slow = generate_group(gens, rank=rank)
+    assert {type(x) for x in fast.perms} == {bytes}
+    assert {type(x) for x in slow.perms} == {groups._Perm}
+    assert [tuple(x) for x in slow.perms] == [tuple(x) for x in fast.perms]
+    for field in ("inverse", "parent", "class_partition", "families",
+                  "power_classes", "element_orders", "generator_indices"):
+        assert getattr(slow, field) == getattr(fast, field), field
+    pairs = [(i, j) for i in range(0, fast.order, 7)
+             for j in range(0, fast.order, 11)]
+    assert [slow.mul(i, j) for i, j in pairs] == \
+        [fast.mul(i, j) for i, j in pairs]
+
+
+def test_products_and_inverse_of_a_300_point_permutation(c6_group):
+    # x of order 3 on 300 points, as a group {1, x, x^2} of tuples
+    images = list(range(300))
+    random.Random(5).shuffle(images)
+    cycles = [images[t:t + 3] for t in range(0, 300, 3)]
+    x = [0] * 300
+    for a, b, c in cycles:
+        x[a], x[b], x[c] = b, c, a
+    ident = groups._Perm(range(300))
+    x = groups._Perm(x)
+    square = groups._Perm([x[x[i]] for i in range(300)])
+    assert ident.translate(groups._Perm.maketrans(x, ident)) == square
+    three = replace(c6_group, perms=(ident, x, square),
+                    index_of={ident: 0, x: 1, square: 2}, pad=())
+    assert [[three.mul(i, j) for j in range(3)] for i in range(3)] == \
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1]]

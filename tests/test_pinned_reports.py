@@ -3,14 +3,16 @@ deterministic, so a change that should not alter them must reproduce these
 digests exactly: text, JSON and LaTeX of one default `analyze` per builtin,
 JSON of every problem file under `problems/`, and text, JSON and LaTeX of
 `analyze(verify=False)` for C21 on Z^8 (period 21), B4 and the F4 Weyl group
-(period 12), whose rows share multiplicity objects."""
+(period 12), whose rows share multiplicity objects, and the `--no-verify`
+JSON of the benchmark's B4 and S6 input files."""
 
 import hashlib
+import json
 
 import pytest
 
 from equichar import analyze, generate_group
-from equichar.cli import builtin, parse_input, render, run_analyze
+from equichar.cli import builtin, main, parse_input, render, run_analyze
 
 from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4, PROBLEMS_DIR,
                       mat, signed_permutation_generators,
@@ -129,3 +131,33 @@ def large_reports():
 @pytest.mark.parametrize("name, fmt", list(LARGE_DIGESTS))
 def test_large_report_bytes(large_reports, name, fmt):
     assert digest(render(large_reports[name], fmt)) == LARGE_DIGESTS[name, fmt]
+
+
+def permutation_matrix(images):
+    """The matrix sending e_j to e_images[j]."""
+    n = len(images)
+    return [[int(images[j] == i) for j in range(n)] for i in range(n)]
+
+
+# the large-group-symbolic problems of perfbench/workloads.py at seed 0:
+# name -> (rank, generators, sha256 of the CLI's --no-verify JSON report)
+BENCHMARK_PROBLEMS = {
+    "b4": (4, [permutation_matrix([1, 0, 2, 3]),
+               permutation_matrix([1, 2, 3, 0]),
+               [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+           "75d575e3fe227e453901e6a20c3e9dcc4780543d84900499e946ab49befec5bf"),
+    "s6": (6, [permutation_matrix([1, 0, 2, 3, 4, 5]),
+               permutation_matrix([1, 2, 3, 4, 5, 0])],
+           "285ea1e0e1c79f08a38e4e325d7ac36c823d0c3415c75330a212f2592c817bb0"),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_PROBLEMS))
+def test_benchmark_report_bytes(name, tmp_path, capsys):
+    rank, generators, expected = BENCHMARK_PROBLEMS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "rank": rank,
+                                "generators": generators}), encoding="utf-8")
+    assert main(["analyze", "--input", str(path), "--format", "json",
+                 "--no-verify"]) == 0
+    assert digest(capsys.readouterr().out) == expected
