@@ -55,10 +55,10 @@ def resolve_cap() -> int:
 def _image_array(mat: IntMatrix, q: int) -> list[int]:
     """img[code] is the code of mat·x mod q for every point code of
     (Z/q)^rank, coordinate j having weight q^j. Digit i is built a column
-    at a time by C-level lookups: adding t·m mod q to each digit so far
-    reads ring[s:s + q] at it, ring being range(q) twice, times q^i at the
-    row's last nonzero column, past which the row is periodic. Rows are
-    summed shortest first, and the sum is tiled."""
+    at a time by C-level lookups: adding t·m mod q to each digit x so far
+    reads ring[s + x] (through ring[s:s + q] from q digits on), ring being
+    range(q) twice, times q^i at the row's last nonzero column, past which
+    the row is periodic. Rows are summed shortest first; the sum is tiled."""
     rows = []  # each nonzero row's digit times q^i, over its period
     for i in range(mat.rows):
         row = [m % q for m in mat.row(i)]
@@ -70,10 +70,11 @@ def _image_array(mat: IntMatrix, q: int) -> list[int]:
             if not m:
                 arr *= q
                 continue
-            out = []
+            out, short = [], len(arr) < q
             for t in range(q):
                 s = t * m % q
-                out += map(ring[s:s + q].__getitem__, arr)
+                out += ([ring[s + x] for x in arr] if short
+                        else map(ring[s:s + q].__getitem__, arr))
             arr = out
         if last >= 0:
             rows.append(arr)

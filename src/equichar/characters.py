@@ -3,27 +3,27 @@
 The table of irreducible characters is computed by the modular method of
 Dixon and Schneider: the class matrices, holding the class-sum structure
 constants, commute, and their simultaneous eigenvectors over a suitable
-prime field are the central characters. A class matrix is built only when
-the eigenspace split reaches its class. Degrees and character values are
-then recovered modulo p and lifted through the root-of-unity multiplicity
-counting formula, at the order of each class's representative. Only the
-leader of each Galois family of classes is lifted: a class whose
-representative is conjugate to rep_leader^a takes the leader's eigenvalue
-multiplicities on zeta_o^(r*a) in place of zeta_o^r. Such a multiset is a
-sparse preimage of the value in Z[x]/(x^e - 1); at a class alone in its
-family it is Galois-stable and gives an integer. A user-supplied table gives
-preimages as well: the coefficients of each entry on the powers of zeta_e.
-Both sources enter through `build_table`, which reduces each distinct
-preimage once and checks first orthogonality, which for a square table
-implies the second: in integers on the classes where every value is
-rational, and elsewhere through each entry's sparser form. The twist of
-every row by one degree-1 character is looked up here as well.
+prime field are the central characters. A class matrix is built, as sparse
+columns, only when the eigenspace split reaches its class. Values are
+recovered modulo p and lifted through the root-of-unity multiplicity
+formula at the order of each class's representative, only at each Galois
+family's leader and for one row of each Galois orbit of rows; the other
+classes and rows take Galois images of the lifted eigenvalue multisets.
+Such a multiset is a sparse preimage of the value in Z[x]/(x^e - 1); at a
+class alone in its family it is Galois-stable and gives an integer. A
+user-supplied table gives preimages as well. Both sources enter through
+`build_table`, which reduces each distinct preimage once, checks the
+power-map rule, and then first orthogonality, which for a square table
+implies the second, as exact traces summed over the family leaders. The
+twist of a row by a degree-1 character is looked up here as well.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -99,38 +99,29 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
                 ) -> CharacterTable:
     """Validate a table and build its rows. `preimages` holds, row by row
     and class by class, each entry as a sparse preimage in Z[x]/(x^e - 1):
-    a hashable sequence of (power, coefficient) pairs, 0 <= power < e."""
+    a tuple of (power, coefficient) pairs, 0 <= power < e."""
     k = group.class_count
     if len(preimages) != k:
         raise ValidationFailed("squareness",
                                f"{len(preimages)} rows for {k} conjugacy classes")
     # Each distinct preimage is reduced once to its value, and keeps one
     # sparse term list on the powers of zeta_e: the preimage or the reduced
-    # coefficients, whichever has fewer terms. Reduction modulo the
-    # cyclotomic polynomial is a ring map from Z[x]/(x^e - 1) that sends
-    # x^-1 to the complex conjugate of zeta_e, so sums over either form
-    # reduce to the same value.
+    # coefficients, whichever has fewer terms. Both give the same value.
     e = group.exponent
     sparse: dict = {}
-    rows, entry_terms = [], []
-    for pres in preimages:
-        values, line = [], []
-        for pre in pres:
-            if (entry := sparse.get(pre)) is None:
-                vec = [0] * (1 + max((s for s, _ in pre), default=0))
-                for s, a in pre:
-                    vec[s] += a
-                coeffs = _reduce(e, vec)
-                pairs = tuple((s, a) for s, a in enumerate(coeffs) if a)
-                if len(pre) < len(pairs):
-                    pairs = pre
-                # the value, then its terms and those of its complex conjugate
-                entry = sparse[pre] = (Cyclotomic(e, coeffs), (
-                    pairs, [(-s % e, a) for s, a in pairs]))
-            values.append(entry[0])
-            line.append(entry[1])
-        rows.append(ClassFunction(group, tuple(values)))
-        entry_terms.append(line)
+
+    def entry(pre):
+        if (found := sparse.get(pre)) is None:
+            vec = [0] * (1 + max((s for s, _ in pre), default=0))
+            for s, a in pre:
+                vec[s] += a
+            coeffs = _reduce(e, vec)
+            found = sparse[pre] = (Cyclotomic(e, coeffs), min(
+                tuple((s, a) for s, a in enumerate(coeffs) if a), pre, key=len))
+        return found
+
+    rows = [ClassFunction(group, tuple((sparse.get(pre) or entry(pre))[0]
+                                       for pre in pres)) for pres in preimages]
     degrees = []
     for i, row in enumerate(rows):
         try:
@@ -140,35 +131,60 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
         if d.denominator != 1 or d <= 0:
             raise ValidationFailed("degree", f"row {i} has degree {d}")
         degrees.append(int(d))
+    # The power-map rule chi(rep_L^b) = sigma_b(chi(rep_L)), sigma_b: zeta_e
+    # -> zeta_e^b for b prime to e: at the least b = a (mod o) for each other
+    # class rep_L^a of the family of a leader L of order o, and, unless L is
+    # rational, at L for generators of the b with rep_L^b conjugate to rep_L.
+    # So it holds at every b. Images that are not the given preimage reduce.
+    columns = list(zip(*(row.values for row in rows)))
+    rational = [c for c in group.leaders
+                if all(len(v.coeffs) <= 1 for v in columns[c])]
+    units, trace = _galois(e)
+    for c, ((leader, a), seq) in enumerate(zip(group.families,
+                                               group.power_classes)):
+        o, exponents, fixing = len(seq), [], {1}
+        if c != leader:
+            exponents.append(next(b for b in units if b % o == a % o))
+        elif c not in rational:
+            for b in units:
+                if seq[b % o] == c and b not in fixing:
+                    exponents.append(b)
+                    while not (moved := {x * b % e for x in fixing}) <= fixing:
+                        fixing |= moved
+        for b in exponents:
+            for i, pres in enumerate(preimages):
+                image = tuple(sorted((s * b % e, v) for s, v in pres[leader]))
+                if image != pres[c] and entry(image)[0] != columns[c][i]:
+                    raise ValidationFailed("power map", f"row {i}, class {c}")
     # First orthogonality for the square table X reads X D X* = |G| I with
     # D the diagonal of class sizes. It makes X invertible with inverse
     # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
     # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
-    # neither needs a check of its own. The classes where every row is
-    # rational enter each entry as an integer dot product; the others are
-    # summed exactly on the powers of zeta_e, and the sum is reduced once.
-    sizes = group.class_sizes
-    rational = [c for c in range(k)
-                if all(len(row.values[c].coeffs) <= 1 for row in rows)]
-    other = [c for c in range(k) if c not in rational]
+    # neither needs a check of its own. Under the power-map rule, the
+    # family F of a leader L adds to an entry the rational |C_L| |F| / phi(e)
+    # times the trace of chi_i(L) conj chi_j(L). So phi(e) times an entry is
+    # a sum over leaders of products of rationals, or of coefficients times
+    # the Ramanujan sum trace[s - t] of zeta_e^(s - t), indexed mod e.
+    phi = trace[0]
+    members = Counter(leader for leader, _ in group.families)
+    weight = {c: group.class_sizes[c] * members[c] for c in group.leaders}
+    other = [c for c in group.leaders if c not in rational]
     scalars = [[row.values[c].as_fraction() for c in rational] for row in rows]
-    weighted_scalars = [[a * sizes[c] for a, c in zip(line, rational)]
+    weighted_scalars = [[a * weight[c] * phi for a, c in zip(line, rational)]
                         for line in scalars]
-    weighted = [[[(s, a * sizes[c]) for s, a in line[c][0]] for c in other]
-                for line in entry_terms]
-    conjugated = [[line[c][1] for c in other] for line in entry_terms]
+    terms = [[entry(pres[c])[1] for c in other] for pres in preimages]
+    weighted = [[[(s, a * weight[c]) for s, a in pairs]
+                 for pairs, c in zip(line, other)] for line in terms]
     for i in range(k):
         for j in range(i, k):
-            # the entry of X D X* - |G| I, zero (an int or ()) when it holds
+            # phi(e) times the entry of X D X* - |G| I, 0 when it holds
             residue = (sum(map(mul, weighted_scalars[i], scalars[j]))
-                       - (group.order if i == j else 0))
+                       - (phi * group.order if i == j else 0))
             if other:
-                vec = [residue] + [0] * (e - 1)
-                for left, right in zip(weighted[i], conjugated[j]):
+                for left, right in zip(weighted[i], terms[j]):
                     for s, a in left:
                         for t, b in right:
-                            vec[(s + t) % e] += a * b
-                residue = _reduce(e, vec)
+                            residue += a * b * trace[s - t]
             if residue:
                 raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
     one = Cyclotomic.rational(e, 1)
@@ -188,9 +204,19 @@ def find_row(table: CharacterTable, values: tuple[Cyclotomic, ...]) -> int | Non
 
 
 def twist_indices(table: CharacterTable, linear: ClassFunction) -> list[int]:
-    """For each row i, the index of the row chi_i (x) linear, for a degree-1
-    character `linear`. Where `linear` is 1 a value is kept and where it is
-    -1 negated, so a rational twist makes no cyclotomic product."""
+    """For each row i, the index of the row chi_i (x) linear."""
+    return _twist(table, linear, range(table.size))
+
+
+def tensor_identify(table: CharacterTable, i: int, linear: ClassFunction) -> int:
+    """Index of the row equal to row i twisted by a degree-1 character."""
+    return _twist(table, linear, (i,))[0]
+
+
+def _twist(table: CharacterTable, linear: ClassFunction, indices) -> list[int]:
+    """The index of each given row twisted by a degree-1 character: where it
+    is 1 a value is kept and where it is -1 negated, so a rational twist
+    makes no cyclotomic product."""
     if linear.group is not table.group:
         raise GroupMismatch("tensor of class functions on different groups")
     one = Cyclotomic.rational(table.group.exponent, 1)
@@ -202,8 +228,8 @@ def twist_indices(table: CharacterTable, linear: ClassFunction) -> list[int]:
                for c, v in enumerate(linear.values) if v != one]
     index = {row.values: i for i, row in enumerate(table.rows)}
     twist = []
-    for i, row in enumerate(table.rows):
-        values = list(row.values)
+    for i in indices:
+        values = list(table.rows[i].values)
         for c, v in factors:
             values[c] = -values[c] if v is None else values[c] * v
         if (j := index.get(tuple(values))) is None:
@@ -211,11 +237,6 @@ def twist_indices(table: CharacterTable, linear: ClassFunction) -> list[int]:
                           f"the table")
         twist.append(j)
     return twist
-
-
-def tensor_identify(table: CharacterTable, i: int, linear: ClassFunction) -> int:
-    """Index of the row equal to row i twisted by a degree-1 character."""
-    return twist_indices(table, linear)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +259,16 @@ def _prime_factors(n: int) -> set[int]:
 def _mobius(n: int) -> int:
     primes = _prime_factors(n)
     return (-1) ** len(primes) if prod(primes) == n else 0
+
+@lru_cache(maxsize=None)
+def _galois(e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The b in 1..e prime to e, and the trace of each zeta_e^s: the Ramanujan
+    sum mu(e/g) phi(e) / phi(e/g), g = gcd(s, e), phi(e/g) the s of that g."""
+    gcds = [gcd(s, e) for s in range(e)]
+    count = Counter(gcds)
+    sums = {g: _mobius(e // g) * count[1] // n for g, n in count.items()}
+    return (tuple(b for b in range(1, e + 1) if gcd(b, e) == 1),
+            tuple(sums[g] for g in gcds))
 
 def _working_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p^2 > 4*order, so that F_p
@@ -354,18 +385,23 @@ def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
         basis.append(v)
     return basis
 
-def _class_matrix(group: FiniteMatrixGroup, c: int) -> list[list[int]]:
-    """a[j][l] = number of x in C_c with x^-1 z_l in C_j, for a fixed
-    representative z_l of class l: the class-sum structure constants of one
-    class, at a cost of |C_c| * k products (Schneider 1990). x^-1 z_l is the
-    inverse of z_l^-1 x, so z_l^-1 is the left factor of all |C_c| of them."""
-    k = group.class_count
+def _class_matrix(group: FiniteMatrixGroup, c: int) -> list[list[tuple[int, int]]]:
+    """Column l as its at most |C_c| nonzero (j, a[j][l]), a[j][l] the number
+    of x in C_c with x^-1 z_l in C_j, z_l representing class l: |C_c| * k
+    products (Schneider 1990), each x^-1 z_l the inverse of z_l^-1 x."""
     inverse, class_of = group.inverse, group.class_of
-    a = [[0] * k for _ in range(k)]
-    for l, z in enumerate(group.class_representatives):
-        for y in group.products(inverse[z], group.class_partition[c]):
-            a[class_of[inverse[y]]][l] += 1
-    return a
+    return [list(Counter(class_of[inverse[y]] for y in group.products(
+        inverse[z], group.class_partition[c])).items())
+        for z in group.class_representatives]
+
+def _combine(coeffs, supports, k: int, p: int) -> list[int]:
+    """sum_i coeffs[i] * v_i mod p, each v_i as its nonzero (j, v_i[j])."""
+    out = [0] * k
+    for f, support in zip(coeffs, supports):
+        if f:
+            for c, v in support:
+                out[c] += f * v
+    return [v % p for v in out]
 
 
 def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
@@ -391,18 +427,16 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             if d == 1:
                 refined.append(basis)
                 continue
-            images = [[sum(map(mul, row, vec)) % p for row in bmat]
-                      for vec in basis]
-            pivots = [next(c for c in range(k) if row[c] % p != 0)
-                      for row in basis]
+            images = [_combine(vec, bmat, k, p) for vec in basis]
+            supports = [[(c, v) for c, v in enumerate(row) if v]
+                        for row in basis]
+            pivots = [support[0][0] for support in supports]
             action = [[images[j][pivots[i]] for j in range(d)]
                       for i in range(d)]
-            columns = list(zip(*basis))
             # invariance check: the image must land back in the subspace
-            for j in range(d):
-                coeffs = [row[j] for row in action]
-                recon = [sum(map(mul, coeffs, col)) % p for col in columns]
-                if recon != images[j]:
+            for image in images:
+                if _combine([image[c] for c in pivots], supports, k,
+                            p) != image:
                     raise ValidationFailed("class algebra",
                                            "class matrix does not preserve a "
                                            "previously split eigenspace")
@@ -412,9 +446,8 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 shifted = [[(action[i][j] - (lam if i == j else 0)) % p
                             for j in range(d)] for i in range(d)]
                 coord_basis = _kernel_mod(shifted, p)
-                vecs = [[sum(map(mul, coords, col)) % p for col in columns]
-                        for coords in coord_basis]
-                refined.append(_echelon_mod(vecs, p))
+                refined.append(_echelon_mod([_combine(
+                    coords, supports, k, p) for coords in coord_basis], p))
                 covered += len(coord_basis)
             if covered != d:
                 raise ValidationFailed("class algebra",
@@ -472,8 +505,19 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     ramanujan = {o: ([gcd(r, o) % o for r in range(o)], [
         (g % o, _mobius(o // g)) for g in range(1, o + 1) if o % g == 0])
         for o in dft}
-    lifts = []
+    # One row of each Galois orbit of rows is lifted. For b prime to e, pi_b
+    # sends each class to that of its representative's b-th power. If
+    # chi_u = chi_t o pi_b mod p, u's DFT reads t's powers with v -> v b, so
+    # its multiplicities are t's moved by r -> r b^-1 and pass the same
+    # checks: u's lift is sigma_b of t's. A rational group has no pi_b but 1.
+    maps = {tuple(seq[b % len(seq)] for seq in group.power_classes): b
+            for b in _galois(e)[0][1:]}
+    maps.pop(tuple(range(k)), None)
+    row_of = {tuple(row): t for t, row in enumerate(chi_mod)}
+    lifts = [None] * k
     for t in range(k):
+        if lifts[t] is not None:
+            continue
         lifted = {}
         for j in group.leaders:
             powers = [chi_mod[t][c] for c in group.power_classes[j]]
@@ -497,8 +541,13 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
                 raise ValidationFailed("lift", f"row {t}: the eigenvalues at "
                                        f"rational class {j} are not Galois-stable")
             lifted[j] = [(0, sum(mults[g] * mu for g, mu in terms))]
-        lifts.append([tuple(sorted((s * a % e, m) for s, m in lifted[leader]))
-                      for leader, a in group.families])
+        lifts[t] = [tuple(sorted((s * a % e, m) for s, m in lifted[leader]))
+                    for leader, a in group.families]
+        for pi, b in maps.items():
+            u = row_of.get(tuple(chi_mod[t][c] for c in pi))
+            if u is not None and lifts[u] is None:
+                lifts[u] = [tuple(sorted((s * b % e, m) for s, m in pre))
+                            for pre in lifts[t]]
 
     # rows by degree, then by reduced coefficients, compared as if padded
     # with zeros to the conductor

@@ -122,6 +122,13 @@ class TestImageArray:
         assert img == reference_image_array([[-1]], 300)
         assert img[1] == 299
 
+    @pytest.mark.parametrize("m", [-1, 1, 7])
+    def test_rank_one_at_a_large_modulus(self, m):
+        # one digit per column: each t reads one ring entry, not a slice
+        q = 4000
+        assert bruteforce._image_array(mat([[m]]), q) == \
+            [m * x % q for x in range(q)]
+
 
 class TestEnumeration:
     def test_trivial_group_has_singleton_orbits(self):

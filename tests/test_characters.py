@@ -21,7 +21,8 @@ from equichar.cyclo import Cyclotomic
 
 from conftest import (BUILTIN_NAMES, CARTAN_F4, PROBLEMS_DIR,
                       load_reference_table, make_builtin_group, mat,
-                      signed_permutation_generators, weyl_group_generators)
+                      signed_permutation, signed_permutation_generators,
+                      weyl_group_generators)
 
 
 def as_int(value: Cyclotomic) -> Fraction:
@@ -235,9 +236,9 @@ class TestGaloisFamilies:
         assert {row.values for row in rows} == expected
         assert len(rows) == 21
 
-    def test_lift_runs_at_leaders_only(self, c21_group, monkeypatch):
-        # C21 has 4 families (orders 1, 3, 7 and 21): 4 lifts per row, each
-        # reading one power map
+    @staticmethod
+    def power_map_reads(group):
+        # the classes whose power map the lift reads, once per read
         reads = []
 
         class Recording(tuple):
@@ -245,18 +246,39 @@ class TestGaloisFamilies:
                 reads.append(c)
                 return tuple.__getitem__(self, c)
 
-        group = replace(c21_group,
-                        power_classes=Recording(c21_group.power_classes))
-        dixon_character_table(group)
-        assert set(reads) == set(group.leaders) and len(group.leaders) == 4
-        assert len(reads) == 21 * 4
+        dixon_character_table(replace(
+            group, power_classes=Recording(group.power_classes)))
+        return reads
+
+    def test_lift_runs_at_leaders_only(self, c21_group):
+        # C21 has 4 families (orders 1, 3, 7 and 21) and 4 Galois orbits of
+        # rows (of sizes 1, 2, 6 and 12): 4 lifts for each of 4 rows, each
+        # reading one power map
+        reads = self.power_map_reads(c21_group)
+        assert set(reads) == set(c21_group.leaders)
+        assert len(c21_group.leaders) == 4
+        assert len(reads) == 4 * 4
+
+    @pytest.mark.parametrize("name, order, k", [("b4", 384, 20),
+                                                ("s6", 720, 11)])
+    def test_rational_groups_lift_every_row(self, name, order, k):
+        ones = [1] * 6
+        generators = {"b4": signed_permutation_generators(4),
+                      "s6": [signed_permutation([1, 0, 2, 3, 4, 5], ones),
+                             signed_permutation([1, 2, 3, 4, 5, 0], ones)]}
+        group = generate_group(generators[name])
+        assert (group.order, group.class_count) == (order, k)
+        assert is_rational(group)
+        reads = self.power_map_reads(group)
+        assert len(reads) == k * k and set(reads) == set(range(k))
 
 
 class TestDistinctValues:
     def test_c21_builds_each_distinct_value_once(self, c21_group,
                                                  monkeypatch):
-        # every reduction in `cyclo` and `characters`, with its input; the
-        # first-orthogonality pair sums make k (k + 1) / 2 of them
+        # every reduction in `cyclo` and `characters`, with its input: the
+        # power-map rule finds each image among Dixon's preimages, and first
+        # orthogonality sums traces, so neither reduces anything
         inputs = []
         for module in (cyclo, characters):
             def recording(m, vec, reduce=module._reduce):
@@ -275,8 +297,7 @@ class TestDistinctValues:
         distinct = {pre for row in handed for pre in row}
         assert len(distinct) == len({v for row in table.rows
                                      for v in row.values}) == 21
-        k = c21_group.class_count
-        assert len(inputs) == len(distinct) + k * (k + 1) // 2
+        assert len(inputs) == len(distinct)
         for pre in distinct:
             vec = [0] * (1 + max(s for s, _ in pre))
             for s, a in pre:
@@ -381,15 +402,61 @@ class TestTableChecks:
         assert failure.relation == "degree"
         assert f"row 1 has degree {-tables['s3-a2'].degrees[1]}" in str(failure)
 
-    def test_column_times_zeta_fails_trivial_row(self, c6_group, tables):
+    @staticmethod
+    def scaled_columns(table, factors):
+        return [replace(row, values=tuple(v * factors.get(c, 1)
+                                          for c, v in enumerate(row.values)))
+                for row in table.rows]
+
+    def test_column_times_zeta_fails_power_map(self, c6_group, tables):
         # a unit factor on one column keeps orthogonality and the degrees,
-        # and leaves no all-ones row
+        # but class 3 = rep_2^2 no longer holds the Galois image of class 2
+        assert c6_group.families[2:4] == ((2, 1), (2, 2))
         zeta = Cyclotomic.root_of_unity(c6_group.exponent)
-        rows = [replace(row, values=(*row.values[:2], row.values[2] * zeta,
-                                     *row.values[3:]))
-                for row in tables["c6-z2"].rows]
+        rows = self.scaled_columns(tables["c6-z2"], {2: zeta})
+        assert is_orthonormal(rows)
+        failure = self.rejection(c6_group, rows)
+        assert failure.relation == "power map"
+        assert "row 0, class 3" in str(failure)
+
+    def test_column_times_zeta_fails_trivial_row(self, c6_group, tables):
+        # the factor zeta on the leader's column and its Galois image
+        # zeta^5 on the other class of the family keep orthogonality, the
+        # degrees and the power-map rule, and leave no all-ones row
+        zeta = Cyclotomic.root_of_unity(c6_group.exponent)
+        rows = self.scaled_columns(tables["c6-z2"],
+                                   {2: zeta, 3: zeta.galois(5)})
         assert is_orthonormal(rows)
         assert self.rejection(c6_group, rows).relation == "trivial row"
+
+    def test_leader_value_off_its_fixed_field_fails_power_map(self):
+        # C12: rep^5 is conjugate to rep (order 4), so chi(rep) must be
+        # fixed by zeta -> zeta^5. Reflect two rows in u = chi_a - chi_b + v,
+        # v = sqrt 3 on the leader and its image on the other class of the
+        # family: every trace over the family is kept, so the sums over
+        # the leaders alone would pass, but X D X* = |G| I does not hold
+        group = generate_group([mat([[0, 0, 0, -1], [1, 0, 0, 0],
+                                     [0, 1, 0, 1], [0, 0, 1, 0]])], rank=4)
+        assert (group.order, group.families[4:6]) == (12, ((4, 1), (4, 3)))
+        table = dixon_character_table(group)
+        root3 = (Cyclotomic.root_of_unity(12, 1)
+                 + Cyclotomic.root_of_unity(12, 11))
+        v = {4: root3, 5: root3.galois(7)}  # 7 = 3 (mod 4), prime to 12
+        a, b = [i for i in range(table.size) if i != table.trivial_index][:2]
+        u = [x - y + v.get(c, 0) for c, (x, y) in enumerate(
+            zip(table.rows[a].values, table.rows[b].values))]
+        # traces: |chi|^2 = phi(12) |G| = 48 and |v|^2 = 2 Tr(3) = 24
+        f = Fraction(2 * 48, 48 + 48 + 24)
+        rows = list(table.rows)
+        rows[a] = replace(rows[a], values=tuple(
+            x - w * f for x, w in zip(rows[a].values, u)))
+        rows[b] = replace(rows[b], values=tuple(
+            x + w * f for x, w in zip(rows[b].values, u)))
+        assert [inner_product(rows[a], row) for row in rows] != [
+            Cyclotomic.rational(12, i == a) for i in range(12)]
+        failure = self.rejection(group, rows)
+        assert failure.relation == "power map"
+        assert "class 4" in str(failure)
 
     def test_copied_degree_two_row_fails_first_orthogonality(self, s3_group,
                                                              tables):
@@ -447,15 +514,50 @@ class TestIngestValidation:
             ingest_character_table(group, raw)
         assert info.value.relation == "first orthogonality"
 
-    def test_changed_irrational_coefficient_fails_first_orthogonality(self):
+    def test_changed_irrational_coefficient_fails_power_map(self):
         group, raw = self.problem_table()
         # row 0 takes the value zeta on class 4; make it 2 zeta, which
-        # keeps every degree
+        # keeps every degree, but not zeta^5 on class 5 = rep_4^5
         assert raw["rows"][0][4][1] == [1, 1]
         raw["rows"][0][4][1] = [2, 1]
         with pytest.raises(ValidationFailed) as info:
             ingest_character_table(group, raw)
+        assert info.value.relation == "power map"
+        assert "row 0, class 5" in str(info.value)
+
+    def test_changed_irrational_coefficient_fails_first_orthogonality(self):
+        group, raw = self.problem_table()
+        # 2 zeta on class 4 and its image 2 zeta^5 on class 5 keep every
+        # degree and the power-map rule
+        assert group.families[4:] == ((4, 1), (4, 5))
+        assert raw["rows"][0][4][1] == raw["rows"][0][5][5] == [1, 1]
+        raw["rows"][0][4][1] = raw["rows"][0][5][5] = [2, 1]
+        with pytest.raises(ValidationFailed) as info:
+            ingest_character_table(group, raw)
         assert info.value.relation == "first orthogonality"
+
+    def test_power_map_exponent_is_prime_to_the_conductor(self):
+        group, raw = self.problem_table()
+        # zeta_3 = -zeta_6^5 on the leader class 2. Class 3 is rep_2^2, and
+        # zeta -> zeta^2 would send this form to -zeta_6^4, not zeta_3^2;
+        # the rule reads zeta -> zeta^5, 5 = 2 (mod 3) and prime to 6
+        assert group.families[2:4] == ((2, 1), (2, 2))
+        assert raw["rows"][0][2][2] == [1, 1]
+        changed = copy.deepcopy(raw)
+        changed["rows"][0][2] = [[0, 1]] * 5 + [[-1, 1]]
+        assert ingest_character_table(group, changed) == \
+            ingest_character_table(group, raw)
+
+    def test_irrational_value_at_an_involution_fails_power_map(self):
+        group, raw = self.problem_table()
+        # rep_1 has order 2, so it is conjugate to rep_1^5 and its value
+        # must be fixed by zeta -> zeta^5: zeta is not
+        assert group.families[1] == (1, 1)
+        raw["rows"][0][1] = [[0, 1], [1, 1]]
+        with pytest.raises(ValidationFailed) as info:
+            ingest_character_table(group, raw)
+        assert info.value.relation == "power map"
+        assert "row 0, class 1" in str(info.value)
 
     def test_fraction_valued_table_accepted(self, c6_group):
         raw = load_reference_table("c6_table.json")

@@ -365,6 +365,31 @@ class TestMain:
         assert len(lines) == 1
         assert lines[0].startswith("error [character table validation]: ")
 
+    def test_swapped_classes_of_one_family_fail_power_map(self, tmp_path,
+                                                          capsys):
+        # C5 on Z^4: its own table with classes 1 and 2 swapped in every
+        # row is orthonormal with the same multiplicities, but a row with
+        # chi(g) = zeta^3 then has chi(g^2) = zeta^4, not zeta
+        problem = {"rank": 4, "generators": [[[0, 0, 0, -1], [1, 0, 0, -1],
+                                              [0, 1, 0, -1], [0, 0, 1, -1]]]}
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps(problem))
+        assert main(["analyze", "--input", str(path), "--format", "json",
+                     "--no-verify"]) == 0
+        table = json.loads(capsys.readouterr().out)["character_table"]
+        for row in table["rows"]:
+            row[1], row[2] = row[2], row[1]
+        problem["character_table"] = {field: table[field] for field in
+                                      ("conductor", "classes", "rows")}
+        path.write_text(json.dumps(problem))
+        rc = main(["analyze", "--input", str(path), "--qmax", "10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error [character table validation]: "
+                                "character table validation failed: power "
+                                "map (row 0, class 2)\n")
+
     @pytest.mark.parametrize("field, value", [
         ("conductor", 6.9), ("conductor", "6"), ("conductor", True),
         ("classes", "abc"),
