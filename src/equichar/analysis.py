@@ -7,8 +7,9 @@ class on (Z/q)^l is then gcd(e_1, q) * ... * gcd(e_r, q) * q^(l - r), a
 single gcd-form quasi-monomial. The classes of one Galois family (the
 classes of rep^a, a prime to the order of rep) share their Smith form, so
 it is computed once per family, as is the determinant. Averaging against
-irreducible characters, summed as integer coefficient vectors, produces the
-multiplicity quasi-polynomials; rows with equal term lists share one.
+irreducible characters, through each row's rational sum over each family
+(`characters.family_sums`), produces the multiplicity quasi-polynomials;
+rows with equal term lists share one.
 `analyze` then checks each structural fact once (gcd-property, leading
 terms, minimal period, the reciprocity twist by the parity character of
 the ranks, dimension identity, integrality), each on the stored integer
@@ -21,18 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm, prod
 
 from . import bruteforce
 from .characters import (CharacterTable, ClassFunction, dixon_character_table,
-                         ingest_character_table, find_row,
+                         family_sums, ingest_character_table, find_row,
                          rational_class_function, table_to_dict,
                          twist_indices)
 from .checks import Verdict
-from .cyclo import Cyclotomic, _reduce
-from .errors import (CertificationFailed, NonRationalCoefficient,
-                     NotACharacter)
+from .errors import CertificationFailed, NotACharacter
 from .gcdpoly import (GcdQuasiPolynomial, divisors_of, from_terms, horner,
                       make_quasimonomial, rows_by_object)
 from .groups import FiniteMatrixGroup
@@ -84,28 +82,13 @@ def fixed_point_qp(group: FiniteMatrixGroup, data: ClassDivisorData,
                               period=action_period(data))
 
 
-def _multiplicity_terms(group: FiniteMatrixGroup, table: CharacterTable,
-                        data: ClassDivisorData, i: int) -> tuple:
-    """The (divisors, power, coeff) terms of row i's multiplicity. Values
-    are summed per term as reduced coefficient vectors: reduction is linear,
-    so the sum is reduced, and rational iff only its constant term is
-    nonzero."""
-    accum: dict[tuple[tuple[int, ...], int], list] = {}
-    for c, (size, value) in enumerate(zip(group.class_sizes,
-                                          table.rows[i].values)):
-        key = (data.divisors[c], group.rank - data.ranks[c])
-        accum[key] = [b + a * size for b, a in zip_longest(
-            accum.get(key, ()), value.coeffs, fillvalue=0)]
-    terms = []
-    for key, vec in accum.items():
-        value = Cyclotomic(group.exponent, _reduce(group.exponent, vec))
-        try:
-            terms.append((*key, Fraction(value.as_fraction(), group.order)))
-        except ValueError:
-            raise NonRationalCoefficient(
-                f"row {i}: coefficient on {key} is "
-                f"{value * Fraction(1, group.order)}, not rational") from None
-    return tuple(terms)
+def _multiplicity_terms(keys: list, sums: list, order: int) -> tuple:
+    """The (divisors, power, coeff) terms of a row's multiplicity: its
+    family sums added by their leaders' keys, over |G|."""
+    accum: dict = {}
+    for key, total in zip(keys, sums):
+        accum[key] = accum.get(key, 0) + total
+    return tuple((*key, Fraction(total, order)) for key, total in accum.items())
 
 
 @dataclass(frozen=True)
@@ -118,13 +101,14 @@ class EquivariantQuasiPolynomial:
 
 def equivariant_qp(group: FiniteMatrixGroup, table: CharacterTable,
                    data: ClassDivisorData) -> EquivariantQuasiPolynomial:
-    # rows with equal term lists, such as Galois-conjugate rows, share one
-    # quasi-polynomial
+    # the classes of a family share their Smith form; rows with equal term
+    # lists, such as Galois-conjugate rows, share one quasi-polynomial
     period = action_period(data)
+    keys = [(data.divisors[c], group.rank - data.ranks[c]) for c in group.leaders]
     shared: dict[tuple, GcdQuasiPolynomial] = {}
     mults = []
-    for i in range(table.size):
-        terms = _multiplicity_terms(group, table, data, i)
+    for sums in family_sums(table):
+        terms = _multiplicity_terms(keys, sums, group.order)
         if (qp := shared.get(terms)) is None:
             qp = shared[terms] = from_terms(period, terms)
         mults.append(qp)

@@ -17,10 +17,10 @@ matrices are built once per group (`group.generator_matrices`,
 classes meet the stabilizers of the orbits its leader's fixed points hit,
 and no others, since stabilizers along an orbit are conjugate: a degree-1
 row counts the orbits that no family it moves hits. A multiplicity is the
-inner product of the fixed counts with each family's weight, the class
-size times the row's conjugate summed over the family, a Galois trace and
-so rational. None of it shares code with the Smith-form route, which is
-the point.
+inner product of the fixed counts with each family's weight, the row's
+rational class-weighted sum over the family (`characters.family_sums`),
+which is its own conjugate. None of it shares code with the Smith-form
+route, which is the point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .characters import CharacterTable
+from .characters import CharacterTable, family_sums
 from .checks import Verdict
 from .errors import (CertificationFailed, EnumerationCapExceeded,
                      ValidationError)
@@ -219,39 +219,25 @@ def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
                                           in tallies.items()})
 
 
-def _family_weights(group: FiniteMatrixGroup, table: CharacterTable
-                    ) -> tuple[list[int], list[list[int]]]:
+def _family_weights(group: FiniteMatrixGroup,
+                    table: CharacterTable) -> tuple[list, list, dict]:
     """Per row chi, its scale s·|G| and its integer weights s·Σ|C_c|·chi(c)
-    over the classes c of each Galois family, in the order of
-    `group.leaders`, s the least that clears denominators. A weight is a
-    Galois trace, so rational, and then equal to the sum over conj chi(c)
-    that the inner product takes."""
+    over each Galois family, in the order of `group.leaders`, s the least
+    that clears denominators; and, at degree 1, the families chi moves. A
+    rational family sum equals the sum over conj chi(c) the inner product
+    takes. A degree-1 row's values have the modulus of chi(1), so its sum
+    is chi(1) times the trivial row's exactly when chi is chi(1) on F."""
+    sums = family_sums(table)
     scales, weights = [], []
-    for i, row in enumerate(table.rows):
-        sums = dict.fromkeys(group.leaders, 0)
-        for c, (leader, _) in enumerate(group.families):
-            sums[leader] += row.values[c] * group.class_sizes[c]
-        for leader, total in sums.items():
-            try:
-                sums[leader] = total.as_fraction()
-            except ValueError:
-                raise CertificationFailed(
-                    f"row {i}: the sum over the Galois family of class "
-                    f"{leader} is not rational") from None
-        s = lcm(*(v.denominator for v in sums.values()))
+    for row in sums:
+        s = lcm(*(v.denominator for v in row))
         scales.append(s * group.order)
-        weights.append([int(v * s) for v in sums.values()])
-    return scales, weights
-
-
-def _moved_families(group: FiniteMatrixGroup, table: CharacterTable
-                    ) -> dict[int, frozenset[int]]:
-    """Each degree-1 row's moved families: the leaders of the classes where
-    it differs from its identity value."""
-    return {i: frozenset(group.families[c][0] for c, v in enumerate(values)
-                         if v != values[0])
-            for i in table.linear_indices()
-            for values in [table.rows[i].values]}
+        weights.append([int(v * s) for v in row])
+    trivial = sums[table.trivial_index]
+    moved = {i: frozenset(c for c, v, w in zip(group.leaders, row, trivial)
+                          if v != w * row[0])
+             for i, row in enumerate(sums) if table.degrees[i] == 1}
+    return scales, weights, moved
 
 
 def _linear_orbit_counts(moved: dict[int, frozenset[int]],
@@ -275,8 +261,7 @@ def differential_check(group: FiniteMatrixGroup, table: CharacterTable,
     actually enumerated. Predictions are compared in integers, as numerators
     over their denominator, each distinct object evaluated once per q."""
     cap = resolve_cap()
-    scales, weights = _family_weights(group, table)
-    moved = _moved_families(group, table)
+    scales, weights, moved = _family_weights(group, table)
     objects = [qp for qp, _ in rows_by_object((*fixed_qps, *multiplicities))]
     first_bad: dict[str, str] = {}  # the first mismatch of each check
 

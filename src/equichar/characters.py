@@ -27,9 +27,10 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
-from .cyclo import Cyclotomic, _reduce
-from .errors import (GroupMismatch, NoMatch, NotASubgroup, NotLinearCharacter,
-                     PrimeSearchFailed, ValidationFailed)
+from .cyclo import Cyclotomic, Rationalish, _reduce
+from .errors import (GroupMismatch, NoMatch, NonRationalCoefficient,
+                     NotASubgroup, NotLinearCharacter, PrimeSearchFailed,
+                     ValidationFailed)
 from .groups import FiniteMatrixGroup, is_subgroup
 
 
@@ -194,6 +195,33 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
         raise ValidationFailed("trivial row", "no all-ones row present")
     return CharacterTable(group=group, rows=tuple(rows), degrees=tuple(degrees),
                           trivial_index=trivial, source=source)
+
+
+def family_sums(table: CharacterTable) -> list[list[Rationalish]]:
+    """For each row chi, the rational sum over c in F of |C_c| chi(c) for
+    each Galois family F, in the order of `group.leaders`: a Galois trace
+    under the power-map rule, summed over every class of F so that a table
+    changed after `build_table` is checked too. Reduced coefficient vectors
+    add up reduced, so a sum is rational iff no coefficient follows the
+    first."""
+    group = table.group
+    out = []
+    for i, row in enumerate(table.rows):
+        vecs: dict[int, list] = {c: [0] for c in group.leaders}
+        for (leader, _), size, value in zip(group.families, group.class_sizes,
+                                            row.values):
+            vec = vecs[leader]
+            vec += [0] * (len(value.coeffs) - len(vec))
+            for s, a in enumerate(value.coeffs):
+                vec[s] += a * size
+        for leader, vec in vecs.items():
+            if any(vec[1:]):
+                value = Cyclotomic(group.exponent, _reduce(group.exponent, vec))
+                raise NonRationalCoefficient(
+                    f"row {i}: the sum over the Galois family of class "
+                    f"{leader} is {value}, not rational")
+        out.append([vec[0] for vec in vecs.values()])
+    return out
 
 
 def find_row(table: CharacterTable, values: tuple[Cyclotomic, ...]) -> int | None:

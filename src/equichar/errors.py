@@ -65,8 +65,8 @@ class NoMatch(EquicharError):
 
 
 class NonRationalCoefficient(EquicharError):
-    """A coefficient that must be rational failed to reduce; the character
-    table and the group data are inconsistent."""
+    """A row's class-weighted sum over a Galois family is not rational: the
+    table breaks the power-map rule, as one changed after validation can."""
 
     stage = "multiplicity assembly"
 

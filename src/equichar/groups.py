@@ -258,9 +258,10 @@ def _reduced_basis(form: list[list[int]]) -> tuple[list[list[int]], list[list[in
         for row in gram:
             row[k] -= r * row[j]
 
+    # size reduction updates lam in place and keeps d: only a swap redoes them
+    d, lam = _integral_gram_schmidt(gram)
     k = 1
     while k < n:
-        d, lam = _integral_gram_schmidt(gram)
         for j in reversed(range(k)):  # size reduction: |mu[k][j]| <= 1/2
             if 2 * abs(lam[k][j]) > d[j + 1]:
                 r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
@@ -277,6 +278,7 @@ def _reduced_basis(form: list[list[int]]) -> tuple[list[list[int]], list[list[in
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
         for row in gram:
             row[k - 1], row[k] = row[k], row[k - 1]
+        d, lam = _integral_gram_schmidt(gram)
         k = max(k - 1, 1)
     return basis, inverse
 

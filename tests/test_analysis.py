@@ -20,7 +20,7 @@ from equichar import (CertificationFailed, IntMatrix, NoMatch,
 from equichar.analysis import integrality_failure
 from equichar.characters import twist_indices
 from equichar.cyclo import Cyclotomic
-from equichar.gcdpoly import divisors_of, from_terms
+from equichar.gcdpoly import GcdQuasiPolynomial, divisors_of, from_terms
 
 from conftest import (BUILTIN_NAMES, C21_GENERATOR, CARTAN_F4,
                       make_builtin_group, mat, plus_one,
@@ -318,9 +318,74 @@ class TestEquivariant:
                            if v.name == "top-constituent")
             assert verdict.passed == (d != period), d
 
+    @pytest.mark.parametrize("name", ["s3-a2", "c6-z2"])
+    def test_leading_term_sees_one_top_coefficient_off(self, name,
+                                                       monkeypatch):
+        # adding 1 to the t^l coefficient of any one row at any divisor
+        # breaks degree(chi)/|G|; the rows of a shared object are replaced
+        # one at a time
+        group = make_builtin_group(name)
+
+        def leading_verdict():
+            report = analyze(group, verify=False)
+            return next(v for v in report.verdicts
+                        if v.name == "leading-term"), report
+
+        verdict, report = leading_verdict()
+        assert verdict.passed
+        original = analysis.equivariant_qp
+        for row in range(report.table.size):
+            for d in divisors_of(report.period):
+                def raised(*args, row=row, d=d):
+                    eqp = original(*args)
+                    mults = list(eqp.multiplicities)
+                    qp = mults[row]
+                    table = dict(qp.numerators)
+                    *low, top = table[d]
+                    table[d] = (*low, top + qp.denominator)
+                    mults[row] = GcdQuasiPolynomial(qp.period, qp.denominator,
+                                                    table)
+                    return dataclasses.replace(eqp,
+                                               multiplicities=tuple(mults))
+                monkeypatch.setattr(analysis, "equivariant_qp", raised)
+                verdict = leading_verdict()[0]
+                assert not verdict.passed and verdict.method.startswith(
+                    "symbolic"), (row, d)
+
+    def test_minimal_period_fails_on_a_shorter_trivial_period(self,
+                                                              monkeypatch):
+        # c6-z2 has period 6; the trivial row's constituent at gcd 6 read on
+        # every residue has minimal period 1, and the verdict names it
+        group = make_builtin_group("c6-z2")
+        report = analyze(group, verify=False)
+        verdict = next(v for v in report.verdicts
+                       if v.name == "minimal-period")
+        assert verdict.passed and report.period == 6
+        original = analysis.equivariant_qp
+
+        def flattened(*args):
+            eqp = original(*args)
+            mults = list(eqp.multiplicities)
+            row = args[1].trivial_index
+            qp = mults[row]
+            mults[row] = from_terms(qp.period, tuple(
+                ((), p, Fraction(n, qp.denominator))
+                for p, n in enumerate(qp.numerators[qp.period])))
+            assert mults[row].minimal_period() == 1
+            return dataclasses.replace(eqp, multiplicities=tuple(mults))
+
+        monkeypatch.setattr(analysis, "equivariant_qp", flattened)
+        report = analyze(group, verify=False)
+        verdict = next(v for v in report.verdicts
+                       if v.name == "minimal-period")
+        periods = list(report.minimal_periods)
+        assert not verdict.passed
+        assert periods[report.table.trivial_index] == 1
+        assert verdict.details == f"exact minimal periods {periods}"
+
     def test_non_rational_coefficient_names_row_key_and_value(self, pipelines):
-        # a row that is constant zeta_6 is no character, and its average
-        # against the identity class's fixed points is not rational
+        # a row that is constant zeta_6 is no character, and its sum over
+        # the identity's family, the key ((), 2), is not rational
         group, table, data = pipelines["c6-z2"]
         zeta = Cyclotomic.root_of_unity(group.exponent, 1)
         bad = dataclasses.replace(table.rows[0],
@@ -329,8 +394,8 @@ class TestEquivariant:
         with pytest.raises(NonRationalCoefficient) as info:
             equivariant_qp(group, table, data)
         assert str(info.value) == (
-            f"row 0: coefficient on ((), 2) is "
-            f"{zeta * Fraction(1, group.order)}, not rational")
+            f"row 0: the sum over the Galois family of class 0 is {zeta}, "
+            f"not rational")
 
 
 def fraction_horner(poly, q):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichar.cyclo import Cyclotomic, _reduce, cyclotomic_polynomial
+from equichar import CertificationFailed
+from equichar.cyclo import (Cyclotomic, _exact_polydiv, _reduce,
+                            cyclotomic_polynomial)
 
 
 def zeta(m, k=1):
@@ -208,3 +210,16 @@ def test_inexact_division_is_certification_failure_under_optimize():
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "certification\n"
+
+
+@pytest.mark.parametrize("den, message", [
+    ((1, 2), "divisor (1, 2) is not monic"),
+    ((1, 1), "polynomial division not exact"),
+], ids=["not-monic", "not-exact"])
+def test_exact_polydiv_raises_in_process(den, message):
+    # 1 + x^2 over 1 + 2x, whose top coefficient is not 1, and over 1 + x,
+    # which leaves the remainder 2
+    with pytest.raises(CertificationFailed) as info:
+        _exact_polydiv([1, 0, 1], den)
+    assert str(info.value) == message
+    assert info.value.stage == "certification"

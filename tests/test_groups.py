@@ -362,6 +362,23 @@ def test_b5_closure_makes_no_matrix_products(monkeypatch):
     assert not calls
 
 
+def test_reduced_basis_runs_gram_schmidt_once_without_swaps(monkeypatch):
+    # the trivial group's invariant form is the identity, already reduced:
+    # size reduction keeps the Gram-Schmidt data up to date, and only a swap
+    # would compute it again (a pass per step made 11 at rank 12)
+    calls = []
+    original = groups._integral_gram_schmidt
+
+    def counting(gram):
+        calls.append(len(gram))
+        return original(gram)
+
+    monkeypatch.setattr(groups, "_integral_gram_schmidt", counting)
+    group = generate_group([], rank=12)
+    assert group.order == 1
+    assert calls == [12]
+
+
 def dense_unimodular(n):
     """D = L L^T for the lower unitriangular all-ones L, so D[i][j] =
     min(i, j) + 1 and D^-1 = L^-T L^-1 with L^-1 = I minus the subdiagonal."""

@@ -18,6 +18,28 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_oracle_stays_off_the_smith_form_route():
+    # the oracle checks the Smith-form route, so it may not import it or
+    # cyclotomic arithmetic: it reads a table through `family_sums`, its
+    # degrees and its trivial index alone
+    path = SRC / "bruteforce.py"
+    banned, imported, read = {"analysis", "cyclo", "smith_normal_form"}, [], set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported += [part for alias in node.names
+                         for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [*(node.module or "").split("."),
+                         *(alias.name for alias in node.names)]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "table"):
+            read.add(node.attr)
+    assert banned.isdisjoint(imported)
+    assert "family_sums" in imported
+    assert read == {"degrees", "trivial_index"}
+
+
 def test_benchmark_trace_targets_exist():
     # the benchmark's tracer replaces these attributes by name, through
     # vars(), so a renamed function or a moved import breaks traced runs
