@@ -5,17 +5,14 @@ Dixon and Schneider: the class matrices, holding the class-sum structure
 constants, commute, and their simultaneous eigenvectors over a suitable
 prime field are the central characters. A class matrix is built, as sparse
 columns, only when the eigenspace split reaches its class. Values are
-recovered modulo p and lifted through the root-of-unity multiplicity
-formula at the order of each class's representative, only at each Galois
-family's leader and for one row of each Galois orbit of rows; the other
-classes and rows take Galois images of the lifted eigenvalue multisets.
-Such a multiset is a sparse preimage of the value in Z[x]/(x^e - 1); at a
-class alone in its family it is Galois-stable and gives an integer. A
-user-supplied table gives preimages as well. Both sources enter through
-`build_table`, which reduces each distinct preimage once, checks the
-power-map rule, and then first orthogonality, which for a square table
-implies the second, as exact traces summed over the family leaders. The
-twist of a row by a degree-1 character is looked up here as well.
+lifted from F_p at family leaders only, for one row of each Galois orbit of
+rows: a class alone in its family takes the symmetric residue, another the
+root-of-unity multiplicities, a sparse preimage in Z[x]/(x^e - 1). Dixon's
+tables and user-supplied ones enter through `build_table`, which reduces
+each distinct preimage once and certifies that the rows are exactly the
+irreducible characters: eigenvectors of the class matrices, told apart by
+their eigenvalues, each of norm 1. The twist of a row by a degree-1
+character is looked up here as well.
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, prod
+from itertools import product
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclo import Cyclotomic, Rationalish, _reduce
@@ -105,24 +102,15 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
     if len(preimages) != k:
         raise ValidationFailed("squareness",
                                f"{len(preimages)} rows for {k} conjugacy classes")
-    # Each distinct preimage is reduced once to its value, and keeps one
-    # sparse term list on the powers of zeta_e: the preimage or the reduced
-    # coefficients, whichever has fewer terms. Both give the same value.
-    e = group.exponent
-    sparse: dict = {}
-
-    def entry(pre):
-        if (found := sparse.get(pre)) is None:
-            vec = [0] * (1 + max((s for s, _ in pre), default=0))
-            for s, a in pre:
-                vec[s] += a
-            coeffs = _reduce(e, vec)
-            found = sparse[pre] = (Cyclotomic(e, coeffs), min(
-                tuple((s, a) for s, a in enumerate(coeffs) if a), pre, key=len))
-        return found
-
-    rows = [ClassFunction(group, tuple((sparse.get(pre) or entry(pre))[0]
-                                       for pre in pres)) for pres in preimages]
+    # each distinct preimage is reduced once to its value
+    e, values = group.exponent, {}
+    for pre in {pre for pres in preimages for pre in pres}:
+        vec = [0] * (1 + max((s for s, _ in pre), default=0))
+        for s, a in pre:
+            vec[s] += a
+        values[pre] = Cyclotomic(e, _reduce(e, vec))
+    rows = [ClassFunction(group, tuple(map(values.__getitem__, pres)))
+            for pres in preimages]
     degrees = []
     for i, row in enumerate(rows):
         try:
@@ -132,69 +120,108 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
         if d.denominator != 1 or d <= 0:
             raise ValidationFailed("degree", f"row {i} has degree {d}")
         degrees.append(int(d))
-    # The power-map rule chi(rep_L^b) = sigma_b(chi(rep_L)), sigma_b: zeta_e
-    # -> zeta_e^b for b prime to e: at the least b = a (mod o) for each other
-    # class rep_L^a of the family of a leader L of order o, and, unless L is
-    # rational, at L for generators of the b with rep_L^b conjugate to rep_L.
-    # So it holds at every b. Images that are not the given preimage reduce.
-    columns = list(zip(*(row.values for row in rows)))
-    rational = [c for c in group.leaders
-                if all(len(v.coeffs) <= 1 for v in columns[c])]
-    units, trace = _galois(e)
-    for c, ((leader, a), seq) in enumerate(zip(group.families,
-                                               group.power_classes)):
-        o, exponents, fixing = len(seq), [], {1}
-        if c != leader:
-            exponents.append(next(b for b in units if b % o == a % o))
-        elif c not in rational:
-            for b in units:
-                if seq[b % o] == c and b not in fixing:
-                    exponents.append(b)
-                    while not (moved := {x * b % e for x in fixing}) <= fixing:
-                        fixing |= moved
-        for b in exponents:
-            for i, pres in enumerate(preimages):
-                image = tuple(sorted((s * b % e, v) for s, v in pres[leader]))
-                if image != pres[c] and entry(image)[0] != columns[c][i]:
-                    raise ValidationFailed("power map", f"row {i}, class {c}")
-    # First orthogonality for the square table X reads X D X* = |G| I with
-    # D the diagonal of class sizes. It makes X invertible with inverse
-    # D X* / |G|, so X* X = |G| D^-1 holds exactly in the cyclotomic field:
-    # that is second orthogonality, whose identity entry is sum deg^2 = |G|:
-    # neither needs a check of its own. Under the power-map rule, the
-    # family F of a leader L adds to an entry the rational |C_L| |F| / phi(e)
-    # times the trace of chi_i(L) conj chi_j(L). So phi(e) times an entry is
-    # a sum over leaders of products of rationals, or of coefficients times
-    # the Ramanujan sum trace[s - t] of zeta_e^(s - t), indexed mod e.
-    phi = trace[0]
-    members = Counter(leader for leader, _ in group.families)
-    weight = {c: group.class_sizes[c] * members[c] for c in group.leaders}
-    other = [c for c in group.leaders if c not in rational]
-    scalars = [[row.values[c].as_fraction() for c in rational] for row in rows]
-    weighted_scalars = [[a * weight[c] * phi for a, c in zip(line, rational)]
-                        for line in scalars]
-    terms = [[entry(pres[c])[1] for c in other] for pres in preimages]
-    weighted = [[[(s, a * weight[c]) for s, a in pairs]
-                 for pairs, c in zip(line, other)] for line in terms]
-    for i in range(k):
-        for j in range(i, k):
-            # phi(e) times the entry of X D X* - |G| I, 0 when it holds
-            residue = (sum(map(mul, weighted_scalars[i], scalars[j]))
-                       - (phi * group.order if i == j else 0))
-            if other:
-                for left, right in zip(weighted[i], terms[j]):
-                    for s, a in left:
-                        for t, b in right:
-                            residue += a * b * trace[s - t]
-            if residue:
-                raise ValidationFailed("first orthogonality", f"rows {i}, {j}")
     one = Cyclotomic.rational(e, 1)
     trivial = next((i for i, row in enumerate(rows)
                     if all(v == one for v in row.values)), None)
     if trivial is None:
         raise ValidationFailed("trivial row", "no all-ones row present")
+    _certify(group, rows, degrees, preimages)
     return CharacterTable(group=group, rows=tuple(rows), degrees=tuple(degrees),
                           trivial_index=trivial, source=source)
+
+
+def _certify(group: FiniteMatrixGroup, rows, degrees, preimages) -> None:
+    """Prove that the rows are the k irreducible characters (Schneider
+    1990). For a row chi of degree d let u_c = |C_c| chi(c) and w = u / d.
+    The class matrices M_t are diagonal in the basis of the central
+    characters w_psi, psi irreducible (Isaacs, ch. 3). Classes t are taken
+    in the split's order until the rows' tuples (w_t) differ. If each row
+    has d M_t u = u_t u at each such t, the k rows lie in k distinct joint
+    eigenspaces: each is a line, w = w_psi as both are 1 at the identity,
+    and a norm sum_c |C_c| chi(c) chi(c^-1) = |G| makes chi = psi."""
+    k, common = group.class_count, lcm(*degrees)
+    # chi(t) / chi(1) times the degrees' lcm: w_t up to a common factor
+    cells = [tuple(v.coeffs for v in row.values) for row in rows]
+    keys, classes = [()] * k, []
+    for t in _split_order(group):
+        if len(set(keys)) == k:
+            break
+        classes.append(t)
+        keys = [key + (tuple(a * (common // d) for a in cell[t]),)
+                for key, cell, d in zip(keys, cells, degrees)]
+    if len(set(keys)) < k:
+        raise ValidationFailed("class algebra",
+                               "no class matrices tell the rows apart")
+    mats = [_class_matrix(group, t) for t in classes]
+    # sum_i B^i M_(t_i), as the classes and entries of each of its rows
+    base, combined = 2 * group.order + 1, [Counter() for _ in range(k)]
+    for scale, mat in zip((base ** i for i in range(len(mats))), mats):
+        for l, column in enumerate(mat):
+            for j, a in column:
+                combined[j][l] += a * scale
+    combined = [(list(line), list(line.values())) for line in combined]
+    inverse = [seq[-1] for seq in group.power_classes]  # class of rep^-1
+    # sigma_b(chi) = chi o pi_b: a certified row composed with pi_b has a
+    # joint eigenvector w o pi_b and the same norm, and is certified too
+    maps = _class_maps(group)
+    index = {cell: i for i, cell in enumerate(cells)} if maps else {}
+    certified = set()
+    for i, (row, d, pres) in enumerate(zip(rows, degrees, preimages)):
+        if i not in certified:
+            _certify_row(group, classes, mats, combined, inverse, i, row, d,
+                         pres)
+            certified.update(index.get(tuple(cells[i][c] for c in pi))
+                             for pi in maps)
+
+
+def _certify_row(group: FiniteMatrixGroup, classes, mats, combined, inverse,
+                 i: int, row: ClassFunction, d: int, pres) -> None:
+    """Raise unless row i has d M_t u = u_t u at each of the given classes
+    t, and sum_c |C_c| chi(c) chi(c^-1) = |G|."""
+    e, sizes = group.exponent, group.class_sizes
+    if all(len(v.coeffs) <= 1 for v in row.values) and all(
+            a.denominator == 1 for v in row.values for a in v.coeffs):
+        x = [int(v.coeffs[0]) if v.coeffs else 0 for v in row.values]
+        u = [size * a for size, a in zip(sizes, x)]
+        # Each w_t must be an integer with |w_t| <= |C_t|, as for any
+        # character. For each psi in w's expansion, the algebraic integers
+        # w_psi(t_i) - w_(t_i), of conjugates at most 2 |C_t| < B, are then
+        # the digits of 0 to base B: each is 0.
+        eigenvalue = sum((2 * group.order + 1) ** n * u[t] // d
+                         for n, t in enumerate(classes))
+        fits = not any(u[t] % d or abs(x[t]) > d for t in classes) and all(
+            sum(map(mul, entries, map(u.__getitem__, line))) == eigenvalue * a
+            for (line, entries), a in zip(combined, u))
+        norm_fits = sum(a * x[c] for a, c in zip(u, inverse)) == group.order
+    else:
+        # preimages in Z[x]/(x^e - 1), reduced only where the sides differ
+        u = [tuple((s, size * a) for s, a in pre)
+             for size, pre in zip(sizes, pres)]
+        fits = True
+        for t, mat in zip(classes, mats):
+            sides = [Counter() for _ in u]
+            for ul, column in zip(u, mat):
+                for (j, a), (s, c) in product(column, ul):
+                    sides[j][s] += d * a * c
+            for side, uj in zip(sides, u):
+                for (s, a), (r, b) in product(u[t], uj):
+                    side[(s + r) % e] -= a * b
+            fits = fits and all(_vanishes(e, side) for side in sides)
+        norm = Counter({0: -group.order})
+        for ul, pre in zip(u, (pres[c] for c in inverse)):
+            for (s, a), (r, b) in product(ul, pre):
+                norm[(s + r) % e] += a * b
+        norm_fits = _vanishes(e, norm)
+    if not fits:
+        raise ValidationFailed("class algebra", f"row {i} is off its "
+                               f"eigenvalue at classes {classes}")
+    if not norm_fits:
+        raise ValidationFailed("norm", f"row {i} does not have norm 1")
+
+
+def _vanishes(e: int, poly: Counter) -> bool:
+    """Whether sum poly[s] x^s is 0 in Q(zeta_e): reduced unless it is 0."""
+    return not (any(poly.values()) and _reduce(e, [poly[s] for s in range(e)]))
 
 
 def family_sums(table: CharacterTable) -> list[list[Rationalish]]:
@@ -225,10 +252,8 @@ def family_sums(table: CharacterTable) -> list[list[Rationalish]]:
 
 
 def find_row(table: CharacterTable, values: tuple[Cyclotomic, ...]) -> int | None:
-    for i, row in enumerate(table.rows):
-        if row.values == values:
-            return i
-    return None
+    return next((i for i, row in enumerate(table.rows)
+                 if row.values == values), None)
 
 
 def twist_indices(table: CharacterTable, linear: ClassFunction) -> list[int]:
@@ -284,19 +309,21 @@ def _prime_factors(n: int) -> set[int]:
         factors.add(n)
     return factors
 
-def _mobius(n: int) -> int:
-    primes = _prime_factors(n)
-    return (-1) ** len(primes) if prod(primes) == n else 0
+def _split_order(group: FiniteMatrixGroup) -> list[int]:
+    """The classes but the identity, family leaders first: the central
+    characters at rep_leader^a are Galois images of those at rep_leader."""
+    return sorted(range(1, group.class_count),
+                  key=lambda c: group.families[c][0] != c)
 
-@lru_cache(maxsize=None)
-def _galois(e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The b in 1..e prime to e, and the trace of each zeta_e^s: the Ramanujan
-    sum mu(e/g) phi(e) / phi(e/g), g = gcd(s, e), phi(e/g) the s of that g."""
-    gcds = [gcd(s, e) for s in range(e)]
-    count = Counter(gcds)
-    sums = {g: _mobius(e // g) * count[1] // n for g, n in count.items()}
-    return (tuple(b for b in range(1, e + 1) if gcd(b, e) == 1),
-            tuple(sums[g] for g in gcds))
+def _class_maps(group: FiniteMatrixGroup) -> dict[tuple[int, ...], int]:
+    """Each pi_b but the identity, b prime to e, with a b giving it: pi_b
+    sends a class to that of its representative's b-th power, and sigma_b:
+    zeta_e -> zeta_e^b maps a character chi to chi o pi_b."""
+    e = group.exponent
+    maps = {tuple(seq[b % len(seq)] for seq in group.power_classes): b
+            for b in range(2, e) if gcd(b, e) == 1}
+    maps.pop(tuple(range(group.class_count)), None)
+    return maps
 
 def _working_prime(exponent: int, order: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p^2 > 4*order, so that F_p
@@ -386,23 +413,21 @@ def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
         polys.append(cur)
     return polys[n]
 
-def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
+def _poly_roots_mod(poly: list[int], p: int, xs) -> list[int]:
     roots = []
-    for x in range(p):
+    for x in xs:
         acc = 0
         for c in reversed(poly):
             acc = (acc * x + c) % p
         if acc == 0:
-            roots.append(x)
+            roots.append(x % p)
     return roots
 
 def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
     """Canonical kernel basis of a square matrix over F_p."""
     n = len(mat)
     rows = _echelon_mod(mat, p)
-    pivots = []
-    for row in rows:
-        pivots.append(next(c for c in range(n) if row[c] % p != 0))
+    pivots = [next(c for c in range(n) if row[c]) for row in rows]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -433,22 +458,22 @@ def _combine(coeffs, supports, k: int, p: int) -> list[int]:
 
 
 def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
-    k = group.class_count
-    e = group.exponent
+    k, e = group.class_count, group.exponent
     p = _working_prime(e, group.order)
-    sizes = group.class_sizes
-    reps = group.class_representatives
 
+    alone = {j for j, n in Counter(j for j, _ in group.families).items()
+             if n == 1}
     # split F_p^k into the simultaneous eigenspaces of the class matrices,
-    # building each class matrix only when the split reaches its class, the
-    # family leaders' first: the central character values at rep_leader^a
-    # are Galois images of those at rep_leader, and separate no more rows
-    subspaces: list[list[list[int]]] = [_echelon_mod(
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)], p)]
-    for ci in sorted(range(1, k), key=lambda c: group.families[c][0] != c):
+    # building each class matrix only when the split reaches its class
+    subspaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for ci in _split_order(group):
         if all(len(v) == 1 for v in subspaces):
             break
         bmat = _class_matrix(group, ci)
+        # at a rational class, the eigenvalues |C| psi(c) / psi(1) of the
+        # class matrix are integers of absolute value at most |C|
+        size = group.class_sizes[ci] if ci in alone else p
+        xs = range(-size, size + 1) if 2 * size < p else range(p)
         refined: list[list[list[int]]] = []
         for basis in subspaces:
             d = len(basis)
@@ -461,40 +486,24 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             pivots = [support[0][0] for support in supports]
             action = [[images[j][pivots[i]] for j in range(d)]
                       for i in range(d)]
-            # invariance check: the image must land back in the subspace
-            for image in images:
-                if _combine([image[c] for c in pivots], supports, k,
-                            p) != image:
-                    raise ValidationFailed("class algebra",
-                                           "class matrix does not preserve a "
-                                           "previously split eigenspace")
-            eigenvalues = sorted(set(_poly_roots_mod(_charpoly_mod(action, p), p)))
-            covered = 0
-            for lam in eigenvalues:
+            for lam in sorted(set(_poly_roots_mod(_charpoly_mod(action, p), p, xs))):
                 shifted = [[(action[i][j] - (lam if i == j else 0)) % p
                             for j in range(d)] for i in range(d)]
-                coord_basis = _kernel_mod(shifted, p)
                 refined.append(_echelon_mod([_combine(
-                    coords, supports, k, p) for coords in coord_basis], p))
-                covered += len(coord_basis)
-            if covered != d:
-                raise ValidationFailed("class algebra",
-                                       "class matrix is not diagonalizable")
+                    coords, supports, k, p) for coords in _kernel_mod(
+                        shifted, p)], p))
         subspaces = refined
-    if any(len(v) != 1 for v in subspaces):
-        raise ValidationFailed("class algebra", "joint eigenspaces not all 1-dimensional")
+    if [len(v) for v in subspaces] != [1] * k:
+        raise ValidationFailed("class algebra", "the eigenspace split does not "
+                                                "end in k lines")
 
-    # central characters, normalized to take value 1 on the identity class
-    omegas = []
-    for basis in subspaces:
-        w = basis[0]
-        if w[0] % p == 0:
-            raise ValidationFailed("class algebra", "eigenvector vanishes at identity")
-        inv0 = pow(w[0], p - 2, p)
-        omegas.append([(v * inv0) % p for v in w])
+    # central characters, normalized to take value 1 on the identity class;
+    # one vanishing there is all zero, and fails the degree lift
+    omegas = [[v * inv0 % p for v in w] for (w,) in subspaces
+              for inv0 in [pow(w[0], p - 2, p)]]
 
-    inv_class = [group.class_of[group.inverse[reps[i]]] for i in range(k)]
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
+    inv_class = [seq[-1] for seq in group.power_classes]
+    inv_sizes = [pow(s, p - 2, p) for s in group.class_sizes]
 
     degrees_mod = []
     for w in omegas:
@@ -510,37 +519,25 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     chi_mod = [[(degrees_mod[t] * omegas[t][j] * inv_sizes[j]) % p
                 for j in range(k)] for t in range(k)]
 
-    # lift to exact cyclotomic values through eigenvalue multiplicities: an
-    # element of order o has eigenvalues zeta_e^s only for s a multiple of
-    # e/o, each with multiplicity (1/o) sum_{u<o} chi(x^u) zeta_e^(-s u)
+    # Lift to exact values, which `build_table` certifies. A class alone in
+    # its Galois family is rational, and |chi(g)| <= chi(1) <= sqrt|G| <
+    # p/2: its value is the symmetric residue of chi(g) mod p. At another
+    # leader, of order o, chi(g) has eigenvalues zeta_e^s only for s a
+    # multiple of e/o, each with multiplicity (1/o) sum_{u<o} chi(g^u)
+    # zeta_e^(-s u), and chi(rep_leader^a) has the eigenvalues zeta_o^(r*a)
+    # with the same multiplicities: sum mults[r] x^(r*a*e/o mod e) is a
+    # sparse preimage of the value in Z[x]/(x^e - 1).
     z = _root_of_unity_mod(p, e)
     zpow = [pow(z, s, p) for s in range(e)]
-
     # the DFT rows depend only on the order o: dft[o][r][u] = zeta^(-r*u*e/o)
     dft = {o: [[zpow[(-r * (e // o) * u) % e] for u in range(o)]
                for r in range(o)]
-           for o in {len(row) for row in group.power_classes}}
-
-    # chi(rep_leader^a) has the eigenvalues zeta_o^(r*a) of chi(rep_leader),
-    # with the same multiplicities: only family leaders are lifted. The
-    # eigenvalue multiset sum mults[r] x^(r*a*e/o mod e) is a sparse preimage
-    # of the value in Z[x]/(x^e - 1), which `build_table` reduces. A class
-    # alone in its family is rational: mults[r] must depend only on gcd(r, o)
-    # (checked), and as the zeta_o^r with gcd(r, o) = g sum to mu(o/g), the
-    # value is the integer sum over g | o of mults[g] mu(o/g).
-    alone = set(group.leaders).difference(
-        leader for c, (leader, _) in enumerate(group.families) if leader != c)
-    ramanujan = {o: ([gcd(r, o) % o for r in range(o)], [
-        (g % o, _mobius(o // g)) for g in range(1, o + 1) if o % g == 0])
-        for o in dft}
-    # One row of each Galois orbit of rows is lifted. For b prime to e, pi_b
-    # sends each class to that of its representative's b-th power. If
-    # chi_u = chi_t o pi_b mod p, u's DFT reads t's powers with v -> v b, so
-    # its multiplicities are t's moved by r -> r b^-1 and pass the same
-    # checks: u's lift is sigma_b of t's. A rational group has no pi_b but 1.
-    maps = {tuple(seq[b % len(seq)] for seq in group.power_classes): b
-            for b in _galois(e)[0][1:]}
-    maps.pop(tuple(range(k)), None)
+           for o in {len(group.power_classes[j]) for j in group.leaders
+                     if j not in alone}}
+    # One row of each Galois orbit of rows is lifted. If chi_u = chi_t o
+    # pi_b mod p, u's DFT reads t's powers with v -> v b, so its
+    # multiplicities are t's moved by r -> r b^-1: u's lift is sigma_b(t's).
+    maps = _class_maps(group)
     row_of = {tuple(row): t for t, row in enumerate(chi_mod)}
     lifts = [None] * k
     for t in range(k):
@@ -548,27 +545,15 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
             continue
         lifted = {}
         for j in group.leaders:
+            if j in alone:
+                lifted[j] = [(0, (chi_mod[t][j] + p // 2) % p - p // 2)]
+                continue
             powers = [chi_mod[t][c] for c in group.power_classes[j]]
             o = len(powers)
             inv_o = pow(o, p - 2, p)
             mults = [(acc % p) * inv_o % p for acc in (
                 sum(map(mul, powers, dft_row)) for dft_row in dft[o])]
-            if (top := max(mults)) > degrees_mod[t]:
-                raise ValidationFailed("class algebra",
-                                       f"eigenvalue multiplicity lift {top} "
-                                       f"exceeds degree {degrees_mod[t]}")
-            if sum(mults) != degrees_mod[t]:
-                raise ValidationFailed("class algebra",
-                                       "eigenvalue multiplicities do not sum "
-                                       "to the degree")
-            if j not in alone:
-                lifted[j] = [(r * (e // o), m) for r, m in enumerate(mults) if m]
-                continue
-            orbit, terms = ramanujan[o]
-            if mults != [mults[g] for g in orbit]:
-                raise ValidationFailed("lift", f"row {t}: the eigenvalues at "
-                                       f"rational class {j} are not Galois-stable")
-            lifted[j] = [(0, sum(mults[g] * mu for g, mu in terms))]
+            lifted[j] = [(r * (e // o), m) for r, m in enumerate(mults) if m]
         lifts[t] = [tuple(sorted((s * a % e, m) for s, m in lifted[leader]))
                     for leader, a in group.families]
         for pi, b in maps.items():

@@ -196,19 +196,18 @@ class TestGaloisFamilies:
 
     def test_integer_lift_of_an_unstable_multiset_fails(self, groups,
                                                          c21_group):
-        # taken for rational, a class of order 3 or 6 gets the integer
-        # lift, whose eigenvalue multiset a nontrivial row does not make
-        # Galois-stable
+        # taken for rational, a class of order 3 or 6 gets the symmetric
+        # residue of its value mod p, which is no value of a nontrivial row
+        # there: the certificate rejects the table
         for group in (groups["c6-z2"], c21_group):
             assert not is_rational(group)
-            with pytest.raises(ValidationFailed, match="not Galois-stable"
-                               ) as exc:
+            with pytest.raises(ValidationFailed) as exc:
                 dixon_character_table(per_class(group))
-            assert exc.value.relation == "lift"
+            assert exc.value.relation == "class algebra"
 
     def test_rational_values_skip_reduction(self, b5_group, monkeypatch):
         # every class of B5 is rational: each preimage is one integer, which
-        # `_reduce` only trims, and first orthogonality sums integers alone
+        # `_reduce` only trims, and the certificate works on integers alone
         lengths = []
         reduce = characters._reduce
 
@@ -252,12 +251,13 @@ class TestGaloisFamilies:
 
     def test_lift_runs_at_leaders_only(self, c21_group):
         # C21 has 4 families (orders 1, 3, 7 and 21) and 4 Galois orbits of
-        # rows (of sizes 1, 2, 6 and 12): 4 lifts for each of 4 rows, each
-        # reading one power map
+        # rows (of sizes 1, 2, 6 and 12). The identity class is rational
+        # and reads no power map; each of the other 3 leaders has its power
+        # map read once for the DFT's order, then once for each of 4 rows
         reads = self.power_map_reads(c21_group)
-        assert set(reads) == set(c21_group.leaders)
         assert len(c21_group.leaders) == 4
-        assert len(reads) == 4 * 4
+        assert set(reads) == set(c21_group.leaders) - {0}
+        assert len(reads) == 3 + 3 * 4
 
     @pytest.mark.parametrize("name, order, k", [("b4", 384, 20),
                                                 ("s6", 720, 11)])
@@ -269,16 +269,17 @@ class TestGaloisFamilies:
         group = generate_group(generators[name])
         assert (group.order, group.class_count) == (order, k)
         assert is_rational(group)
-        reads = self.power_map_reads(group)
-        assert len(reads) == k * k and set(reads) == set(range(k))
+        # every row is lifted, each value as a symmetric residue mod p,
+        # which reads no power map
+        assert self.power_map_reads(group) == []
 
 
 class TestDistinctValues:
     def test_c21_builds_each_distinct_value_once(self, c21_group,
                                                  monkeypatch):
         # every reduction in `cyclo` and `characters`, with its input: the
-        # power-map rule finds each image among Dixon's preimages, and first
-        # orthogonality sums traces, so neither reduces anything
+        # certificate's two sides cancel as preimages, and a Galois image
+        # of a certified row is looked up, so it reduces nothing
         inputs = []
         for module in (cyclo, characters):
             def recording(m, vec, reduce=module._reduce):
@@ -410,14 +411,15 @@ class TestTableChecks:
 
     def test_column_times_zeta_fails_power_map(self, c6_group, tables):
         # a unit factor on one column keeps orthogonality and the degrees,
-        # but class 3 = rep_2^2 no longer holds the Galois image of class 2
+        # but class 3 = rep_2^2 no longer holds the Galois image of class 2.
+        # The all-ones row, checked before the certificate, is gone too
         assert c6_group.families[2:4] == ((2, 1), (2, 2))
         zeta = Cyclotomic.root_of_unity(c6_group.exponent)
         rows = self.scaled_columns(tables["c6-z2"], {2: zeta})
         assert is_orthonormal(rows)
         failure = self.rejection(c6_group, rows)
-        assert failure.relation == "power map"
-        assert "row 0, class 3" in str(failure)
+        assert failure.relation == "trivial row"
+        assert "no all-ones row present" in str(failure)
 
     def test_column_times_zeta_fails_trivial_row(self, c6_group, tables):
         # the factor zeta on the leader's column and its Galois image
@@ -433,8 +435,8 @@ class TestTableChecks:
         # C12: rep^5 is conjugate to rep (order 4), so chi(rep) must be
         # fixed by zeta -> zeta^5. Reflect two rows in u = chi_a - chi_b + v,
         # v = sqrt 3 on the leader and its image on the other class of the
-        # family: every trace over the family is kept, so the sums over
-        # the leaders alone would pass, but X D X* = |G| I does not hold
+        # family: every trace over the family is kept, so sums over the
+        # leaders alone would pass, but the rows are no central characters
         group = generate_group([mat([[0, 0, 0, -1], [1, 0, 0, 0],
                                      [0, 1, 0, 1], [0, 0, 1, 0]])], rank=4)
         assert (group.order, group.families[4:6]) == (12, ((4, 1), (4, 3)))
@@ -455,13 +457,13 @@ class TestTableChecks:
         assert [inner_product(rows[a], row) for row in rows] != [
             Cyclotomic.rational(12, i == a) for i in range(12)]
         failure = self.rejection(group, rows)
-        assert failure.relation == "power map"
-        assert "class 4" in str(failure)
+        assert failure.relation == "class algebra"
+        assert f"row {min(a, b)} is off its eigenvalue" in str(failure)
 
     def test_copied_degree_two_row_fails_first_orthogonality(self, s3_group,
                                                              tables):
-        # the squared degrees sum to 9, not |G| = 6, and first
-        # orthogonality is what rejects it
+        # the squared degrees sum to 9, not |G| = 6, and no class matrix
+        # tells the two equal rows apart
         table = tables["s3-a2"]
         two = table.degrees.index(2)
         sign = next(i for i in table.linear_indices()
@@ -469,8 +471,117 @@ class TestTableChecks:
         rows = list(table.rows)
         rows[sign] = rows[two]
         assert sum(row.values[0].as_fraction() ** 2 for row in rows) == 9
-        assert self.rejection(s3_group, rows).relation == \
-            "first orthogonality"
+        failure = self.rejection(s3_group, rows)
+        assert failure.relation == "class algebra"
+        assert "no class matrices tell the rows apart" in str(failure)
+
+
+class TestCertificate:
+    """The raises of the certificate in `build_table` and of the checks
+    Dixon's method keeps, and the rows the certificate checks directly."""
+
+    @staticmethod
+    def inverted_exponent(group):
+        # the first family exponent a with a^-1 != a modulo the order
+        for c, (leader, a) in enumerate(group.families):
+            o = len(group.power_classes[leader])
+            if a % o != pow(a, -1, o):
+                families = list(group.families)
+                families[c] = (leader, pow(a, -1, o))
+                return replace(group, families=tuple(families))
+        raise AssertionError("every exponent is its own inverse")
+
+    def test_inverted_family_exponent_fails_class_algebra(self, c21_group):
+        # Dixon's lift then permutes the values inside one family: the
+        # rows stay orthonormal and break the power-map rule only at the
+        # family the lift read, but are no central characters
+        c5 = generate_group([mat([[0, 0, 0, -1], [1, 0, 0, -1],
+                                  [0, 1, 0, -1], [0, 0, 1, -1]])], rank=4)
+        for group in (c5, c21_group):
+            assert dixon_character_table(group).size == group.class_count
+            with pytest.raises(ValidationFailed) as info:
+                dixon_character_table(self.inverted_exponent(group))
+            assert info.value.stage == "character table validation"
+            assert info.value.relation == "class algebra"
+
+    def test_doubled_row_fails_norm(self, tables):
+        # 2 chi has the central character of chi, so it passes the
+        # eigenvector check; its norm is 4. S3's row is checked as integers,
+        # C6's faithful row on preimages
+        s3, c6 = tables["s3-a2"], tables["c6-z2"]
+        faithful = next(i for i, row in enumerate(c6.rows)
+                        if any(len(v.coeffs) > 1 for v in row.values))
+        for table, i in ((s3, s3.degrees.index(2)), (c6, faithful)):
+            rows = list(table.rows)
+            rows[i] = replace(rows[i], values=tuple(2 * v
+                                                    for v in rows[i].values))
+            failure = TestTableChecks.rejection(table.group, rows)
+            assert failure.relation == "norm"
+            assert f"row {i} does not have norm 1" in str(failure)
+
+    def test_no_class_matrix_fails_to_tell_rows_apart(self, c6_group, tables,
+                                                      monkeypatch):
+        monkeypatch.setattr(characters, "_split_order", lambda group: [])
+        failure = TestTableChecks.rejection(c6_group, tables["c6-z2"].rows)
+        assert failure.relation == "class algebra"
+        assert "no class matrices tell the rows apart" in str(failure)
+
+    @pytest.mark.parametrize("name", ["s3-a2", "c6-z2"])
+    def test_another_class_matrix_puts_rows_off_their_eigenvalues(
+            self, name, tables, monkeypatch):
+        # each class's matrix replaced by the next class's: S3's rows are
+        # checked as integers, C6's on preimages
+        table = tables[name]
+        k, class_matrix = table.group.class_count, characters._class_matrix
+        monkeypatch.setattr(characters, "_class_matrix", lambda group, c:
+                            class_matrix(group, c % (k - 1) + 1))
+        failure = TestTableChecks.rejection(table.group, table.rows)
+        assert failure.relation == "class algebra"
+        assert "is off its eigenvalue" in str(failure)
+
+    def test_split_short_of_k_lines_fails(self, c6_group, monkeypatch):
+        # class matrices of zeros split nothing
+        monkeypatch.setattr(characters, "_class_matrix", lambda group, c: [
+            [] for _ in range(group.class_count)])
+        with pytest.raises(ValidationFailed, match="does not end in k lines"
+                           ) as info:
+            dixon_character_table(c6_group)
+        assert info.value.relation == "class algebra"
+
+    def test_eigenvector_vanishing_at_the_identity_fails_degree_lift(
+            self, c6_group, monkeypatch):
+        # normalized by the inverse 0 of 0, such a vector is 0, and the
+        # degree lift finds no c in 1..sqrt|G| with c^2 = 0 (mod p)
+        echelon = characters._echelon_mod
+
+        def vanishing(vectors, p):
+            rows = echelon(vectors, p)
+            return [[0, *row[1:]] for row in rows] if len(rows) == 1 else rows
+
+        monkeypatch.setattr(characters, "_echelon_mod", vanishing)
+        with pytest.raises(ValidationFailed, match="degree lift failed"
+                           ) as info:
+            dixon_character_table(c6_group)
+        assert info.value.relation == "class algebra"
+
+    def test_one_row_per_galois_orbit_certified_directly(self, c21_group,
+                                                         tables, monkeypatch):
+        # C21's rows form 4 Galois orbits, of sizes 1, 2, 6 and 12: the
+        # other 17 rows are certified rows composed with a class map. A
+        # rational group has no such map, and every row is checked
+        checked = []
+        certify_row = characters._certify_row
+
+        def counting(*args):
+            checked.append(args[0])
+            return certify_row(*args)
+
+        monkeypatch.setattr(characters, "_certify_row", counting)
+        s3 = tables["s3-a2"].group
+        for group in (c21_group, s3):
+            dixon_character_table(group)
+        assert checked.count(c21_group) == 4
+        assert checked.count(s3) == s3.class_count == 3
 
 
 class TestIngestValidation:
@@ -483,20 +594,22 @@ class TestIngestValidation:
     def test_duplicated_row_fails_orthogonality(self, c6_group):
         raw = load_reference_table("c6_table.json")
         raw["rows"][0] = raw["rows"][1]
-        with pytest.raises(ValidationFailed) as info:
+        with pytest.raises(ValidationFailed, match="tell the rows apart"
+                           ) as info:
             ingest_character_table(c6_group, raw)
-        assert "orthogonality" in info.value.relation
+        assert info.value.relation == "class algebra"
 
     def test_swapped_columns_fail_first_orthogonality(self, s3_group):
-        # second orthogonality is implied rather than checked, so column
-        # damage has to surface through first orthogonality
+        # the certificate reads rows, so column damage surfaces as a row
+        # that is no eigenvector of the class matrices
         raw = load_reference_table("s3_table.json")
         assert s3_group.class_sizes[1] != s3_group.class_sizes[2]
         for row in raw["rows"]:
             row[1], row[2] = row[2], row[1]
-        with pytest.raises(ValidationFailed) as info:
+        with pytest.raises(ValidationFailed, match="off its eigenvalue"
+                           ) as info:
             ingest_character_table(s3_group, raw)
-        assert info.value.relation == "first orthogonality"
+        assert info.value.relation == "class algebra"
 
     @staticmethod
     def problem_table():
@@ -510,9 +623,10 @@ class TestIngestValidation:
         conjugated = [[value[0]] + value[:0:-1] for value in raw["rows"][0]]
         assert conjugated != raw["rows"][0] and conjugated in raw["rows"]
         raw["rows"][0] = conjugated
-        with pytest.raises(ValidationFailed) as info:
+        with pytest.raises(ValidationFailed, match="tell the rows apart"
+                           ) as info:
             ingest_character_table(group, raw)
-        assert info.value.relation == "first orthogonality"
+        assert info.value.relation == "class algebra"
 
     def test_changed_irrational_coefficient_fails_power_map(self):
         group, raw = self.problem_table()
@@ -522,8 +636,8 @@ class TestIngestValidation:
         raw["rows"][0][4][1] = [2, 1]
         with pytest.raises(ValidationFailed) as info:
             ingest_character_table(group, raw)
-        assert info.value.relation == "power map"
-        assert "row 0, class 5" in str(info.value)
+        assert info.value.relation == "class algebra"
+        assert "row 0 is off its eigenvalue" in str(info.value)
 
     def test_changed_irrational_coefficient_fails_first_orthogonality(self):
         group, raw = self.problem_table()
@@ -534,7 +648,8 @@ class TestIngestValidation:
         raw["rows"][0][4][1] = raw["rows"][0][5][5] = [2, 1]
         with pytest.raises(ValidationFailed) as info:
             ingest_character_table(group, raw)
-        assert info.value.relation == "first orthogonality"
+        assert info.value.relation == "class algebra"
+        assert "row 0 is off its eigenvalue" in str(info.value)
 
     def test_power_map_exponent_is_prime_to_the_conductor(self):
         group, raw = self.problem_table()
@@ -556,8 +671,8 @@ class TestIngestValidation:
         raw["rows"][0][1] = [[0, 1], [1, 1]]
         with pytest.raises(ValidationFailed) as info:
             ingest_character_table(group, raw)
-        assert info.value.relation == "power map"
-        assert "row 0, class 1" in str(info.value)
+        assert info.value.relation == "class algebra"
+        assert "row 0 is off its eigenvalue" in str(info.value)
 
     def test_fraction_valued_table_accepted(self, c6_group):
         raw = load_reference_table("c6_table.json")
@@ -590,6 +705,19 @@ class TestIngestValidation:
         changed = replace(spec, character_table=unreduced)
         assert render(run_analyze(changed), "json") == \
             render(run_analyze(spec), "json")
+
+    def test_unreduced_pairs_accepted(self, s3_group):
+        # [2, 2] is the integer 1 held as a Fraction: the certificate reads
+        # integral Fractions exactly
+        raw = load_reference_table("s3_table.json")
+        reference = ingest_character_table(s3_group, raw)
+        for row in raw["rows"]:
+            for value in row:
+                for pair in value:
+                    pair[0] *= 2
+                    pair[1] *= 2
+        assert [2, 2] in raw["rows"][0][0] and [-2, 2] in raw["rows"][1][1]
+        assert ingest_character_table(s3_group, raw) == reference
 
     def test_wrong_row_count_fails_squareness(self, c6_group):
         raw = load_reference_table("c6_table.json")

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from equichar import (ParseError, UnknownExample, ValidationError, Verdict,
-                      divisors_of, errors)
+from equichar import (IntMatrix, ParseError, UnknownExample, ValidationError,
+                      Verdict, divisors_of, errors, generate_group)
 from equichar.analysis import report_to_dict
 from equichar.gcdpoly import from_terms
 from equichar.cli import (BUILTINS, _build_parser, _describe_error, _to_json,
@@ -387,8 +387,46 @@ class TestMain:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == ("error [character table validation]: "
-                                "character table validation failed: power "
-                                "map (row 0, class 2)\n")
+                                "character table validation failed: class "
+                                "algebra (row 0 is off its eigenvalue at "
+                                "classes [1])\n")
+
+    def test_swapped_classes_of_equal_order_and_size_fail_class_algebra(
+            self, tmp_path, capsys):
+        # B4, as the signed 4-cycle, a transposition and one sign change:
+        # classes 16 and 17 are of order 6 and size 32 with the same Smith
+        # form, so every multiplicity, the power-map rule, orthogonality
+        # and the oracle (q <= 24) pass on Dixon's table with those two
+        # columns swapped. Its rows are no central characters
+        problem = {"rank": 4, "generators": [
+            [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]}
+        group = generate_group([IntMatrix.from_rows(g)
+                                for g in problem["generators"]])
+        assert (group.order, group.class_count) == (384, 20)
+        assert group.class_sizes[16:18] == (32, 32)
+        assert {group.element_orders[group.class_representatives[c]]
+                for c in (16, 17)} == {6}
+        path = tmp_path / "b4.json"
+        path.write_text(json.dumps(problem))
+        assert main(["analyze", "--input", str(path), "--format", "json",
+                     "--no-verify"]) == 0
+        table = json.loads(capsys.readouterr().out)["character_table"]
+        for row in table["rows"]:
+            row[16], row[17] = row[17], row[16]
+        problem["character_table"] = {field: table[field] for field in
+                                      ("conductor", "classes", "rows")}
+        path.write_text(json.dumps(problem))
+        rc = main(["analyze", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error [character table validation]: "
+                                   "character table validation failed: "
+                                   "class algebra (")
 
     @pytest.mark.parametrize("field, value", [
         ("conductor", 6.9), ("conductor", "6"), ("conductor", True),
