@@ -4,23 +4,25 @@ on the symbolic pipeline.
 Everything here is deliberately direct: for each q, group elements act on
 all q^l points through image arrays, `img[code]` being the code of
 `M·x mod q`. The generators' arrays are built from the matrix entries
-reduced mod q by C-level slicing and lookups. A BFS over them labels every
-code with its orbit first; fixed points are then sought only in the orbits
-of fewer than |G| points, as |O|·|Stab(x)| = |G|. The classes of rep^k, k
+reduced mod q by C-level slicing and lookups. The classes of rep^k, k
 prime to the order of rep, share their fixed points (rep^k generates
-rep's cyclic group), so only the leader of each such Galois family
-(`group.families`) gets an array, composed from the generators' along the
-closure's stored BFS tree and certified against its matrix; the identity
-class fixes all q^l points and gets none. The generators' and leaders'
-matrices are built once per group (`group.generator_matrices`,
-`group.leader_matrices`). Both counts then go per family too. A family's
-classes meet the stabilizers of the orbits its leader's fixed points hit,
-and no others, since stabilizers along an orbit are conjugate: a degree-1
-row counts the orbits that no family it moves hits. A multiplicity is the
-inner product of the fixed counts with each family's weight, the row's
-rational class-weighted sum over the family (`characters.family_sums`),
-which is its own conjugate. None of it shares code with the Smith-form
-route, which is the point.
+rep's cyclic group), so they are sought only for the leader of each such
+Galois family (`group.families`); the identity class fixes all q^l points.
+One generator g is read off its cycles, as in Pólya's cycle index: they are
+the orbits, and a representative g^a fixes whole the cycles whose length
+divides a. Otherwise a BFS labels every code with its orbit first, and
+fixed points are sought only in the orbits of fewer than |G| points, as
+|O|·|Stab(x)| = |G|, through an array per leader composed along the
+closure's stored BFS tree. Either way each leader's tree word is certified
+against its matrix; the leaders' and the generators' matrices are built
+once per group (`group.leader_matrices`, `group.generator_matrices`). Both
+counts then go per family too. A family's classes meet the stabilizers of
+the orbits its leader's fixed points hit, and no others, since stabilizers
+along an orbit are conjugate: a degree-1 row counts the orbits that no
+family it moves hits. A multiplicity is the inner product of the fixed
+counts with each family's weight, the row's rational class-weighted sum
+over the family (`characters.family_sums`), which is its own conjugate.
+None of it shares code with the Smith-form route, which is the point.
 """
 
 from __future__ import annotations
@@ -108,6 +110,58 @@ class OrbitDecomposition:
         return len(self.orbit_sizes)
 
 
+def _word_length(group: FiniteMatrixGroup, gen_images: list[list[int]],
+                 q: int, c: int) -> int:
+    """The length of the closure-tree word of class c's representative x.
+    Walked through the generators' full arrays, the word is a linear map,
+    certified against x's matrix at the unit vectors."""
+    m, x = group.leader_matrices[c], group.class_representatives[c]
+    # the unit vectors' codes; (Z/1)^l is the one point 0
+    ends = units = [q ** j for j in range(group.rank)] if q > 1 else []
+    y, length = x, 0
+    while y:  # the tree word, last letter first
+        y, j = group.parent[y]
+        ends = list(map(gen_images[j].__getitem__, ends))
+        length += 1
+    # column j of the matrix mod q, coded like a point
+    if ends != [sum(v % q * u for v, u in zip(m.entries[j::m.cols], units))
+                for j in range(len(units))]:
+        raise CertificationFailed(
+            f"class {c} at q={q}: the composed image array of element {x} "
+            f"disagrees with its matrix")
+    return length
+
+
+def _cycles(group: FiniteMatrixGroup, img: list[int], q: int
+            ) -> tuple[list[int], list[int], dict[int, dict[int, int]]]:
+    """Labels, sizes and, per family leader but the identity's, fixed
+    points by orbit hit, when g, with array img, generates the group. The
+    orbits are g's cycles, each followed from its smallest code until it
+    closes, else img is no permutation. A representative whose tree word
+    has length a is g^a: it fixes whole the cycles of lengths dividing a,
+    below |G|, and no other point."""
+    label, sizes, by_size, start, done = [-1] * len(img), [], {}, 0, 0
+    while done < len(img):
+        start = label.index(-1, start)
+        label[start] = index = len(sizes)
+        code, n = img[start], 1
+        while code != start:
+            if label[code] >= 0:
+                raise CertificationFailed(f"generator 0 at q={q}: the image "
+                                          f"array is not a permutation")
+            label[code], code, n = index, img[code], n + 1
+        if n < group.order:
+            by_size.setdefault(n, []).append(index)
+        sizes.append(n)
+        done += n
+    tallies = {}
+    for c in group.leaders[1:]:
+        a = _word_length(group, [img], q, c)
+        tallies[c] = {index: n for n, indices in by_size.items() if a % n == 0
+                      for index in indices}
+    return label, sizes, tallies
+
+
 def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
                   q: int, short: list[int]) -> dict[int, list[int]]:
     """The codes of the fixed points of the representatives of the family
@@ -118,10 +172,8 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
     has the array img_a ∘ img_g, so arrays are composed along the closure's
     breadth-first tree (Schreier vectors: Holt, Eick and O'Brien, Handbook
     of Computational Group Theory, 4.1), each dropped once no pending
-    element below it needs it. A representative's tree word, walked through
-    the generators' full arrays, is a linear map and is certified against
-    its matrix at the unit vectors; the array scanned is that word
-    restricted to S."""
+    element below it needs it. The array scanned is a representative's
+    certified tree word (`_word_length`) restricted to S."""
     parent, reps = group.parent, group.class_representatives
     matrices = group.leader_matrices
     wanted = set()  # the representatives and their ancestors
@@ -131,8 +183,6 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
             wanted.add(x)
             x = parent[x][0]
     pending = Counter(parent[x][0] for x in wanted)  # children to build
-    # the unit vectors' codes; (Z/1)^l is the one point 0
-    units = [q ** j for j in range(group.rank)] if q > 1 else []
     support, position, steps = sorted(short), [0] * q ** group.rank, []
     for p, y in enumerate(support):
         position[y] = p
@@ -152,16 +202,7 @@ def _fixed_points(group: FiniteMatrixGroup, gen_images: list[list[int]],
         if not pending[a]:
             images.pop(a, None)
         if (c := group.class_of[x]) in matrices and reps[c] == x:
-            m, ends, y = matrices[c], units, x
-            while y:  # the tree word, last letter first
-                y, j = parent[y]
-                ends = list(map(gen_images[j].__getitem__, ends))
-            # column j of the matrix mod q, coded like a point
-            if ends != [sum(v % q * u for v, u in zip(
-                    m.entries[j::m.cols], units)) for j in range(len(units))]:
-                raise CertificationFailed(
-                    f"class {c} at q={q}: the composed image array of "
-                    f"element {x} disagrees with its matrix")
+            _word_length(group, gen_images, q, c)
             fixed[c] = [support[p] for p, z in enumerate(images[x]) if p == z]
             if not pending[x]:
                 del images[x]
@@ -179,31 +220,34 @@ def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
             f"(Z/{q})^{group.rank} has {total} points, over the cap {cap}; "
             f"raise it via {MAX_POINTS_ENV}")
     gen_images = [_image_array(m, q) for m in group.generator_matrices]
-    order = group.order
-    label = [-1] * total
-    sizes, short = [], []  # short: the codes of orbits of fewer than |G|
-    start = done = 0
-    while done < total:
-        start = label.index(-1, start)
-        index = len(sizes)
-        label[start] = index
-        frontier = [start]
-        for code in frontier:  # grows while scanned
-            for img in gen_images:
-                image = img[code]
-                if label[image] < 0:
-                    label[image] = index
-                    frontier.append(image)
-        sizes.append(n := len(frontier))
-        if n < order:
-            short += frontier
-        done += n
     # x^k generates the group x does for k prime to its order, so such
     # powers fix the same points: each Galois family of classes is counted
     # once, at its leader; the identity class (0) fixes every point
-    points = _fixed_points(group, gen_images, q, short)
-    tallies = {c: Counter(map(label.__getitem__, codes))
-               for c, codes in points.items()}
+    if len(gen_images) == 1:
+        label, sizes, tallies = _cycles(group, gen_images[0], q)
+    else:
+        order = group.order
+        label = [-1] * total
+        sizes, short = [], []  # short: the codes of orbits of fewer than |G|
+        start = done = 0
+        while done < total:
+            start = label.index(-1, start)
+            index = len(sizes)
+            label[start] = index
+            frontier = [start]
+            for code in frontier:  # grows while scanned
+                for img in gen_images:
+                    image = img[code]
+                    if label[image] < 0:
+                        label[image] = index
+                        frontier.append(image)
+            sizes.append(n := len(frontier))
+            if n < order:
+                short += frontier
+            done += n
+        points = _fixed_points(group, gen_images, q, short)
+        tallies = {c: Counter(map(label.__getitem__, codes))
+                   for c, codes in points.items()}
     # |Stab(x) ∩ C| = |C|·|Fix(rep_C) ∩ O|/|O| for every x in the orbit O;
     # x -> x^a maps a family's classes onto each other: one size, one tally
     for c in group.leaders[1:]:
@@ -212,7 +256,8 @@ def enumerate_action(group: FiniteMatrixGroup, q: int) -> OrbitDecomposition:
                 raise CertificationFailed(
                     f"class {c} at q={q}: {hits} fixed points in an orbit "
                     f"of {sizes[index]} do not divide evenly")
-    fixed = (total, *(len(points[leader]) for leader, _ in group.families[1:]))
+    fixed = (total, *(sum(tallies[leader].values())
+                      for leader, _ in group.families[1:]))
     return OrbitDecomposition(labels=label, orbit_sizes=tuple(sizes),
                               fixed_counts=fixed,
                               hit_orbits={c: frozenset(tally) for c, tally

@@ -93,11 +93,12 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
 
-def build_table(group: FiniteMatrixGroup, preimages, source: str
-                ) -> CharacterTable:
+def build_table(group: FiniteMatrixGroup, preimages, source: str, *,
+                class_matrices=None) -> CharacterTable:
     """Validate a table and build its rows. `preimages` holds, row by row
     and class by class, each entry as a sparse preimage in Z[x]/(x^e - 1):
-    a tuple of (power, coefficient) pairs, 0 <= power < e."""
+    a tuple of (power, coefficient) pairs, 0 <= power < e. `class_matrices`
+    maps classes to `_class_matrix`'s results already built, if any."""
     k = group.class_count
     if len(preimages) != k:
         raise ValidationFailed("squareness",
@@ -125,12 +126,13 @@ def build_table(group: FiniteMatrixGroup, preimages, source: str
                     if all(v == one for v in row.values)), None)
     if trivial is None:
         raise ValidationFailed("trivial row", "no all-ones row present")
-    _certify(group, rows, degrees, preimages)
+    _certify(group, rows, degrees, preimages, class_matrices or {})
     return CharacterTable(group=group, rows=tuple(rows), degrees=tuple(degrees),
                           trivial_index=trivial, source=source)
 
 
-def _certify(group: FiniteMatrixGroup, rows, degrees, preimages) -> None:
+def _certify(group: FiniteMatrixGroup, rows, degrees, preimages,
+             built) -> None:
     """Prove that the rows are the k irreducible characters (Schneider
     1990). For a row chi of degree d let u_c = |C_c| chi(c) and w = u / d.
     The class matrices M_t are diagonal in the basis of the central
@@ -152,7 +154,8 @@ def _certify(group: FiniteMatrixGroup, rows, degrees, preimages) -> None:
     if len(set(keys)) < k:
         raise ValidationFailed("class algebra",
                                "no class matrices tell the rows apart")
-    mats = [_class_matrix(group, t) for t in classes]
+    mats = [built[t] if t in built else _class_matrix(group, t)
+            for t in classes]
     # sum_i B^i M_(t_i), as the classes and entries of each of its rows
     base, combined = 2 * group.order + 1, [Counter() for _ in range(k)]
     for scale, mat in zip((base ** i for i in range(len(mats))), mats):
@@ -466,10 +469,11 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
     # split F_p^k into the simultaneous eigenspaces of the class matrices,
     # building each class matrix only when the split reaches its class
     subspaces = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    built = {}  # handed on to the certificate
     for ci in _split_order(group):
         if all(len(v) == 1 for v in subspaces):
             break
-        bmat = _class_matrix(group, ci)
+        bmat = built[ci] = _class_matrix(group, ci)
         # at a rational class, the eigenvalues |C| psi(c) / psi(1) of the
         # class matrix are integers of absolute value at most |C|
         size = group.class_sizes[ci] if ci in alone else p
@@ -564,7 +568,7 @@ def dixon_character_table(group: FiniteMatrixGroup) -> CharacterTable:
 
     # rows by degree, then by reduced coefficients, compared as if padded
     # with zeros to the conductor
-    table = build_table(group, lifts, source="dixon")
+    table = build_table(group, lifts, source="dixon", class_matrices=built)
     width = max(len(v.coeffs) for row in table.rows for v in row.values)
     order = sorted(range(k), key=lambda i: (table.degrees[i], tuple(
         v.coeffs + (0,) * (width - len(v.coeffs)) for v in table.rows[i].values)))

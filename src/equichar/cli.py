@@ -313,42 +313,41 @@ def _to_json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for values built from
     plain dicts with string keys, lists, tuples, strings, numbers, booleans
     and None. json lays out an indented dump with its pure-Python encoder,
-    so containers are joined here and only scalars go to its C encoder.
+    so containers are joined here and only scalars go to its C encoder."""
+    return _encode(value, indent, {})
 
-    A list of int lists, such as a table cell or a constituent, is often
-    one object met many times at one depth: its text is kept by (id,
-    indent) for the length of the call, while the value holds the object.
-    Only those leaf lists are kept, which keeps the memo small."""
-    memo: dict[tuple[int, str], str] = {}
 
-    def encode(value, indent: str) -> str:
-        kind = type(value)
-        if kind is list or kind is tuple:
-            if not value:
-                return "[]"
-            kinds = set(map(type, value))
-            if kinds == {list}:
-                key = (id(value), indent)
-                if (text := memo.get(key)) is not None:
-                    return text
-            inner = indent + "  "
-            items = (map(int.__repr__, value) if kinds == {int}
-                     else [encode(v, inner) for v in value])
-            text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-            if kinds == {list} and all(set(map(type, v)) == {int}
-                                       for v in value):
-                memo[key] = text
-            return text
-        if kind is dict:
-            if not value:
-                return "{}"
-            inner = indent + "  "
-            items = [f"{_encode_scalar(k)}: {encode(v, inner)}"
-                     for k, v in value.items()]
-            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-        return _encode_scalar(value)
-
-    return encode(value, indent)
+def _encode(value, indent: str, memo: dict[tuple[int, str], str]) -> str:
+    """`_to_json` with its memo. A list of int lists, such as a table cell
+    or a constituent, is often one object met many times at one depth: its
+    text is kept by (id, indent) for the length of the call, while the
+    value holds the object. Only those leaf lists are kept, which keeps the
+    memo small."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {list}:
+            key = (id(value), indent)
+            if (text := memo.get(key)) is not None:
+                return text
+        inner = indent + "  "
+        items = (map(int.__repr__, value) if kinds == {int}
+                 else [_encode(v, inner, memo) for v in value])
+        text = f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+        if kinds == {list} and all(set(map(type, v)) == {int}
+                                   for v in value):
+            memo[key] = text
+        return text
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_encode_scalar(k)}: {_encode(v, inner, memo)}"
+                 for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return _encode_scalar(value)
 
 
 def render_json(report: AnalysisReport) -> str:

@@ -671,6 +671,33 @@ class TestReciprocity:
                 failing += expected is not None
         assert (failing == 0) == (name == "c6-z2")
 
+    def test_aggregate_fails_alone_when_the_twist_is_no_involution(
+            self, c21_group, monkeypatch):
+        # three C21 rows that share one multiplicity object, 3-cycled:
+        # every row still meets the twist identity, but twisting twice
+        # does not return each row to itself
+        table = dixon_character_table(c21_group)
+        data = class_divisor_data(c21_group)
+        eqp = equivariant_qp(c21_group, table, data)
+        shared = Counter(map(id, eqp.multiplicities)).most_common(1)[0][0]
+        i, j, k = [r for r, qp in enumerate(eqp.multiplicities)
+                   if id(qp) == shared][:3]
+        # delta is trivial on a group of odd order: the twist fixes every row
+        delta, _ = reciprocity_character(c21_group, table, data)
+        twist = twist_indices(table, delta)
+        assert twist == list(range(table.size))
+        twist[i], twist[j], twist[k] = j, k, i
+        monkeypatch.setattr(analysis, "twist_indices",
+                            lambda table, delta: twist)
+        by_name = {v.name: v for v in analyze(c21_group,
+                                               verify=False).verdicts}
+        assert by_name["reciprocity-twist"].passed
+        aggregate = by_name["reciprocity-aggregate"]
+        assert not aggregate.passed
+        assert aggregate.details == "twisting by delta is not an involution"
+        assert [name for name, v in by_name.items() if not v.passed] == \
+            ["reciprocity-aggregate"]
+
     def test_twist_twists_by_delta(self, pipelines):
         # the rows check_reciprocity pairs are those of the products
         # chi_i * delta, formed value by value

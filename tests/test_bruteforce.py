@@ -14,12 +14,15 @@ from equichar import (CertificationFailed, EnumerationCapExceeded,
                       make_quasimonomial, NonRationalCoefficient,
                       reciprocity_character, ValidationError)
 from equichar import Cyclotomic, GcdQuasiPolynomial, bruteforce
-from equichar.cli import parse_input
+from equichar.cli import builtin, parse_input
 from equichar.groups import FiniteMatrixGroup
 from equichar.bruteforce import MAX_POINTS_ENV, resolve_cap
 
 from conftest import (BUILTIN_NAMES, C21_GENERATOR, PROBLEMS_DIR,
                       make_builtin_group, mat, plus_one)
+
+# C5 on Z^4: the companion matrix of x^4 + x^3 + x^2 + x + 1
+C5_GENERATOR = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
 
 # B3 on Z^3: the transposition (1 2), the 3-cycle and the sign flip of e_1
 B3_GENERATORS = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
@@ -220,9 +223,9 @@ class TestEnumeration:
 
     def test_fixed_points_sought_only_on_orbits_shorter_than_the_group(
             self, monkeypatch):
-        # c6-z3 at q = 24: 2,101 of its 2,522 orbits are free, and the
-        # fixed-point step gets only the 1,218 codes of the others
-        group = make_builtin_group("c6-z3")
+        # dihedral-z2 at q = 24: the fixed-point step gets only the codes
+        # of orbits of fewer than 8 points, counted here point by point;
+        # c6-z3, read off its generator's cycles, never reaches that step
         seen = []
         original = bruteforce._fixed_points
 
@@ -231,14 +234,72 @@ class TestEnumeration:
             return original(group, gen_images, q, short)
 
         monkeypatch.setattr(bruteforce, "_fixed_points", recording)
+        group = make_builtin_group("dihedral-z2")
+        orbits, _, _ = reference_action(group, 24)
+        expected = sum(len(orbit) for orbit in orbits
+                       if len(orbit) < group.order)
         dec = enumerate_action(group, 24)
         [short] = seen
         assert (len(set(short)), len(short), len(dec.labels)) == \
-            (1218, 1218, 13824)
+            (expected, expected, 24 ** 2)
         assert sorted({dec.orbit_sizes[dec.labels[y]] for y in short}) == \
-            [1, 2, 3]
+            [1, 2, 4]
+        # c6-z3 at q = 24: 2,101 of its 2,522 orbits are free
+        dec = enumerate_action(make_builtin_group("c6-z3"), 24)
+        assert len(seen) == 1
         hit = frozenset().union(*dec.hit_orbits.values())
         assert (dec.orbit_count, dec.orbit_count - len(hit)) == (2522, 2101)
+
+    @pytest.mark.parametrize("generator", [
+        *(builtin(name).generators[0] for name in ("c6-z2", "c6-z3")),
+        mat(C5_GENERATOR)], ids=["c6-z2", "c6-z3", "c5-z4"])
+    def test_cycles_agree_with_the_bfs(self, generator, monkeypatch):
+        # g alone is read off its cycles; [g, g] closes to the same data
+        # and takes the BFS and the composed arrays
+        calls = []
+        original = bruteforce._fixed_points
+
+        def recording(group, *args):
+            calls.append(len(group.generator_indices))
+            return original(group, *args)
+
+        monkeypatch.setattr(bruteforce, "_fixed_points", recording)
+        cyclic, doubled = (generate_group([generator] * n,
+                                          rank=generator.rows)
+                           for n in (1, 2))
+        assert doubled.generator_indices == (1, 1)
+        assert replace(doubled, generator_indices=(1,)) == cyclic
+        for q in range(1, 13):
+            assert enumerate_action(cyclic, q) == enumerate_action(doubled, q)
+        assert calls == [2] * 12
+
+    def test_non_permutation_array_raises(self, monkeypatch):
+        # codes 0 and 1 both sent to 0: the cycle from 1 meets the
+        # labelled 0 instead of closing
+        original = bruteforce._image_array
+
+        def merging(matrix, q):
+            img = original(matrix, q)
+            img[1] = img[0]
+            return img
+
+        monkeypatch.setattr(bruteforce, "_image_array", merging)
+        with pytest.raises(CertificationFailed,
+                           match="generator 0 at q=3: the image array is "
+                                 "not a permutation"):
+            enumerate_action(make_builtin_group("c6-z2"), 3)
+
+    def test_wrong_leader_matrix_on_the_cycles_raises(self, monkeypatch):
+        # the first leader after the identity's (-I, of order 2) given
+        # g's matrix: g^3's tree word disagrees with it mod 3
+        group = make_builtin_group("c6-z2")
+        c = group.leaders[1]
+        monkeypatch.setitem(group.leader_matrices, c,
+                            group.generator_matrices[0])
+        with pytest.raises(CertificationFailed,
+                           match=f"class {c} at q=3: the composed image "
+                                 "array of element"):
+            enumerate_action(group, 3)
 
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError, match="q must be positive"):

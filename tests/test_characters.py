@@ -172,6 +172,24 @@ class TestDixonLargerGroups:
         assert 0 < calls < b5_group.order * b5_group.class_count / 10
 
 
+def test_class_matrices_built_once_per_dixon_call(b5_group, c21_group,
+                                                  tables, monkeypatch):
+    # the split's class matrices are handed on to the certificate, which
+    # builds only those the split did not reach
+    built = []
+    class_matrix = characters._class_matrix
+
+    def counting(group, c):
+        built.append(c)
+        return class_matrix(group, c)
+
+    monkeypatch.setattr(characters, "_class_matrix", counting)
+    for group in (b5_group, c21_group, tables["s3-a2"].group):
+        built.clear()
+        dixon_character_table(group)
+        assert built and len(built) == len(set(built))
+
+
 def per_class(group):
     """The group with every class leading its own family, so that Dixon's
     lift runs at every class: the straightforward per-class lift."""
@@ -289,9 +307,10 @@ class TestDistinctValues:
         handed = []
         original = characters.build_table
 
-        def capture(group, preimages, source):
+        def capture(group, preimages, source, *, class_matrices=None):
             handed.extend(preimages)
-            return original(group, preimages, source)
+            return original(group, preimages, source,
+                            class_matrices=class_matrices)
 
         monkeypatch.setattr(characters, "build_table", capture)
         table = dixon_character_table(c21_group)

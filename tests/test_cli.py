@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -208,6 +209,18 @@ class TestJsonWriter:
             assert _to_json(value, "    ") == \
                 json.dumps([[value]], indent=2)[len("[\n  [\n    "):
                                                 -len("\n  ]\n]")]
+
+    def test_render_leaves_no_cyclic_garbage(self, s3_report):
+        # with the collector off, a render that left a reference cycle
+        # would leave it for the next collection to find
+        gc.collect()
+        gc.disable()
+        try:
+            text = render_json(s3_report)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert text.startswith("{") and found == 0
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_builtin_reports_match_json_dumps(self, name):
@@ -476,6 +489,18 @@ class TestMain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error [problem input]: ")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "not UTF-8 text"),
+        (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unreadable_problem_file_raises_parse_error(self, tmp_path,
+                                                        content, message):
+        # the two cases above, in process
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=f"bad.json: {message}"):
+            parse_input(path)
 
 
 ERROR_STAGES = (
